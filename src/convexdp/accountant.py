@@ -6,7 +6,12 @@ Two accounting routes are provided:
   neighborhood: the per-step guarantee is expressed as a privacy profile
   built from hockey-stick divergences of a Gaussian dominating pair mixed
   with the subsampling ratio, discretized onto a uniform loss grid
-  (connect-the-dots style) and self-composed with FFT convolutions.
+  (connect-the-dots style) and self-composed with FFT convolutions. After
+  every convolution, tails of total mass at most ``TRIM_TOL`` are moved
+  pessimistically (the right one to the infinity atom, the left one onto
+  the lowest kept point), so the support tracks where the mass really is
+  instead of growing with FFT round-off. Several horizons of one run share
+  a single chain of squared PLDs (``account_dpsgd_many``).
 * Noisy cyclic mini-batch gradient descent: the closed-form mu-GDP bound
   for strongly convex, smooth losses with fixed disjoint batches.
 
@@ -15,9 +20,10 @@ All operations are pure functions; nothing here holds shared mutable state.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import math
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -32,6 +38,9 @@ DEFAULT_GRID_STEP = 1e-3
 #: Probability below which the profile tail is truncated (folded into the
 #: infinity atom, which is pessimistic and preserves domination).
 DEFAULT_TAIL_TOL = 1e-12
+#: Mass a composed PLD may shed from each tail after one convolution (moved
+#: pessimistically, see ``_truncate_support``); the FFT round-off floor.
+TRIM_TOL = 1e-15
 #: Epsilon values above this are reported as "> EPS_MAX" by the CLI.
 EPS_MAX = 32.0
 #: Hard cap on composed PLD support (in loss units) and on FFT lengths.
@@ -71,7 +80,7 @@ class DiscretePLD:
         if not (1 - 1e-12 <= total <= 1 + 1e-12):
             raise DomainError(f"PLD not normalized: total mass {total!r}")
 
-    @property
+    @functools.cached_property
     def losses(self) -> np.ndarray:
         return self.loss_grid_origin + self.loss_grid_step * np.arange(
             len(self.masses)
@@ -336,44 +345,55 @@ def connect_the_dots(profile: PrivacyProfile, eps_grid: np.ndarray) -> DiscreteP
 def pld_delta(pld: DiscretePLD, eps: float) -> float:
     """delta(eps) induced by a discrete PLD.
 
-    m_inf + sum over grid losses l > eps of (1 - e^{eps - l}) * p.
+    m_inf + sum over grid losses l > eps of (1 - e^{eps - l}) * p. The grid
+    is increasing, so the losses above eps are the suffix from the
+    ``searchsorted`` index on.
     """
     losses = pld.losses
-    above = losses > eps
-    if not np.any(above):
+    first = int(np.searchsorted(losses, eps, side="right"))
+    if first == len(losses):
         return float(min(max(pld.infinity_mass, 0.0), 1.0))
-    contrib = (1.0 - np.exp(eps - losses[above])) * pld.masses[above]
+    contrib = (1.0 - np.exp(eps - losses[first:])) * pld.masses[first:]
     return float(min(max(pld.infinity_mass + contrib.sum(), 0.0), 1.0))
 
 
 def _truncate_support(
     origin: float, step: float, masses: np.ndarray, inf_mass: float, cap: float
 ):
-    """Restrict support to [-cap, cap] in loss units, pessimistically.
+    """Restrict support to [-cap, cap] and shed negligible tails, pessimistically.
 
     Mass above the cap becomes infinite loss; mass below the cap is moved up
-    to the lowest kept grid point. Both moves can only increase delta.
+    to the lowest kept grid point. Then the longest right tail of total mass
+    at most ``TRIM_TOL`` joins the infinity atom, and the longest left tail
+    of total mass at most ``TRIM_TOL`` moves up onto the lowest kept grid
+    point. Every move shifts mass to a larger loss, so delta can only
+    increase, and stochastic order survives later convolutions, so every
+    composition built on the result still dominates. Each call adds at most
+    ``TRIM_TOL`` to the infinity atom. ``masses`` may be modified in place.
     """
     losses = origin + step * np.arange(len(masses))
-    hi = losses > cap
-    if np.any(hi):
-        inf_mass += float(masses[hi].sum())
-        masses = masses[~hi]
-        losses = losses[~hi]
-    lo = losses < -cap
-    if np.any(lo):
-        folded = float(masses[lo].sum())
-        masses = masses[~lo].copy()
-        losses = losses[~lo]
-        if len(masses) == 0:
-            raise NumericError("entire PLD support fell below the cap")
-        masses[0] += folded
-    # Trim exact-zero edges to keep convolutions short.
-    nz = np.nonzero(masses)[0]
-    if len(nz) == 0:
-        return float(losses[0]) if len(losses) else 0.0, masses[:1], inf_mass
-    masses = masses[nz[0] : nz[-1] + 1]
-    return float(losses[nz[0]]), masses, inf_mass
+    # Losses increase along the grid: the kept points are one slice.
+    lo = int(np.searchsorted(losses, -cap, side="left"))
+    hi = int(np.searchsorted(losses, cap, side="right"))
+    if hi < len(masses):
+        inf_mass += float(masses[hi:].sum())
+    if lo >= hi:
+        raise NumericError("entire PLD support fell outside the cap")
+    folded = float(masses[:lo].sum())
+    masses = masses[lo:hi]
+    masses[0] += folded
+
+    right = np.cumsum(masses[::-1])
+    n_right = min(int(np.searchsorted(right, TRIM_TOL, side="right")), len(masses) - 1)
+    if n_right:
+        inf_mass += float(right[n_right - 1])
+        masses = masses[: len(masses) - n_right]
+    left = np.cumsum(masses)
+    n_left = min(int(np.searchsorted(left, TRIM_TOL, side="right")), len(masses) - 1)
+    if n_left:
+        masses = masses[n_left:]
+        masses[0] += float(left[n_left - 1])
+    return float(losses[lo + n_left]), masses, inf_mass
 
 
 def _pld_multiply(
@@ -419,33 +439,43 @@ def compose_pld(
     T: int,
     max_len: int = DEFAULT_MAX_LEN,
     support_cap: float = DEFAULT_SUPPORT_CAP,
+    powers: Optional[list] = None,
 ) -> DiscretePLD:
     """T-fold self-composition by FFT convolution (binary exponentiation).
 
-    Convolutions are zero-padded (full linear convolution, no wrap-around);
-    the infinity mass composes as 1 - (1 - m_inf)^T. Support beyond the cap
-    is folded pessimistically, preserving domination.
+    Convolutions are zero-padded (full linear convolution, no wrap-around).
+    Support beyond the cap is folded and tails of mass at most ``TRIM_TOL``
+    are shed after every convolution (``_truncate_support``), pessimistically,
+    preserving domination. The infinity mass composes as 1 - (1 - m_inf)^T
+    plus at most (T - 1) * TRIM_TOL: each convolution adds at most TRIM_TOL,
+    and composing two PLDs adds their excesses.
+
+    ``powers`` is a caller-owned chain of squares, ``powers[j]`` being
+    pld^(2^j); it is extended in place as far as T needs, so several
+    horizons of the same ``pld`` square only once. The multiplications for
+    a given T happen in the same order with or without it, so the result is
+    the same bit for bit.
     """
     if T < 1:
         raise DomainError(f"T must be a positive integer, got {T!r}")
-    if T == 1:
-        return DiscretePLD(
-            pld.loss_grid_origin,
-            pld.loss_grid_step,
-            pld.masses.copy(),
-            pld.infinity_mass,
-        )
+    if powers is None:
+        powers = []
+    if not powers:
+        powers.append(pld)
     result: DiscretePLD | None = None
-    base = pld
-    t = T
+    j, t = 0, T
     while t > 0:
         if t & 1:
-            result = base if result is None else _pld_multiply(
-                result, base, max_len, support_cap
+            result = powers[j] if result is None else _pld_multiply(
+                result, powers[j], max_len, support_cap
             )
         t >>= 1
         if t:
-            base = _pld_multiply(base, base, max_len, support_cap)
+            if j + 1 == len(powers):
+                powers.append(
+                    _pld_multiply(powers[j], powers[j], max_len, support_cap)
+                )
+            j += 1
     assert result is not None
     return result
 
@@ -468,10 +498,32 @@ def account_dpsgd(
     P = N(2/sigma, 1), Q = N(0, 1). The subsampled profile is discretized
     with connect_the_dots and composed T times.
     """
+    return account_dpsgd_many(
+        sigma, q, [T], grid_step=grid_step, tail_tol=tail_tol, eps_max=eps_max,
+        support_cap=support_cap, max_len=max_len,
+    )[0]
+
+
+def account_dpsgd_many(
+    sigma: float,
+    q: float,
+    Ts: Sequence[int],
+    grid_step: float = DEFAULT_GRID_STEP,
+    tail_tol: float = DEFAULT_TAIL_TOL,
+    eps_max: float = EPS_MAX,
+    support_cap: float = DEFAULT_SUPPORT_CAP,
+    max_len: int = DEFAULT_MAX_LEN,
+) -> list:
+    """``account_dpsgd`` at every horizon in ``Ts``, from one squaring chain.
+
+    The step PLD is discretized once and its squares are shared by all
+    horizons, so each profile equals ``account_dpsgd(sigma, q, T)`` bit for
+    bit while the chain is computed once.
+    """
     if sigma <= 0:
         raise DomainError(f"sigma must be positive, got {sigma!r}")
-    if T < 1:
-        raise DomainError(f"T must be a positive integer, got {T!r}")
+    if any(T < 1 for T in Ts):
+        raise DomainError(f"every T must be a positive integer, got {list(Ts)!r}")
     spec = SubsampledSpec(base=GaussianPairSpec(mu=2.0 / sigma), q=q)
     step_profile = subsampled_dp_profile(spec)
 
@@ -489,17 +541,23 @@ def account_dpsgd(
         )
     grid = np.arange(-m, m + 1, dtype=float) * grid_step
     pld = connect_the_dots(step_profile, grid)
-    composed = compose_pld(pld, T, max_len=max_len, support_cap=support_cap)
+    powers: list = []
+    return [
+        _pld_profile(
+            compose_pld(pld, T, max_len=max_len, support_cap=support_cap, powers=powers)
+        )
+        for T in Ts
+    ]
 
+
+def _pld_profile(pld: DiscretePLD) -> PrivacyProfile:
     def evaluator(eps):
         eps = np.asarray(eps, dtype=float)
         if eps.ndim == 0:
-            return pld_delta(composed, float(eps))
-        return np.array([pld_delta(composed, e) for e in eps.ravel()]).reshape(
-            eps.shape
-        )
+            return pld_delta(pld, float(eps))
+        return np.array([pld_delta(pld, e) for e in eps.ravel()]).reshape(eps.shape)
 
-    return PrivacyProfile(evaluator=evaluator, kind="discrete-pld-derived", pld=composed)
+    return PrivacyProfile(evaluator=evaluator, kind="discrete-pld-derived", pld=pld)
 
 
 # ---------------------------------------------------------------------------

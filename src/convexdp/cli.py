@@ -198,28 +198,51 @@ def accountant_inputs_for_run(cfg: RunConfig, n: int, beta: float) -> dict:
     raise ConfigError(f"no accountant for method {cfg.method!r}")
 
 
-def epsilon_from_inputs(inputs: dict) -> float:
-    if inputs["method"] == "dpsgd":
+def epsilon_from_inputs(inputs: dict, epochs: Optional[int] = None):
+    """Epsilon of the accountant query ``inputs`` at its ``delta``.
+
+    With ``epochs``, ``inputs`` is read as a run of that many equal epochs,
+    and the list of epsilons after epochs 1..epochs is returned. Entry ``e``
+    equals ``epsilon_from_inputs`` of the inputs cut at epoch ``e``; the
+    DP-SGD horizons share one composition chain.
+    """
+    method = inputs["method"]
+    if method == "dpsgd":
+        if epochs is None:
+            Ts = [inputs["T"]]
+        else:
+            steps, rest = divmod(inputs["T"], epochs)
+            if rest:
+                raise ConfigError(f"T={inputs['T']} is not {epochs} equal epochs")
+            Ts = [e * steps for e in range(1, epochs + 1)]
         if inputs["sigma"] == 0:
-            return math.inf
-        profile = acc.account_dpsgd(inputs["sigma"], inputs["q"], inputs["T"])
-        return acc.find_epsilon(profile, inputs["delta"])
-    if inputs["method"] == "noisycgd":
-        if inputs["sigma"] == 0:
-            return math.inf
-        spec = acc.NoisyCGDSpec(
-            L=inputs["L"],
-            b=inputs["b"],
-            sigma=inputs["sigma"],
-            eta=inputs["eta"],
-            lambda_sc=inputs["lambda"],
-            beta_sm=inputs["beta"],
-            k=inputs["k"],
-            E=inputs["E"],
-        )
-        return acc.find_epsilon(acc.gaussian_profile(acc.noisycgd_mu(spec)),
-                                inputs["delta"])
-    raise ConfigError(f"unknown accountant method {inputs['method']!r}")
+            eps = [math.inf] * len(Ts)
+        else:
+            eps = [acc.find_epsilon(profile, inputs["delta"]) for profile in
+                   acc.account_dpsgd_many(inputs["sigma"], inputs["q"], Ts)]
+    elif method == "noisycgd":
+        Es = [inputs["E"]] if epochs is None else range(1, epochs + 1)
+        eps = [_noisycgd_epsilon(inputs, E) for E in Es]
+    else:
+        raise ConfigError(f"unknown accountant method {method!r}")
+    return eps[0] if epochs is None else eps
+
+
+def _noisycgd_epsilon(inputs: dict, E: int) -> float:
+    if inputs["sigma"] == 0:
+        return math.inf
+    spec = acc.NoisyCGDSpec(
+        L=inputs["L"],
+        b=inputs["b"],
+        sigma=inputs["sigma"],
+        eta=inputs["eta"],
+        lambda_sc=inputs["lambda"],
+        beta_sm=inputs["beta"],
+        k=inputs["k"],
+        E=E,
+    )
+    return acc.find_epsilon(acc.gaussian_profile(acc.noisycgd_mu(spec)),
+                            inputs["delta"])
 
 
 def _eps_repr(eps: float) -> str:
@@ -300,13 +323,9 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
         )
 
     if cfg.account_every_epoch and cfg.method != "dpgd":
+        per_epoch = epsilon_from_inputs(inputs, epochs=cfg.epochs)
         for record in trace.records:
-            per_inputs = dict(inputs)
-            if per_inputs["method"] == "dpsgd":
-                per_inputs["T"] = record["epoch"] * (len(X_train) // cfg.b)
-            else:
-                per_inputs["E"] = record["epoch"]
-            record["epsilon_at_delta"] = epsilon_from_inputs(per_inputs)
+            record["epsilon_at_delta"] = per_epoch[record["epoch"] - 1]
         epsilon = trace.records[-1]["epsilon_at_delta"]
     else:
         epsilon = epsilon_from_inputs(inputs)

@@ -275,6 +275,59 @@ def test_compose_resource_limit():
         acc.compose_pld(pld, 64, max_len=4096)
 
 
+@given(Ts=st.lists(st.integers(1, 40), min_size=1, max_size=6))
+@settings(max_examples=25, deadline=None)
+def test_compose_shared_powers_matches_fresh(Ts):
+    # A shared chain of squares must not change any horizon's result.
+    pld = make_gaussian_pld(mu=0.5, step=1e-2, width=1.0)  # real m_inf
+    powers = []
+    for T in Ts:
+        shared = acc.compose_pld(pld, T, powers=powers)
+        fresh = acc.compose_pld(pld, T)
+        np.testing.assert_array_equal(shared.masses, fresh.masses)
+        assert shared.loss_grid_origin == fresh.loss_grid_origin
+        assert shared.infinity_mass == fresh.infinity_mass
+
+
+def test_compose_infinity_mass_excess_bounded():
+    # Each convolution sheds at most TRIM_TOL of right tail into the atom,
+    # and composing two PLDs adds their excesses, so T copies exceed the
+    # exact 1 - (1 - m_inf)^T by at most (T - 1) * TRIM_TOL, plus the
+    # rounding of 1 - (1 - a)(1 - b) at each multiply. The support cap,
+    # which also feeds the atom, does not bind for these horizons.
+    step = acc.account_dpsgd(2.0, 1 / 60, 1).pld
+    gauss = make_gaussian_pld(mu=0.5, width=1.0)
+    for pld, T in [(step, T) for T in (2, 7, 60, 1200)] + [(gauss, 7), (gauss, 60)]:
+        powers = []
+        comp = acc.compose_pld(pld, T, powers=powers)
+        multiplies = len(powers) - 1 + bin(T).count("1") - 1
+        exact = -math.expm1(T * math.log1p(-pld.infinity_mass))
+        slack = multiplies * 4 * np.finfo(float).eps
+        assert exact - slack <= comp.infinity_mass
+        assert comp.infinity_mass <= exact + (T - 1) * acc.TRIM_TOL + slack
+
+
+def test_composed_support_tracks_mass():
+    # Without the tail trim, FFT round-off grew every composed PLD to the
+    # whole +-64 support cap: 128 000 points on this grid.
+    assert len(acc.account_dpsgd(2.0, 1 / 60, 1200).pld.masses) < 32768
+
+
+def test_pld_delta_matches_masked_sum():
+    # Reference: the boolean-mask form of m_inf + sum_{l > eps} (1 - e^{eps-l}) p.
+    pld = acc.account_dpsgd(2.0, 0.05, 50).pld
+    losses = pld.loss_grid_origin + pld.loss_grid_step * np.arange(len(pld.masses))
+    probes = np.concatenate([
+        np.linspace(losses[0] - 1.0, losses[-1] + 1.0, 97), losses[::501], losses[-1:]
+    ])
+    for eps in probes:
+        above = losses > eps
+        want = pld.infinity_mass + (
+            (1.0 - np.exp(eps - losses[above])) * pld.masses[above]
+        ).sum()
+        assert acc.pld_delta(pld, float(eps)) == min(max(float(want), 0.0), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # DP-SGD end-to-end accounting
 # ---------------------------------------------------------------------------

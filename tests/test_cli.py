@@ -9,6 +9,7 @@ import pytest
 
 from convexdp import accountant as acc
 from convexdp import cli
+from convexdp.errors import ConfigError
 
 
 BASE_CONFIG = {
@@ -65,6 +66,30 @@ def test_run_epsilon_recomputable_from_logged_inputs(tmp_path, monkeypatch, caps
     report = json.loads(out)
     eps_again = cli.epsilon_from_inputs(report["accountant_inputs"])
     assert float(report["epsilon"]) == eps_again
+
+
+@pytest.mark.parametrize("method", ["relu-dpsgd", "dual-dpsgd", "dual-noisycgd"])
+def test_per_epoch_epsilons_match_one_shot(method):
+    cfg = cli.RunConfig(**dict(
+        BASE_CONFIG, method=method, hidden_m=8, epochs=4,
+        account_every_epoch=True, dataset=dict(BASE_CONFIG["dataset"]),
+    ))
+    report = cli.execute_run(cfg, write_outputs=False)
+    inputs = report["accountant_inputs"]
+    steps = report["n_train"] // cfg.b
+    assert [r["epoch"] for r in report["trace"]] == [1, 2, 3, 4]
+    for record in report["trace"]:
+        epoch = record["epoch"]
+        cut = (dict(inputs, T=epoch * steps) if inputs["method"] == "dpsgd"
+               else dict(inputs, E=epoch))
+        assert record["epsilon_at_delta"] == cli.epsilon_from_inputs(cut)
+    assert float(report["epsilon"]) == cli.epsilon_from_inputs(inputs)
+
+
+def test_per_epoch_epsilons_need_equal_epochs():
+    inputs = {"method": "dpsgd", "sigma": 2.0, "q": 0.1, "T": 7, "delta": 1e-5}
+    with pytest.raises(ConfigError):
+        cli.epsilon_from_inputs(inputs, epochs=2)
 
 
 def test_run_sigma_zero_reports_inf(tmp_path, monkeypatch, capsys):
