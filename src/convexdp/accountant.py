@@ -619,7 +619,10 @@ def find_epsilon(
     """Smallest eps with delta(eps) <= delta_target, by bisection.
 
     Returns 0 when the target is already met at eps = 0, and inf when it is
-    not met at eps_max (the CLI reports such values as "> eps_max").
+    not met at eps_max (the CLI reports such values as "> eps_max"). The
+    returned eps always meets the target: the bisection keeps delta(hi) <=
+    delta_target and stops early only on a point with delta within a
+    relative 1e-6 below the target.
     """
     if not (0 < delta_target < 1):
         raise DomainError(f"delta target must be in (0, 1), got {delta_target!r}")
@@ -633,7 +636,7 @@ def find_epsilon(
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         d_mid = profile.delta(mid)
-        if abs(d_mid - delta_target) <= 1e-6 * delta_target:
+        if delta_target * (1.0 - 1e-6) <= d_mid <= delta_target:
             hi = mid
             break
         if d_mid > delta_target:

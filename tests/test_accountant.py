@@ -366,6 +366,29 @@ def test_find_epsilon_roundtrip():
     assert acc.find_epsilon(profile, target) == pytest.approx(1.0, abs=1e-6)
 
 
+@given(mu=st.floats(0.05, 6.0), log10_delta=st.floats(-10.0, -1.0))
+@settings(max_examples=60, deadline=None)
+def test_find_epsilon_meets_target_gaussian(mu, log10_delta):
+    profile = acc.gaussian_profile(mu)
+    delta = 10.0**log10_delta
+    eps = acc.find_epsilon(profile, delta)
+    assert math.isinf(eps) or profile.delta(eps) <= delta
+
+
+@given(
+    sigma=st.floats(0.8, 4.0),
+    q=st.floats(0.005, 0.3),
+    T=st.integers(1, 64),
+    log10_delta=st.floats(-8.0, -2.0),
+)
+@settings(max_examples=15, deadline=None)
+def test_find_epsilon_meets_target_dpsgd(sigma, q, T, log10_delta):
+    profile = acc.account_dpsgd(sigma, q, T)
+    delta = 10.0**log10_delta
+    eps = acc.find_epsilon(profile, delta)
+    assert math.isinf(eps) or profile.delta(eps) <= delta
+
+
 def test_find_epsilon_edge_cases():
     profile = acc.gaussian_profile(1.0)
     assert acc.find_epsilon(profile, 0.9) == 0.0  # delta(0) ~ 0.38 < 0.9
