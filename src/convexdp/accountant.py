@@ -15,7 +15,8 @@ Two accounting routes are provided:
 * Noisy cyclic mini-batch gradient descent: the closed-form mu-GDP bound
   for strongly convex, smooth losses with fixed disjoint batches.
 
-All operations are pure functions; nothing here holds shared mutable state.
+Nothing here holds shared mutable state: ``compose_pld`` may extend a
+caller-owned chain of squares, and a PLD caches its own loss grid.
 """
 from __future__ import annotations
 
@@ -375,8 +376,7 @@ def _truncate_support(
     # Losses increase along the grid: the kept points are one slice.
     lo = int(np.searchsorted(losses, -cap, side="left"))
     hi = int(np.searchsorted(losses, cap, side="right"))
-    if hi < len(masses):
-        inf_mass += float(masses[hi:].sum())
+    inf_mass += float(masses[hi:].sum())
     if lo >= hi:
         raise NumericError("entire PLD support fell outside the cap")
     folded = float(masses[:lo].sum())
@@ -439,7 +439,7 @@ def compose_pld(
     T: int,
     max_len: int = DEFAULT_MAX_LEN,
     support_cap: float = DEFAULT_SUPPORT_CAP,
-    powers: Optional[list] = None,
+    powers: Optional[list[DiscretePLD]] = None,
 ) -> DiscretePLD:
     """T-fold self-composition by FFT convolution (binary exponentiation).
 
@@ -513,7 +513,7 @@ def account_dpsgd_many(
     eps_max: float = EPS_MAX,
     support_cap: float = DEFAULT_SUPPORT_CAP,
     max_len: int = DEFAULT_MAX_LEN,
-) -> list:
+) -> list[PrivacyProfile]:
     """``account_dpsgd`` at every horizon in ``Ts``, from one squaring chain.
 
     The step PLD is discretized once and its squares are shared by all
@@ -541,7 +541,7 @@ def account_dpsgd_many(
         )
     grid = np.arange(-m, m + 1, dtype=float) * grid_step
     pld = connect_the_dots(step_profile, grid)
-    powers: list = []
+    powers: list[DiscretePLD] = []
     return [
         _pld_profile(
             compose_pld(pld, T, max_len=max_len, support_cap=support_cap, powers=powers)

@@ -198,7 +198,9 @@ def accountant_inputs_for_run(cfg: RunConfig, n: int, beta: float) -> dict:
     raise ConfigError(f"no accountant for method {cfg.method!r}")
 
 
-def epsilon_from_inputs(inputs: dict, epochs: Optional[int] = None):
+def epsilon_from_inputs(
+    inputs: dict, epochs: Optional[int] = None
+) -> float | list[float]:
     """Epsilon of the accountant query ``inputs`` at its ``delta``.
 
     With ``epochs``, ``inputs`` is read as a run of that many equal epochs,

@@ -303,7 +303,6 @@ def test_compose_infinity_mass_excess_bounded():
         multiplies = len(powers) - 1 + bin(T).count("1") - 1
         exact = -math.expm1(T * math.log1p(-pld.infinity_mass))
         slack = multiplies * 4 * np.finfo(float).eps
-        assert exact - slack <= comp.infinity_mass
         assert comp.infinity_mass <= exact + (T - 1) * acc.TRIM_TOL + slack
 
 
