@@ -6,15 +6,17 @@ Subpackages:
   composition for subsampled DP-SGD and the closed-form GDP bound for
   noisy cyclic mini-batch GD.
 * ``convex_dual`` -- the gated linear (convex dual) model: arrangements,
-  masks, losses, per-sample gradients, tiny-scale duality checks.
-* ``optimizers`` -- DP-SGD, NoisyCGD, projected DP-GD, clipping and
-  projection operators.
+  masks, per-sample losses and gradients, tiny-scale duality checks.
+* ``losses`` -- the MSE / softmax cross-entropy head (residuals, mean
+  loss, accuracy) shared by the dual model and the MLP baseline.
+* ``optimizers`` -- one noisy mini-batch loop behind DP-SGD and NoisyCGD,
+  projected DP-GD, clipping and projection operators.
 * ``baseline_relu`` -- one-hidden-layer ReLU network baseline.
-* ``data`` -- IDX/CSV loading, synthetic data, batching.
+* ``data`` -- IDX/CSV loading, synthetic data, subsets and splits.
 * ``cli`` -- the experiment harness.
 """
 
-from . import accountant, baseline_relu, convex_dual, data, optimizers
+from . import accountant, baseline_relu, convex_dual, data, losses, optimizers
 from .errors import (
     ConfigError,
     DomainError,
@@ -28,6 +30,7 @@ __all__ = [
     "baseline_relu",
     "convex_dual",
     "data",
+    "losses",
     "optimizers",
     "ConfigError",
     "DomainError",

@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 
+from . import losses
 from .errors import DomainError
 
 
@@ -132,39 +133,19 @@ class MLPObjective:
         return np.concatenate([net.U.ravel(), net.A.ravel()])
 
     def _forward(self, params, X):
+        """Hidden pre-activations, activations and logits of the rows of X."""
         U, A = self._unflatten(params)
         pre = X @ U.T
         h = np.maximum(pre, 0.0)
         return pre, h, h @ A
 
-    def _residuals(self, params, X, y):
-        _, _, out = self._forward(params, X)
-        if self.loss_kind == "mse":
-            targets = np.eye(self.k)[np.asarray(y, dtype=int)] if np.issubdtype(
-                np.asarray(y).dtype, np.integer
-            ) else np.atleast_2d(np.asarray(y, dtype=float)).reshape(len(X), self.k)
-            return out - targets, out
-        shifted = out - out.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
-        r = probs.copy()
-        r[np.arange(len(X)), np.asarray(y, dtype=int)] -= 1.0
-        return r, out
-
     def data_loss(self, params, X, y) -> float:
-        _, _, out = self._forward(params, X)
-        if self.loss_kind == "mse":
-            r, _ = self._residuals(params, X, y)
-            return 0.5 * float(np.sum(r**2)) / len(X)
-        shifted = out - out.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1))
-        picked = shifted[np.arange(len(X)), np.asarray(y, dtype=int)]
-        return float(np.mean(log_z - picked))
+        return losses.mean_loss(self._forward(params, X)[-1], y, self.loss_kind)
 
     def clipped_grad_mean(self, params, X, y, C: float) -> np.ndarray:
-        U, A = self._unflatten(params)
-        pre, h, _ = self._forward(params, X)
-        r, _ = self._residuals(params, X, y)
+        _, A = self._unflatten(params)
+        pre, h, out = self._forward(params, X)
+        r = losses.residuals(out, y, self.loss_kind)
         G = (r @ A.T) * (pre > 0)  # (n, m): hidden-layer backprop signal
         norms = np.sqrt(
             np.sum(h**2, axis=1) * np.sum(r**2, axis=1)
@@ -180,9 +161,5 @@ class MLPObjective:
         U, A = self._unflatten(params)
         return mlp_per_sample_grad(MLP(U=U, A=A), x, y, self.loss_kind)
 
-    def predict(self, params, X) -> np.ndarray:
-        _, _, out = self._forward(params, X)
-        return np.argmax(out, axis=1)
-
     def accuracy(self, params, X, labels) -> float:
-        return float(np.mean(self.predict(params, X) == np.asarray(labels)))
+        return losses.accuracy(self._forward(params, X)[-1], labels)

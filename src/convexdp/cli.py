@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -287,29 +288,28 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
 
     beta = (cfg.beta if cfg.beta is not None
             else float(np.max(np.sum(X_train**2, axis=1))) + float(cfg.lam))
+    if cfg.method == "dual-noisycgd" and cfg.eta * beta >= 2.0:
+        warnings.warn(
+            f"eta * beta = {cfg.eta * beta:.3g} >= 2; the GDP accounting "
+            "precondition eta < 2/beta fails for this run",
+            stacklevel=2,
+        )
     inputs = accountant_inputs_for_run(cfg, len(X_train), beta)
 
     eval_fn = lambda params: objective.accuracy(params, X_test, test.labels)
     labels = train.labels
 
-    if cfg.method == "dual-noisycgd":
-        opt_cfg = optimizers.NoisyCGDConfig(
-            C=cfg.C, sigma=cfg.sigma, b=cfg.b, eta=cfg.eta, lam=float(cfg.lam),
-            epochs=cfg.epochs, seed=cfg.seeds["batches"],
-            noise_seed=cfg.seeds["noise"],
-        )
-        params, trace = optimizers.noisycgd_run(
-            objective, params0, X_train, labels, opt_cfg, eval_fn=eval_fn
-        )
-    elif cfg.method in ("dual-dpsgd", "relu-dpsgd"):
+    if cfg.method != "dpgd":
         opt_cfg = optimizers.DPSGDConfig(
             C=cfg.C, sigma=cfg.sigma, b=cfg.b, eta=cfg.eta, epochs=cfg.epochs,
             seed=cfg.seeds["batches"], noise_seed=cfg.seeds["noise"],
         )
-        params, trace = optimizers.dpsgd_run(
+        run = (optimizers.noisycgd_run if cfg.method == "dual-noisycgd"
+               else optimizers.dpsgd_run)
+        params, trace = run(
             objective, params0, X_train, labels, opt_cfg, eval_fn=eval_fn
         )
-    else:  # dpgd
+    else:
         project = optimizers.make_projection(**cfg.dpgd_constraint)
         sigma_gd = cfg.sigma * cfg.C / len(X_train)
         params = optimizers.dpgd_run(

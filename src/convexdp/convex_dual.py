@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from . import losses
 from .errors import DomainError, NumericError
 
 # ---------------------------------------------------------------------------
@@ -444,26 +445,10 @@ class DualObjective:
     def _tensor(self, params: np.ndarray) -> np.ndarray:
         return params.reshape(self.arrangement.P, self.arrangement.d, self.k)
 
-    def _bits(self, X: np.ndarray) -> np.ndarray:
-        return (X @ self.arrangement.U.T >= 0).astype(float)
-
-    def _logits(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
-        V = self._tensor(params)
-        return np.einsum("bi,bd,idc->bc", self._bits(X), X, V)
-
-    def _residuals(self, params, X, y):
-        logits = self._logits(params, X)
-        if self.loss_kind == "mse":
-            targets = np.eye(self.k)[y] if np.issubdtype(
-                np.asarray(y).dtype, np.integer
-            ) else np.atleast_2d(np.asarray(y, dtype=float)).reshape(len(X), self.k)
-            return logits - targets, logits
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
-        r = probs.copy()
-        r[np.arange(len(X)), np.asarray(y, dtype=int)] -= 1.0
-        return r, logits
+    def _forward(self, params: np.ndarray, X: np.ndarray):
+        """Gate bits and logits of the rows of X."""
+        bits = (X @ self.arrangement.U.T >= 0).astype(float)
+        return bits, np.einsum("bi,bd,idc->bc", bits, X, self._tensor(params))
 
     # -- optimizer interface ----------------------------------------------
     def init_params(self, seed: int, scale: float = 0.0) -> np.ndarray:
@@ -474,20 +459,14 @@ class DualObjective:
 
     def data_loss(self, params: np.ndarray, X: np.ndarray, y) -> float:
         """Mean per-sample data-term loss over (X, y)."""
-        r, logits = self._residuals(params, X, y)
-        if self.loss_kind == "mse":
-            return 0.5 * float(np.sum(r**2)) / len(X)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1))
-        picked = shifted[np.arange(len(X)), np.asarray(y, dtype=int)]
-        return float(np.mean(log_z - picked))
+        return losses.mean_loss(self._forward(params, X)[-1], y, self.loss_kind)
 
     def clipped_grad_mean(
         self, params: np.ndarray, X: np.ndarray, y, C: float
     ) -> np.ndarray:
         """Mean of per-sample data-term gradients, each clipped to norm C."""
-        bits = self._bits(X)
-        r, _ = self._residuals(params, X, y)
+        bits, logits = self._forward(params, X)
+        r = losses.residuals(logits, y, self.loss_kind)
         # ||g_b||^2 = (#active gates) * ||x_b||^2 * ||r_b||^2 (rank-one form)
         norms = np.sqrt(
             bits.sum(axis=1) * np.sum(X**2, axis=1) * np.sum(r**2, axis=1)
@@ -499,22 +478,19 @@ class DualObjective:
 
     def grad_mean(self, params: np.ndarray, X: np.ndarray, y) -> np.ndarray:
         """Unclipped mean data-term gradient."""
-        bits = self._bits(X)
-        r, _ = self._residuals(params, X, y)
+        bits, logits = self._forward(params, X)
+        r = losses.residuals(logits, y, self.loss_kind)
         return (np.einsum("bi,bd,bc->idc", bits, X, r) / len(X)).ravel()
 
     def per_sample_grad(self, params: np.ndarray, x: np.ndarray, y) -> np.ndarray:
         """Flat data-term gradient of one example (reference path for tests)."""
         X = np.atleast_2d(np.asarray(x, dtype=float))
-        bits = self._bits(X)
-        r, _ = self._residuals(params, X, [y] if np.isscalar(y) else y)
+        bits, logits = self._forward(params, X)
+        r = losses.residuals(logits, [y] if np.isscalar(y) else y, self.loss_kind)
         return np.einsum("i,d,c->idc", bits[0], X[0], r[0]).ravel()
 
-    def predict(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self._logits(params, X), axis=1)
-
     def accuracy(self, params: np.ndarray, X: np.ndarray, labels) -> float:
-        return float(np.mean(self.predict(params, X) == np.asarray(labels)))
+        return losses.accuracy(self._forward(params, X)[-1], labels)
 
     def to_model(self, params: np.ndarray) -> DualModel:
         return DualModel(

@@ -1,5 +1,5 @@
 """Dataset ingestion and synthesis: IDX images, CSV tables, synthetic
-Gaussian features, batching and subset selection.
+Gaussian features, subset selection and train/test splits.
 
 Datasets are immutable after load; all randomness is seeded.
 """
@@ -138,14 +138,6 @@ def synthetic_gaussian(
         if len(labels) != n:
             raise ConfigError("explicit target vector length != n")
     return Dataset(X=X, labels=labels, name=name)
-
-
-def partition_disjoint(n: int, b: int, seed: int) -> list:
-    """Seeded permutation split into k = n/b consecutive disjoint blocks."""
-    if n % b != 0:
-        raise ConfigError(f"b={b} does not divide n={n}")
-    perm = np.random.default_rng(np.random.SeedSequence(seed)).permutation(n)
-    return [perm[i * b : (i + 1) * b] for i in range(n // b)]
 
 
 def subset(dataset: Dataset, n_sub: int, seed: int) -> Dataset:

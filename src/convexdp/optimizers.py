@@ -14,7 +14,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import warnings
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -46,28 +45,6 @@ class DPSGDConfig:
             raise ConfigError("noise multiplier sigma must be non-negative")
         if self.b < 1 or self.epochs < 1:
             raise ConfigError("b and epochs must be positive integers")
-
-
-@dataclasses.dataclass
-class NoisyCGDConfig:
-    C: float
-    sigma: float
-    b: int
-    eta: float
-    lam: float
-    epochs: int
-    seed: int = 0
-    noise_seed: Optional[int] = None
-
-    def __post_init__(self):
-        if self.C <= 0:
-            raise ConfigError("clip norm C must be positive")
-        if self.sigma < 0:
-            raise ConfigError("noise multiplier sigma must be non-negative")
-        if self.b < 1 or self.epochs < 1:
-            raise ConfigError("b and epochs must be positive integers")
-        if self.lam <= 0:
-            raise ConfigError("NoisyCGD requires lambda > 0")
 
 
 @dataclasses.dataclass
@@ -194,41 +171,26 @@ def make_projection(kind: str, **kw) -> Optional[Callable[[np.ndarray], np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def dpsgd_run(
-    objective,
-    params0: np.ndarray,
-    X: np.ndarray,
-    y,
-    cfg: DPSGDConfig,
-    eval_fn: Optional[Callable[[np.ndarray], float]] = None,
-    batch_iterator=None,
-):
-    """DP-SGD with fresh without-replacement batches each iteration.
+def _noisy_minibatch_loop(objective, params0, X, y, cfg: DPSGDConfig, eval_fn,
+                          next_batch: Callable[[int], np.ndarray], rngs):
+    """The noisy mini-batch update shared by DP-SGD and NoisyCGD.
 
-    Each step clips per-sample data-term gradients to C, averages over the
-    batch, adds N(0, C^2 sigma^2 / b^2 I) noise and the unclipped ridge
-    gradient, and applies the learning-rate step. Trailing partial batches
-    are dropped (floor(n/b) iterations per epoch).
-
-    `batch_iterator` overrides batch selection for harness-level equivalence
-    tests; it must yield index arrays of length b.
+    Step ``it`` clips the per-sample data-term gradients of the batch
+    ``next_batch(it)`` to C, averages them, adds N(0, C^2 sigma^2 / b^2 I)
+    noise and the unclipped ridge gradient, and applies the learning-rate
+    step; an epoch is floor(n/b) steps. ``rngs`` = (batch, noise) streams,
+    whose states each epoch's trace record digests.
     """
-    n = len(X)
-    if cfg.b > n:
-        raise ConfigError(f"batch size {cfg.b} exceeds dataset size {n}")
-    batch_rng, noise_rng = _streams(cfg.seed, cfg.noise_seed)
+    noise_rng = rngs[1]
+    y = np.asarray(y)
     params = np.array(params0, dtype=float, copy=True)
     trace = TrainTrace()
-    iters_per_epoch = n // cfg.b
     noise_scale = cfg.C * cfg.sigma / cfg.b
     it = 0
     for epoch in range(1, cfg.epochs + 1):
-        for _ in range(iters_per_epoch):
-            if batch_iterator is None:
-                idx = batch_rng.permutation(n)[: cfg.b]
-            else:
-                idx = next(batch_iterator)
-            g = objective.clipped_grad_mean(params, X[idx], np.asarray(y)[idx], cfg.C)
+        for _ in range(len(X) // cfg.b):
+            idx = next_batch(it)
+            g = objective.clipped_grad_mean(params, X[idx], y[idx], cfg.C)
             z = noise_rng.standard_normal(len(params)) * noise_scale
             params -= _eta_at(cfg.eta, it) * (g + z + objective.lam * params)
             _check_finite(params, f"iteration {it}")
@@ -238,9 +200,27 @@ def dpsgd_run(
             train_loss=objective.data_loss(params, X, y)
             + 0.5 * objective.lam * float(params @ params),
             test_accuracy=None if eval_fn is None else eval_fn(params),
-            rng_state_digest=_digest(batch_rng, noise_rng),
+            rng_state_digest=_digest(*rngs),
         )
     return params, trace
+
+
+def dpsgd_run(
+    objective,
+    params0: np.ndarray,
+    X: np.ndarray,
+    y,
+    cfg: DPSGDConfig,
+    eval_fn: Optional[Callable[[np.ndarray], float]] = None,
+):
+    """DP-SGD: the noisy mini-batch loop over a fresh without-replacement
+    batch each iteration. Trailing partial batches are dropped."""
+    n = len(X)
+    if cfg.b > n:
+        raise ConfigError(f"batch size {cfg.b} exceeds dataset size {n}")
+    rngs = _streams(cfg.seed, cfg.noise_seed)
+    return _noisy_minibatch_loop(objective, params0, X, y, cfg, eval_fn,
+                                 lambda it: rngs[0].permutation(n)[: cfg.b], rngs)
 
 
 def noisycgd_run(
@@ -248,55 +228,26 @@ def noisycgd_run(
     params0: np.ndarray,
     X: np.ndarray,
     y,
-    cfg: NoisyCGDConfig,
+    cfg: DPSGDConfig,
     eval_fn: Optional[Callable[[np.ndarray], float]] = None,
 ):
-    """Noisy cyclic mini-batch GD over fixed disjoint batches.
+    """Noisy cyclic mini-batch GD: the noisy mini-batch loop over fixed
+    disjoint batches.
 
     Batches come from one seeded permutation, frozen for all epochs and
-    visited in a fixed cyclic order. Noise uses the same normalized units
-    as dpsgd_run (std C*sigma/b on the averaged gradient); the accountant
-    receives gradient sensitivity L = 2C and sigma_eq = C*sigma/b.
+    visited in a fixed cyclic order. The accountant receives gradient
+    sensitivity L = 2C and sigma_eq = C*sigma/b, and the GDP bound needs
+    the ridge weight ``objective.lam`` > 0.
     """
     n = len(X)
     if n % cfg.b != 0:
         raise ConfigError(f"n={n} not divisible by batch size b={cfg.b}")
-    if not math.isclose(cfg.lam, objective.lam, rel_tol=1e-12, abs_tol=0.0):
-        raise ConfigError(
-            f"config lambda {cfg.lam!r} != objective lambda {objective.lam!r}"
-        )
-    beta = float(np.max(np.sum(np.asarray(X) ** 2, axis=1))) + cfg.lam
-    if cfg.eta * beta >= 2.0:
-        warnings.warn(
-            f"eta * beta = {cfg.eta * beta:.3g} >= 2; the GDP accounting "
-            "precondition eta < 2/beta fails for this run",
-            stacklevel=2,
-        )
-    batch_rng, noise_rng = _streams(cfg.seed, cfg.noise_seed)
-    perm = batch_rng.permutation(n)
-    k = n // cfg.b
-    batches = [perm[i * cfg.b : (i + 1) * cfg.b] for i in range(k)]
-
-    params = np.array(params0, dtype=float, copy=True)
-    trace = TrainTrace()
-    noise_scale = cfg.C * cfg.sigma / cfg.b
-    y_arr = np.asarray(y)
-    it = 0
-    for epoch in range(1, cfg.epochs + 1):
-        for idx in batches:
-            g = objective.clipped_grad_mean(params, X[idx], y_arr[idx], cfg.C)
-            z = noise_rng.standard_normal(len(params)) * noise_scale
-            params -= cfg.eta * (g + cfg.lam * params + z)
-            _check_finite(params, f"iteration {it}")
-            it += 1
-        trace.append(
-            epoch=epoch,
-            train_loss=objective.data_loss(params, X, y)
-            + 0.5 * cfg.lam * float(params @ params),
-            test_accuracy=None if eval_fn is None else eval_fn(params),
-            rng_state_digest=_digest(batch_rng, noise_rng),
-        )
-    return params, trace
+    if objective.lam <= 0:
+        raise ConfigError("NoisyCGD requires lambda > 0")
+    rngs = _streams(cfg.seed, cfg.noise_seed)
+    batches = rngs[0].permutation(n).reshape(n // cfg.b, cfg.b)
+    return _noisy_minibatch_loop(objective, params0, X, y, cfg, eval_fn,
+                                 lambda it: batches[it % len(batches)], rngs)
 
 
 def dpgd_run(
@@ -314,7 +265,9 @@ def dpgd_run(
 
     theta_0 = 0; each step adds N(0, sigma_gd^2 I) to the full-batch mean of
     per-sample gradients clipped to L, takes a projected step, and the
-    average (1/T) * sum of theta_1..theta_T is released.
+    average (1/T) * sum of theta_1..theta_T is released. It stays apart
+    from the noisy mini-batch loop: no ridge term, noise in absolute units,
+    a projection and an iterate average, and no trace.
     """
     if T < 1:
         raise ConfigError("T must be a positive integer")

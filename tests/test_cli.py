@@ -3,13 +3,17 @@ exit-code mapping, and recomputability of every reported epsilon from the
 accountant inputs logged alongside it."""
 import json
 import math
+import re
+import shlex
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from convexdp import accountant as acc
 from convexdp import cli
-from convexdp.errors import ConfigError
+from convexdp.errors import ConfigError, DomainError
 
 
 BASE_CONFIG = {
@@ -109,6 +113,22 @@ def test_run_noisycgd_lambda_default_rule(tmp_path, monkeypatch, capsys):
     assert code == 0
     resolved = json.loads(out)
     assert resolved["lam"] == pytest.approx(2e-4 / 0.04)
+
+
+def test_noisycgd_warns_when_eta_beta_reaches_two():
+    # The warning checks the beta the accountant receives: the default
+    # max ||x||^2 + lam puts eta * beta far above 2 at eta = 0.5, and the GDP
+    # bound then refuses; a small user override brings it below 2.
+    cfg = dict(BASE_CONFIG, eta=0.5, dataset=dict(BASE_CONFIG["dataset"]))
+    with pytest.warns(UserWarning, match=r"eta \* beta"), \
+            pytest.raises(DomainError, match="2/beta"):
+        cli.execute_run(cli.RunConfig(**cfg), write_outputs=False)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", message=r"eta \* beta")
+        report = cli.execute_run(cli.RunConfig(**cfg, beta=1.0),
+                                 write_outputs=False)
+    assert report["accountant_inputs"]["beta"] == 1.0
+    assert math.isfinite(float(report["epsilon"]))
 
 
 def test_set_overrides_nested_and_typed(tmp_path, monkeypatch, capsys):
@@ -220,3 +240,17 @@ def test_relu_dpsgd_runs(tmp_path, monkeypatch, capsys):
     report = json.loads(out)
     assert report["accountant_inputs"]["method"] == "dpsgd"
     assert (tmp_path / "out" / "t.model.json").exists()
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    shell = "\n".join(re.findall(r"```sh\n(.*?)```", readme, re.S))
+    lines = shell.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("convexdp ")]
+    assert len(commands) >= 7
+    parser = cli.build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(command[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {' '.join(command)}")

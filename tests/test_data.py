@@ -117,14 +117,6 @@ def test_synthetic_deterministic_and_feature_target_streams_independent():
     np.testing.assert_array_equal(a.X, c.X)
 
 
-def test_partition_disjoint():
-    parts = data.partition_disjoint(12, 4, seed=0)
-    assert len(parts) == 3
-    assert sorted(np.concatenate(parts).tolist()) == list(range(12))
-    with pytest.raises(ConfigError):
-        data.partition_disjoint(10, 4, seed=0)
-
-
 def test_subset_stratified_counts():
     ds = data.synthetic_gaussian(1000, 4, rule="random_labels", seed=7,
                                  num_classes=4)

@@ -197,17 +197,35 @@ def test_dpsgd_learning_rate_schedule():
 def test_noisycgd_requires_divisible_batches():
     obj = quadratic_objective()
     X, y = tiny_data(n=10)
-    cfg = opt.NoisyCGDConfig(C=1.0, sigma=0.0, b=4, eta=0.1, lam=obj.lam, epochs=1)
+    cfg = opt.DPSGDConfig(C=1.0, sigma=0.0, b=4, eta=0.1, epochs=1)
     with pytest.raises(ConfigError):
         opt.noisycgd_run(obj, np.zeros(obj.dim), X, y, cfg)
 
 
-def test_noisycgd_lambda_mismatch_rejected():
-    obj = quadratic_objective(lam=0.5)
-    X, y = tiny_data()
-    cfg = opt.NoisyCGDConfig(C=1.0, sigma=0.0, b=4, eta=0.1, lam=0.1, epochs=1)
-    with pytest.raises(ConfigError):
-        opt.noisycgd_run(obj, np.zeros(obj.dim), X, y, cfg)
+def test_noisycgd_batches_partition_the_data():
+    # Each epoch visits n/b disjoint batches that cover every example once,
+    # in the same order every epoch. Rows of X carry their own index.
+    class Recorder:
+        lam, dim = 0.5, 1
+
+        def __init__(self):
+            self.batches = []
+
+        def clipped_grad_mean(self, params, X, y, C):
+            self.batches.append(X[:, 0].astype(int).tolist())
+            return np.zeros(1)
+
+        def data_loss(self, params, X, y):
+            return 0.0
+
+    obj = Recorder()
+    X = np.arange(12.0)[:, None]
+    cfg = opt.DPSGDConfig(C=1.0, sigma=0.0, b=4, eta=0.1, epochs=2, seed=9)
+    opt.noisycgd_run(obj, np.zeros(1), X, np.zeros(12, dtype=int), cfg)
+    first, second = obj.batches[:3], obj.batches[3:]
+    assert sorted(sum(first, [])) == list(range(12))
+    assert all(len(batch) == 4 for batch in first)
+    assert second == first
 
 
 def test_noisycgd_batches_frozen_across_epochs():
@@ -215,8 +233,7 @@ def test_noisycgd_batches_frozen_across_epochs():
     # must reproduce noisycgd_run exactly.
     obj = quadratic_objective()
     X, y = tiny_data()
-    cfg = opt.NoisyCGDConfig(C=0.8, sigma=0.0, b=4, eta=0.05, lam=obj.lam,
-                             epochs=3, seed=21)
+    cfg = opt.DPSGDConfig(C=0.8, sigma=0.0, b=4, eta=0.05, epochs=3, seed=21)
     params, _ = opt.noisycgd_run(obj, np.zeros(obj.dim), X, y, cfg)
 
     batch_rng, _ = opt._streams(cfg.seed, cfg.noise_seed)
@@ -226,32 +243,36 @@ def test_noisycgd_batches_frozen_across_epochs():
     for _ in range(3):
         for idx in batches:
             g = obj.clipped_grad_mean(ref, X[idx], y[idx], cfg.C)
-            ref = ref - cfg.eta * (g + cfg.lam * ref)
+            ref = ref - cfg.eta * (g + obj.lam * ref)
     np.testing.assert_allclose(params, ref, atol=1e-12)
 
 
 def test_dpsgd_equals_noisycgd_under_shared_schedule():
-    # Feeding DP-SGD the cyclic batch schedule and the same noise stream must
-    # reproduce the NoisyCGD trajectory: the update equations are identical.
+    # DP-SGD and NoisyCGD are one noisy mini-batch loop that differs only in
+    # its batch schedule: fed NoisyCGD's frozen cyclic partition, the loop
+    # reproduces noisycgd_run; fed fresh draws from the same batch stream,
+    # dpsgd_run.
     obj = quadratic_objective(lam=0.4)
     X, y = tiny_data(n=12)
-    common = dict(C=0.9, sigma=1.3, b=4, eta=0.07, epochs=2, seed=3, noise_seed=11)
-    cgd_cfg = opt.NoisyCGDConfig(lam=obj.lam, **common)
-    params_cgd, _ = opt.noisycgd_run(obj, np.zeros(obj.dim), X, y, cgd_cfg)
+    cfg = opt.DPSGDConfig(C=0.9, sigma=1.3, b=4, eta=0.07, epochs=2, seed=3,
+                          noise_seed=11)
 
-    batch_rng, _ = opt._streams(3, 11)
-    perm = batch_rng.permutation(12)
-    batches = [perm[i * 4 : (i + 1) * 4] for i in range(3)]
-
-    def cyclic():
-        while True:
-            yield from batches
-
-    sgd_cfg = opt.DPSGDConfig(**common)
-    params_sgd, _ = opt.dpsgd_run(
-        obj, np.zeros(obj.dim), X, y, sgd_cfg, batch_iterator=cyclic()
+    rngs = opt._streams(3, 11)
+    batches = rngs[0].permutation(12).reshape(3, 4)
+    cyclic, _ = opt._noisy_minibatch_loop(
+        obj, np.zeros(obj.dim), X, y, cfg, None, lambda it: batches[it % 3], rngs
     )
-    np.testing.assert_allclose(params_sgd, params_cgd, atol=1e-12)
+    params_cgd, _ = opt.noisycgd_run(obj, np.zeros(obj.dim), X, y, cfg)
+    np.testing.assert_allclose(cyclic, params_cgd, atol=1e-12)
+
+    rngs = opt._streams(3, 11)
+    fresh, _ = opt._noisy_minibatch_loop(
+        obj, np.zeros(obj.dim), X, y, cfg, None,
+        lambda it: rngs[0].permutation(12)[:4], rngs,
+    )
+    params_sgd, _ = opt.dpsgd_run(obj, np.zeros(obj.dim), X, y, cfg)
+    np.testing.assert_allclose(fresh, params_sgd, atol=1e-12)
+    assert not np.allclose(params_cgd, params_sgd)
 
 
 # ---------------------------------------------------------------------------
@@ -307,5 +328,8 @@ def test_config_validation():
         opt.DPSGDConfig(C=0.0, sigma=1.0, b=1, eta=0.1, epochs=1)
     with pytest.raises(ConfigError):
         opt.DPSGDConfig(C=1.0, sigma=-1.0, b=1, eta=0.1, epochs=1)
-    with pytest.raises(ConfigError):
-        opt.NoisyCGDConfig(C=1.0, sigma=1.0, b=1, eta=0.1, lam=0.0, epochs=1)
+    obj = quadratic_objective(lam=0.0)
+    X, y = tiny_data()
+    cfg = opt.DPSGDConfig(C=1.0, sigma=1.0, b=4, eta=0.1, epochs=1)
+    with pytest.raises(ConfigError):  # NoisyCGD needs a strongly convex objective
+        opt.noisycgd_run(obj, np.zeros(obj.dim), X, y, cfg)
