@@ -422,7 +422,10 @@ def _pld_multiply(
                 int(neg.sum()),
                 target / total - 1.0,
             )
-    inf_mass = 1.0 - (1.0 - a.infinity_mass) * (1.0 - b.infinity_mass)
+    # a + b - ab, not 1 - (1 - a)(1 - b): the latter rounds atoms below
+    # about 1e-16 to zero, which would drop privacy loss.
+    m_a, m_b = a.infinity_mass, b.infinity_mass
+    inf_mass = m_a + m_b - m_a * m_b
     origin, masses, inf_mass = _truncate_support(
         a.loss_grid_origin + b.loss_grid_origin, a.loss_grid_step, conv, inf_mass, cap
     )

@@ -269,6 +269,14 @@ def test_compose_infinity_mass_rule():
     )
 
 
+def test_compose_keeps_tiny_infinity_mass():
+    # An atom far below the float spacing near 1 must still add up over T
+    # copies; 1 - (1 - a)(1 - b) rounded it to exactly zero.
+    pld = acc.DiscretePLD(-0.1, 0.1, np.array([0.25, 0.5, 0.25]), 1e-17)
+    for T in (2, 7):
+        assert acc.compose_pld(pld, T).infinity_mass >= T * 1e-17 * (1 - 1e-9)
+
+
 def test_compose_resource_limit():
     pld = make_gaussian_pld()
     with pytest.raises(NumericError):
@@ -293,8 +301,8 @@ def test_compose_infinity_mass_excess_bounded():
     # Each convolution sheds at most TRIM_TOL of right tail into the atom,
     # and composing two PLDs adds their excesses, so T copies exceed the
     # exact 1 - (1 - m_inf)^T by at most (T - 1) * TRIM_TOL, plus the
-    # rounding of 1 - (1 - a)(1 - b) at each multiply. The support cap,
-    # which also feeds the atom, does not bind for these horizons.
+    # rounding of a + b - ab at each multiply. The support cap, which also
+    # feeds the atom, does not bind for these horizons.
     step = acc.account_dpsgd(2.0, 1 / 60, 1).pld
     gauss = make_gaussian_pld(mu=0.5, width=1.0)
     for pld, T in [(step, T) for T in (2, 7, 60, 1200)] + [(gauss, 7), (gauss, 60)]:
