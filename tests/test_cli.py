@@ -242,9 +242,19 @@ def test_relu_dpsgd_runs(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "out" / "t.model.json").exists()
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_example_runs():
+    (code,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    scope = {}
+    exec(code, scope)
+    assert math.isfinite(scope["eps"]) and scope["mu"] > 0
+    assert len(scope["trace"].records) == 20
+
+
 def test_readme_cli_examples_parse():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    shell = "\n".join(re.findall(r"```sh\n(.*?)```", readme, re.S))
+    shell = "\n".join(re.findall(r"```sh\n(.*?)```", README.read_text(), re.S))
     lines = shell.replace("\\\n", " ").splitlines()
     commands = [shlex.split(line) for line in lines if line.startswith("convexdp ")]
     assert len(commands) >= 7
