@@ -10,7 +10,7 @@ Subpackages:
 * ``losses`` -- the MSE / softmax cross-entropy head (residuals, mean
   loss, accuracy) shared by the dual model and the MLP baseline.
 * ``optimizers`` -- one noisy mini-batch loop behind DP-SGD and NoisyCGD,
-  projected DP-GD, clipping and projection operators.
+  projected DP-GD and its projection operators.
 * ``baseline_relu`` -- one-hidden-layer ReLU network baseline.
 * ``data`` -- IDX/CSV loading, synthetic data, subsets and splits.
 * ``cli`` -- the experiment harness.

@@ -38,15 +38,15 @@ logger = logging.getLogger(__name__)
 DEFAULT_GRID_STEP = 1e-3
 #: Probability below which the profile tail is truncated (folded into the
 #: infinity atom, which is pessimistic and preserves domination).
-DEFAULT_TAIL_TOL = 1e-12
+TAIL_TOL = 1e-12
 #: Mass a composed PLD may shed from each tail after one convolution (moved
 #: pessimistically, see ``_truncate_support``); the FFT round-off floor.
 TRIM_TOL = 1e-15
-#: Epsilon values above this are reported as "> EPS_MAX" by the CLI.
+#: Largest epsilon ``find_epsilon`` searches; also caps the per-step grid half-width.
 EPS_MAX = 32.0
 #: Hard cap on composed PLD support (in loss units) and on FFT lengths.
-DEFAULT_SUPPORT_CAP = 64.0
-DEFAULT_MAX_LEN = 1 << 24
+SUPPORT_CAP = 64.0
+MAX_LEN = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,6 @@ class PrivacyProfile:
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
-    kind: str
     pld: Optional[DiscretePLD] = None
 
     def delta(self, eps) -> float:
@@ -108,9 +107,6 @@ class PrivacyProfile:
 
     def delta_array(self, eps_values: np.ndarray) -> np.ndarray:
         return np.clip(self.evaluator(np.asarray(eps_values, dtype=float)), 0.0, 1.0)
-
-    def __call__(self, eps) -> float:
-        return self.delta(eps)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -175,23 +171,18 @@ class NoisyCGDSpec:
 
 
 def gaussian_delta(mu: float, eps: float) -> float:
-    """delta(eps) of a mu-GDP mechanism.
-
-    Phi(-eps/mu + mu/2) - exp(eps) * Phi(-eps/mu - mu/2), evaluated through
-    erfc-based CDFs so the exp(eps) factor cannot overflow.
-    """
-    if not (math.isfinite(mu) and mu > 0):
-        raise DomainError(f"mu must be finite and positive, got {mu!r}")
+    """delta(eps) of a mu-GDP mechanism, for eps >= 0."""
     if eps < 0:
         raise DomainError(f"eps must be non-negative, got {eps!r}")
-    a = -eps / mu + mu / 2.0
-    b = -eps / mu - mu / 2.0
-    val = ndtr(a) - math.exp(eps + log_ndtr(b))
-    return float(min(max(val, 0.0), 1.0))
+    return gaussian_profile(mu).delta(eps)
 
 
 def gaussian_profile(mu: float) -> PrivacyProfile:
-    """Privacy profile of a mu-GDP mechanism."""
+    """Privacy profile of a mu-GDP mechanism.
+
+    Phi(-eps/mu + mu/2) - exp(eps) * Phi(-eps/mu - mu/2), evaluated through
+    log-CDFs so the exp(eps) factor cannot overflow.
+    """
     if not (math.isfinite(mu) and mu > 0):
         raise DomainError(f"mu must be finite and positive, got {mu!r}")
 
@@ -202,7 +193,7 @@ def gaussian_profile(mu: float) -> PrivacyProfile:
         out = ndtr(a) - np.exp(eps + log_ndtr(b))
         return np.clip(out, 0.0, 1.0)
 
-    return PrivacyProfile(evaluator=evaluator, kind="gaussian")
+    return PrivacyProfile(evaluator=evaluator)
 
 
 def hockey_stick_gaussian(alpha, mu: float):
@@ -277,7 +268,7 @@ def subsampled_dp_profile(spec: SubsampledSpec) -> PrivacyProfile:
         eps = np.asarray(eps, dtype=float)
         return subsampled_profile(spec, np.exp(eps))
 
-    return PrivacyProfile(evaluator=evaluator, kind="subsampled-mixture")
+    return PrivacyProfile(evaluator=evaluator)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +280,7 @@ def connect_the_dots(profile: PrivacyProfile, eps_grid: np.ndarray) -> DiscreteP
     """Discretize a convex privacy profile onto a uniform epsilon grid.
 
     Produces masses at the grid points (plus an infinity atom holding the
-    right tail delta(eps_max)) whose induced profile matches the input at
+    right tail delta(grid[-1])) whose induced profile matches the input at
     every grid point and dominates it everywhere else; domination follows
     from convexity of the profile in exp(eps), since the induced profile is
     the chordal (piecewise linear in exp(eps)) majorant.
@@ -358,10 +349,9 @@ def pld_delta(pld: DiscretePLD, eps: float) -> float:
     return float(min(max(pld.infinity_mass + contrib.sum(), 0.0), 1.0))
 
 
-def _truncate_support(
-    origin: float, step: float, masses: np.ndarray, inf_mass: float, cap: float
-):
-    """Restrict support to [-cap, cap] and shed negligible tails, pessimistically.
+def _truncate_support(origin: float, step: float, masses: np.ndarray, inf_mass: float):
+    """Restrict support to [-SUPPORT_CAP, SUPPORT_CAP] and shed negligible
+    tails, pessimistically.
 
     Mass above the cap becomes infinite loss; mass below the cap is moved up
     to the lowest kept grid point. Then the longest right tail of total mass
@@ -374,8 +364,8 @@ def _truncate_support(
     """
     losses = origin + step * np.arange(len(masses))
     # Losses increase along the grid: the kept points are one slice.
-    lo = int(np.searchsorted(losses, -cap, side="left"))
-    hi = int(np.searchsorted(losses, cap, side="right"))
+    lo = int(np.searchsorted(losses, -SUPPORT_CAP, side="left"))
+    hi = int(np.searchsorted(losses, SUPPORT_CAP, side="right"))
     inf_mass += float(masses[hi:].sum())
     if lo >= hi:
         raise NumericError("entire PLD support fell outside the cap")
@@ -396,15 +386,13 @@ def _truncate_support(
     return float(losses[lo + n_left]), masses, inf_mass
 
 
-def _pld_multiply(
-    a: DiscretePLD, b: DiscretePLD, max_len: int, cap: float
-) -> DiscretePLD:
+def _pld_multiply(a: DiscretePLD, b: DiscretePLD) -> DiscretePLD:
     if not math.isclose(a.loss_grid_step, b.loss_grid_step, rel_tol=1e-12):
         raise DomainError("PLDs must share the loss grid step to compose")
     out_len = len(a.masses) + len(b.masses) - 1
-    if out_len > max_len:
+    if out_len > MAX_LEN:
         raise ResourceError(
-            f"composition support would need {out_len} points (> {max_len}); "
+            f"composition support would need {out_len} points (> {MAX_LEN}); "
             "use a coarser loss grid"
         )
     conv = fftconvolve(a.masses, b.masses)
@@ -427,7 +415,7 @@ def _pld_multiply(
     m_a, m_b = a.infinity_mass, b.infinity_mass
     inf_mass = m_a + m_b - m_a * m_b
     origin, masses, inf_mass = _truncate_support(
-        a.loss_grid_origin + b.loss_grid_origin, a.loss_grid_step, conv, inf_mass, cap
+        a.loss_grid_origin + b.loss_grid_origin, a.loss_grid_step, conv, inf_mass
     )
     # Guard against FFT drift in the total mass.
     total = masses.sum() + inf_mass
@@ -438,16 +426,13 @@ def _pld_multiply(
 
 
 def compose_pld(
-    pld: DiscretePLD,
-    T: int,
-    max_len: int = DEFAULT_MAX_LEN,
-    support_cap: float = DEFAULT_SUPPORT_CAP,
-    powers: Optional[list[DiscretePLD]] = None,
+    pld: DiscretePLD, T: int, powers: Optional[list[DiscretePLD]] = None
 ) -> DiscretePLD:
     """T-fold self-composition by FFT convolution (binary exponentiation).
 
-    Convolutions are zero-padded (full linear convolution, no wrap-around).
-    Support beyond the cap is folded and tails of mass at most ``TRIM_TOL``
+    Convolutions are zero-padded (full linear convolution, no wrap-around)
+    and longer than ``MAX_LEN`` points is a ``ResourceError``. Support beyond
+    ``SUPPORT_CAP`` is folded and tails of mass at most ``TRIM_TOL``
     are shed after every convolution (``_truncate_support``), pessimistically,
     preserving domination. The infinity mass composes as 1 - (1 - m_inf)^T
     plus at most (T - 1) * TRIM_TOL: each convolution adds at most TRIM_TOL,
@@ -469,29 +454,18 @@ def compose_pld(
     j, t = 0, T
     while t > 0:
         if t & 1:
-            result = powers[j] if result is None else _pld_multiply(
-                result, powers[j], max_len, support_cap
-            )
+            result = powers[j] if result is None else _pld_multiply(result, powers[j])
         t >>= 1
         if t:
             if j + 1 == len(powers):
-                powers.append(
-                    _pld_multiply(powers[j], powers[j], max_len, support_cap)
-                )
+                powers.append(_pld_multiply(powers[j], powers[j]))
             j += 1
     assert result is not None
     return result
 
 
 def account_dpsgd(
-    sigma: float,
-    q: float,
-    T: int,
-    grid_step: float = DEFAULT_GRID_STEP,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    eps_max: float = EPS_MAX,
-    support_cap: float = DEFAULT_SUPPORT_CAP,
-    max_len: int = DEFAULT_MAX_LEN,
+    sigma: float, q: float, T: int, grid_step: float = DEFAULT_GRID_STEP
 ) -> PrivacyProfile:
     """Privacy profile of T DP-SGD steps with WOR subsampling, ratio q.
 
@@ -499,23 +473,15 @@ def account_dpsgd(
     by b/C gives per-entry contributions of norm <= 1, substitution
     sensitivity 2 and noise N(0, sigma^2 I), i.e. the base dominating pair
     P = N(2/sigma, 1), Q = N(0, 1). The subsampled profile is discretized
-    with connect_the_dots and composed T times.
+    with connect_the_dots on the narrowest symmetric grid (half-width at
+    most ``EPS_MAX``) whose right tail is below ``TAIL_TOL``, and composed
+    T times.
     """
-    return account_dpsgd_many(
-        sigma, q, [T], grid_step=grid_step, tail_tol=tail_tol, eps_max=eps_max,
-        support_cap=support_cap, max_len=max_len,
-    )[0]
+    return account_dpsgd_many(sigma, q, [T], grid_step=grid_step)[0]
 
 
 def account_dpsgd_many(
-    sigma: float,
-    q: float,
-    Ts: Sequence[int],
-    grid_step: float = DEFAULT_GRID_STEP,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    eps_max: float = EPS_MAX,
-    support_cap: float = DEFAULT_SUPPORT_CAP,
-    max_len: int = DEFAULT_MAX_LEN,
+    sigma: float, q: float, Ts: Sequence[int], grid_step: float = DEFAULT_GRID_STEP
 ) -> list[PrivacyProfile]:
     """``account_dpsgd`` at every horizon in ``Ts``, from one squaring chain.
 
@@ -533,10 +499,10 @@ def account_dpsgd_many(
     # Smallest grid half-width (multiple of the step) whose right tail is
     # below the per-step truncation tolerance.
     m = 1
-    m_cap = int(math.ceil(eps_max / grid_step))
-    while step_profile.delta(m * grid_step) >= tail_tol and m < m_cap:
+    m_cap = int(math.ceil(EPS_MAX / grid_step))
+    while step_profile.delta(m * grid_step) >= TAIL_TOL and m < m_cap:
         m = min(2 * m, m_cap)
-    if step_profile.delta(m * grid_step) >= tail_tol:
+    if step_profile.delta(m * grid_step) >= TAIL_TOL:
         logger.warning(
             "profile tail still %.2e at eps=%.1f; folding into infinity mass",
             step_profile.delta(m * grid_step),
@@ -545,12 +511,7 @@ def account_dpsgd_many(
     grid = np.arange(-m, m + 1, dtype=float) * grid_step
     pld = connect_the_dots(step_profile, grid)
     powers: list[DiscretePLD] = []
-    return [
-        _pld_profile(
-            compose_pld(pld, T, max_len=max_len, support_cap=support_cap, powers=powers)
-        )
-        for T in Ts
-    ]
+    return [_pld_profile(compose_pld(pld, T, powers=powers)) for T in Ts]
 
 
 def _pld_profile(pld: DiscretePLD) -> PrivacyProfile:
@@ -560,7 +521,7 @@ def _pld_profile(pld: DiscretePLD) -> PrivacyProfile:
             return pld_delta(pld, float(eps))
         return np.array([pld_delta(pld, e) for e in eps.ravel()]).reshape(eps.shape)
 
-    return PrivacyProfile(evaluator=evaluator, kind="discrete-pld-derived", pld=pld)
+    return PrivacyProfile(evaluator=evaluator, pld=pld)
 
 
 # ---------------------------------------------------------------------------
@@ -593,11 +554,6 @@ def noisycgd_mu(spec: NoisyCGDSpec) -> float:
     return base * math.sqrt(inner)
 
 
-def noisycgd_profile(spec: NoisyCGDSpec) -> PrivacyProfile:
-    """Privacy profile of NoisyCGD via its GDP constant."""
-    return gaussian_profile(noisycgd_mu(spec))
-
-
 def rdp_to_dp(alpha: float, eps_rdp: float, eps: float) -> float:
     """delta(eps) of an (alpha, eps_rdp)-RDP mechanism.
 
@@ -616,26 +572,23 @@ def rdp_to_dp(alpha: float, eps_rdp: float, eps: float) -> float:
     return math.exp(log_val)
 
 
-def find_epsilon(
-    profile: PrivacyProfile, delta_target: float, eps_max: float = EPS_MAX
-) -> float:
+def find_epsilon(profile: PrivacyProfile, delta_target: float) -> float:
     """Smallest eps with delta(eps) <= delta_target, by bisection.
 
     Returns 0 when the target is already met at eps = 0, and inf when it is
-    not met at eps_max (the CLI reports such values as "> eps_max"). The
-    returned eps always meets the target: the bisection keeps delta(hi) <=
-    delta_target and stops early only on a point with delta within a
-    relative 1e-6 below the target.
+    not met at ``EPS_MAX``. The returned eps always meets the target: the
+    bisection keeps delta(hi) <= delta_target and stops early only on a
+    point with delta within a relative 1e-6 below the target.
     """
     if not (0 < delta_target < 1):
         raise DomainError(f"delta target must be in (0, 1), got {delta_target!r}")
     if profile.delta(0.0) <= delta_target:
         return 0.0
-    if profile.delta(eps_max) > delta_target:
+    if profile.delta(EPS_MAX) > delta_target:
         return math.inf
-    lo, hi = 0.0, min(1.0, eps_max)
+    lo, hi = 0.0, min(1.0, EPS_MAX)
     while profile.delta(hi) > delta_target:
-        lo, hi = hi, min(2.0 * hi, eps_max)
+        lo, hi = hi, min(2.0 * hi, EPS_MAX)
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         d_mid = profile.delta(mid)

@@ -157,9 +157,5 @@ class MLPObjective:
         gA = (h * scale[:, None]).T @ r / len(X)
         return np.concatenate([gU.ravel(), gA.ravel()])
 
-    def per_sample_grad(self, params, x, y) -> np.ndarray:
-        U, A = self._unflatten(params)
-        return mlp_per_sample_grad(MLP(U=U, A=A), x, y, self.loss_kind)
-
     def accuracy(self, params, X, labels) -> float:
         return losses.accuracy(self._forward(params, X)[-1], labels)

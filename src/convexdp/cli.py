@@ -11,13 +11,13 @@ The CONVEXDP_OUTDIR environment variable overrides the output directory.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import itertools
 import json
 import math
 import os
 import sys
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -103,7 +103,8 @@ def _set_path(cfg: dict, dotted: str, raw: str) -> None:
     node[keys[-1]] = value
 
 
-def load_run_config(path: str, overrides) -> RunConfig:
+def _read_config(path: str, overrides) -> dict:
+    """The JSON config at ``path`` with the ``--set key=value`` overrides applied."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -113,15 +114,23 @@ def load_run_config(path: str, overrides) -> RunConfig:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         _set_path(cfg, *item.split("=", 1))
-    cfg.pop("grids", None)
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(cfg) - known
+    return cfg
+
+
+def _run_config(cfg: dict) -> RunConfig:
+    unknown = set(cfg) - {f.name for f in dataclasses.fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     try:
         return RunConfig(**cfg)
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def load_run_config(path: str, overrides) -> RunConfig:
+    cfg = _read_config(path, overrides)
+    cfg.pop("grids", None)
+    return _run_config(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +240,9 @@ def epsilon_from_inputs(
     return eps[0] if epochs is None else eps
 
 
-def _noisycgd_epsilon(inputs: dict, E: int) -> float:
-    if inputs["sigma"] == 0:
-        return math.inf
-    spec = acc.NoisyCGDSpec(
+def _noisycgd_spec(inputs: dict, E: int) -> acc.NoisyCGDSpec:
+    """The GDP bound's inputs after E epochs; raises DomainError if it does not apply."""
+    return acc.NoisyCGDSpec(
         L=inputs["L"],
         b=inputs["b"],
         sigma=inputs["sigma"],
@@ -244,13 +252,18 @@ def _noisycgd_epsilon(inputs: dict, E: int) -> float:
         k=inputs["k"],
         E=E,
     )
-    return acc.find_epsilon(acc.gaussian_profile(acc.noisycgd_mu(spec)),
-                            inputs["delta"])
+
+
+def _noisycgd_epsilon(inputs: dict, E: int) -> float:
+    if inputs["sigma"] == 0:
+        return math.inf
+    return acc.find_epsilon(
+        acc.gaussian_profile(acc.noisycgd_mu(_noisycgd_spec(inputs, E))),
+        inputs["delta"],
+    )
 
 
 def _eps_repr(eps: float) -> str:
-    if eps is None:
-        return ""
     if math.isinf(eps):
         return "inf"
     if eps > acc.EPS_MAX:
@@ -288,13 +301,11 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
 
     beta = (cfg.beta if cfg.beta is not None
             else float(np.max(np.sum(X_train**2, axis=1))) + float(cfg.lam))
-    if cfg.method == "dual-noisycgd" and cfg.eta * beta >= 2.0:
-        warnings.warn(
-            f"eta * beta = {cfg.eta * beta:.3g} >= 2; the GDP accounting "
-            "precondition eta < 2/beta fails for this run",
-            stacklevel=2,
-        )
     inputs = accountant_inputs_for_run(cfg, len(X_train), beta)
+    if inputs["method"] == "noisycgd" and inputs["sigma"] > 0:
+        # Refuse a run whose GDP bound does not apply (eta * beta >= 2)
+        # before training it.
+        _noisycgd_spec(inputs, cfg.epochs)
 
     eval_fn = lambda params: objective.accuracy(params, X_test, test.labels)
     labels = train.labels
@@ -368,33 +379,28 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
 
 
 def execute_sweep(path: str, overrides) -> dict:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path}: invalid JSON ({exc})") from None
-    for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        _set_path(raw, *item.split("=", 1))
+    """Every point of the config's ``grids``, all validated before any runs."""
+    raw = _read_config(path, overrides)
     grids = raw.pop("grids", None)
     if not grids or any(len(v) == 0 for v in grids.values()):
         raise ConfigError("sweep needs a non-empty 'grids' mapping")
     keys = sorted(grids)
-    rows = []
-    best = None
+    points = []
     for values in itertools.product(*(grids[key] for key in keys)):
-        point = dict(raw)
+        point = copy.deepcopy(raw)  # grid keys may set nested fields
         for key, value in zip(keys, values):
             _set_path(point, key, json.dumps(value))
         point["name"] = raw.get("name", "run") + "-" + "-".join(
             f"{key.replace('.', '_')}{value}" for key, value in zip(keys, values)
         )
-        cfg = RunConfig(**{key: val for key, val in point.items()})
+        points.append((values, _run_config(point)))
+    rows = []
+    best = None
+    for values, cfg in points:
         report = execute_run(cfg)
         row = dict(zip(keys, values))
         row.update(
-            name=point["name"],
+            name=cfg.name,
             test_accuracy=report["final_test_accuracy"],
             train_loss=report["final_train_loss"],
             epsilon=report["epsilon"],

@@ -451,11 +451,9 @@ class DualObjective:
         return bits, np.einsum("bi,bd,idc->bc", bits, X, self._tensor(params))
 
     # -- optimizer interface ----------------------------------------------
-    def init_params(self, seed: int, scale: float = 0.0) -> np.ndarray:
-        if scale == 0.0:
-            return np.zeros(self.dim)
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        return scale * rng.standard_normal(self.dim)
+    def init_params(self, seed: int) -> np.ndarray:
+        """Zeros; ``seed`` is unused and kept for the MLPObjective signature."""
+        return np.zeros(self.dim)
 
     def data_loss(self, params: np.ndarray, X: np.ndarray, y) -> float:
         """Mean per-sample data-term loss over (X, y)."""
@@ -475,19 +473,6 @@ class DualObjective:
         np.divide(C, norms, out=scale, where=norms > C)
         grad = np.einsum("b,bi,bd,bc->idc", scale, bits, X, r) / len(X)
         return grad.ravel()
-
-    def grad_mean(self, params: np.ndarray, X: np.ndarray, y) -> np.ndarray:
-        """Unclipped mean data-term gradient."""
-        bits, logits = self._forward(params, X)
-        r = losses.residuals(logits, y, self.loss_kind)
-        return (np.einsum("bi,bd,bc->idc", bits, X, r) / len(X)).ravel()
-
-    def per_sample_grad(self, params: np.ndarray, x: np.ndarray, y) -> np.ndarray:
-        """Flat data-term gradient of one example (reference path for tests)."""
-        X = np.atleast_2d(np.asarray(x, dtype=float))
-        bits, logits = self._forward(params, X)
-        r = losses.residuals(logits, [y] if np.isscalar(y) else y, self.loss_kind)
-        return np.einsum("i,d,c->idc", bits[0], X[0], r[0]).ravel()
 
     def accuracy(self, params: np.ndarray, X: np.ndarray, labels) -> float:
         return losses.accuracy(self._forward(params, X)[-1], labels)

@@ -1,5 +1,5 @@
 """DP optimizers: subsampled DP-SGD, noisy cyclic mini-batch GD, projected
-full-batch DP-GD, plus the clipping and projection primitives.
+full-batch DP-GD, plus the projection operators of DP-GD's constraint sets.
 
 Privacy unit: exactly the per-example data-term gradient is clipped; the
 ridge gradient lam * theta is added after averaging, unclipped, so the
@@ -14,13 +14,11 @@ import dataclasses
 import hashlib
 import json
 import math
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError
-
-Schedule = Union[float, Callable[[int], float]]
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +31,7 @@ class DPSGDConfig:
     C: float
     sigma: float
     b: int
-    eta: Schedule
+    eta: float
     epochs: int
     seed: int = 0
     noise_seed: Optional[int] = None
@@ -70,9 +68,6 @@ class TrainTrace:
             )
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        return json.dumps(self.records, indent=2)
-
 
 def _digest(*rngs: np.random.Generator) -> str:
     blob = json.dumps([r.bit_generator.state for r in rngs], sort_keys=True,
@@ -92,10 +87,6 @@ def _streams(seed: int, noise_seed: Optional[int]):
     )
 
 
-def _eta_at(eta: Schedule, iteration: int) -> float:
-    return eta(iteration) if callable(eta) else float(eta)
-
-
 def _check_finite(params: np.ndarray, where: str) -> None:
     if not np.all(np.isfinite(params)):
         bad = int(np.count_nonzero(~np.isfinite(params)))
@@ -103,19 +94,8 @@ def _check_finite(params: np.ndarray, where: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Primitives
+# Projections
 # ---------------------------------------------------------------------------
-
-
-def clip(g: np.ndarray, C: float) -> np.ndarray:
-    """Rescale g to 2-norm at most C."""
-    if C <= 0:
-        raise DomainError("clip norm must be positive")
-    g = np.asarray(g, dtype=float)
-    norm = float(np.linalg.norm(g))
-    if norm <= C:
-        return g
-    return g * (C / norm)
 
 
 def project_halfspace(v: np.ndarray, a: np.ndarray, bnd: float) -> np.ndarray:
@@ -148,7 +128,7 @@ def project_band(v: np.ndarray, a: np.ndarray, y: float, C: float) -> np.ndarray
 
 def make_projection(kind: str, **kw) -> Optional[Callable[[np.ndarray], np.ndarray]]:
     """Projection operator factory for the DP-GD constraint set."""
-    if kind in ("none", "all"):
+    if kind == "none":
         return None
     if kind == "ball":
         radius = float(kw["radius"])
@@ -186,13 +166,14 @@ def _noisy_minibatch_loop(objective, params0, X, y, cfg: DPSGDConfig, eval_fn,
     params = np.array(params0, dtype=float, copy=True)
     trace = TrainTrace()
     noise_scale = cfg.C * cfg.sigma / cfg.b
+    eta = float(cfg.eta)
     it = 0
     for epoch in range(1, cfg.epochs + 1):
         for _ in range(len(X) // cfg.b):
             idx = next_batch(it)
             g = objective.clipped_grad_mean(params, X[idx], y[idx], cfg.C)
             z = noise_rng.standard_normal(len(params)) * noise_scale
-            params -= _eta_at(cfg.eta, it) * (g + z + objective.lam * params)
+            params -= eta * (g + z + objective.lam * params)
             _check_finite(params, f"iteration {it}")
             it += 1
         trace.append(

@@ -277,10 +277,11 @@ def test_compose_keeps_tiny_infinity_mass():
         assert acc.compose_pld(pld, T).infinity_mass >= T * 1e-17 * (1 - 1e-9)
 
 
-def test_compose_resource_limit():
+def test_compose_resource_limit(monkeypatch):
     pld = make_gaussian_pld()
+    monkeypatch.setattr(acc, "MAX_LEN", 4096)
     with pytest.raises(NumericError):
-        acc.compose_pld(pld, 64, max_len=4096)
+        acc.compose_pld(pld, 64)
 
 
 @given(Ts=st.lists(st.integers(1, 40), min_size=1, max_size=6))
@@ -436,14 +437,6 @@ def test_noisycgd_worked_point():
 def test_noisycgd_monotone_in_epochs():
     mus = [acc.noisycgd_mu(_cgd_spec(E=E)) for E in range(1, 51)]
     assert all(a <= b + 1e-15 for a, b in zip(mus, mus[1:]))
-
-
-def test_noisycgd_profile_matches_gaussian():
-    spec = _cgd_spec()
-    mu = acc.noisycgd_mu(spec)
-    prof = acc.noisycgd_profile(spec)
-    for eps in (0.0, 0.01, 0.1):
-        assert prof.delta(eps) == pytest.approx(acc.gaussian_delta(mu, eps), abs=1e-15)
 
 
 def test_noisycgd_spec_validation():

@@ -5,7 +5,6 @@ import json
 import math
 import re
 import shlex
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,18 +114,21 @@ def test_run_noisycgd_lambda_default_rule(tmp_path, monkeypatch, capsys):
     assert resolved["lam"] == pytest.approx(2e-4 / 0.04)
 
 
-def test_noisycgd_warns_when_eta_beta_reaches_two():
-    # The warning checks the beta the accountant receives: the default
-    # max ||x||^2 + lam puts eta * beta far above 2 at eta = 0.5, and the GDP
-    # bound then refuses; a small user override brings it below 2.
+def test_noisycgd_warns_when_eta_beta_reaches_two(monkeypatch):
+    # The check uses the beta the accountant receives: the default
+    # max ||x||^2 + lam puts eta * beta far above 2 at eta = 0.5, and the run
+    # is refused before any training step; a small user override brings it
+    # below 2.
     cfg = dict(BASE_CONFIG, eta=0.5, dataset=dict(BASE_CONFIG["dataset"]))
-    with pytest.warns(UserWarning, match=r"eta \* beta"), \
-            pytest.raises(DomainError, match="2/beta"):
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a run the accountant cannot back")
+
+    monkeypatch.setattr(cli.optimizers, "noisycgd_run", no_training)
+    with pytest.raises(DomainError, match="2/beta"):
         cli.execute_run(cli.RunConfig(**cfg), write_outputs=False)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("error", message=r"eta \* beta")
-        report = cli.execute_run(cli.RunConfig(**cfg, beta=1.0),
-                                 write_outputs=False)
+    monkeypatch.undo()
+    report = cli.execute_run(cli.RunConfig(**cfg, beta=1.0), write_outputs=False)
     assert report["accountant_inputs"]["beta"] == 1.0
     assert math.isfinite(float(report["epsilon"]))
 
@@ -222,6 +224,29 @@ def test_sweep_grid(tmp_path, monkeypatch, capsys):
     # more noise, less privacy loss
     assert float(summary["rows"][1]["epsilon"]) < float(summary["rows"][0]["epsilon"])
     assert summary["best"] in summary["rows"]
+
+
+def test_sweep_nested_grid_key(tmp_path, monkeypatch, capsys):
+    # Points are built before any run, so each needs its own nested dicts.
+    cfg = dict(BASE_CONFIG, epochs=1, grids={"dataset.seed": [1, 2]})
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = run_cli(["sweep", "--config", str(path)],
+                           monkeypatch, tmp_path, capsys)
+    assert code == 0
+    for row in json.loads(out)["rows"]:
+        report = json.loads((tmp_path / "out" / f"{row['name']}.json").read_text())
+        assert report["config"]["dataset"]["seed"] == row["dataset.seed"]
+
+
+def test_sweep_rejects_unknown_grid_key(tmp_path, monkeypatch, capsys):
+    cfg = dict(BASE_CONFIG, grids={"sigmaa": [2.0]})
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(["sweep", "--config", str(path)],
+                           monkeypatch, tmp_path, capsys)
+    assert code == 2 and "sigmaa" in err
+    assert not (tmp_path / "out").exists()  # refused before any run
 
 
 def test_accountant_inputs_for_dpgd():

@@ -70,16 +70,31 @@ def test_data_term_gradient_excludes_ridge():
     )
 
 
+def reference_data_grad(obj, params, x, label):
+    """Flat data-term gradient of one example from the per-sample losses,
+    which the finite-difference test above checks; it shares no code with
+    DualObjective's batch path."""
+    model = obj.to_model(params)
+    bits = obj.arrangement.U @ x >= 0
+    if obj.loss_kind == "mse":
+        res = cd.sample_loss_mse(model, x, np.eye(obj.k)[label], bits)
+    else:
+        res = cd.sample_loss_ce(model, x, int(label), bits)
+    return res.data_term_gradient.ravel()
+
+
 def test_objective_per_sample_grad_matches_reference():
     arr = cd.sample_arrangement(4, 3, 0)
-    obj = cd.DualObjective(arr, k=2, lam=0.1, loss="ce")
-    rng = np.random.default_rng(1)
-    params = rng.standard_normal(obj.dim)
-    X = rng.standard_normal((8, 4))
-    y = rng.integers(0, 2, size=8)
-    ref = np.mean([obj.per_sample_grad(params, X[i], int(y[i])) for i in range(8)],
-                  axis=0)
-    np.testing.assert_allclose(obj.grad_mean(params, X, y), ref, atol=1e-12)
+    for kind in ("mse", "ce"):
+        obj = cd.DualObjective(arr, k=2, lam=0.1, loss=kind)
+        rng = np.random.default_rng(1)
+        params = rng.standard_normal(obj.dim)
+        X = rng.standard_normal((8, 4))
+        y = rng.integers(0, 2, size=8)
+        ref = np.mean([reference_data_grad(obj, params, X[i], y[i]) for i in range(8)],
+                      axis=0)
+        np.testing.assert_allclose(obj.clipped_grad_mean(params, X, y, math.inf), ref,
+                                   atol=1e-12)
 
 
 def test_clipped_grad_mean_matches_explicit_clipping():
@@ -93,7 +108,7 @@ def test_clipped_grad_mean_matches_explicit_clipping():
         C = 0.5
         explicit = []
         for i in range(16):
-            g = obj.per_sample_grad(params, X[i], int(y[i]))
+            g = reference_data_grad(obj, params, X[i], y[i])
             norm = np.linalg.norm(g)
             explicit.append(g if norm <= C else g * (C / norm))
         np.testing.assert_allclose(

@@ -1,6 +1,7 @@
 """Dataset utilities: a hand-built IDX byte fixture, CSV parsing, synthetic
 target rules, stratified subsetting and splits."""
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,8 +58,7 @@ def test_load_idx_count_mismatch(tmp_path):
 
 def test_load_idx_truncated(tmp_path):
     img, lab = write_idx_pair(tmp_path, np.zeros((1, 2, 2)), [0])
-    raw = open(img, "rb").read()
-    open(img, "wb").write(raw[:-2])
+    Path(img).write_bytes(Path(img).read_bytes()[:-2])
     with pytest.raises(FormatError):
         data.load_idx(img, lab)
 
