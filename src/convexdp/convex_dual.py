@@ -413,13 +413,27 @@ def load_checkpoint(path: str) -> DualModel:
 # Batch-level objective used by the optimizers
 # ---------------------------------------------------------------------------
 
+#: Rows per pass through the ``DualObjective`` kernel; bounds its rows x P
+#: and rows x P*k temporaries.
+ROW_BLOCK = 256
+
 
 class DualObjective:
     """Flat-parameter view of the dual model for the training loops.
 
-    Per-sample data-term gradients are rank-one outer products
-    bits (x) x (x) residual, so clipping factors and clipped sums are
-    computed without materializing the per-sample gradient tensor.
+    The kernel is gate-factored (gated ReLU as masked linear maps). The
+    linear responses of a block of rows to all P gates come from one GEMM,
+    ``Z = X @ V'`` with ``V'`` the (d, P*k) gate-major view of V, and the
+    logits are the mask reduction ``sum_i bits_i * Z_i``. Per-sample
+    data-term gradients are rank-one outer products bits (x) x (x) residual,
+    so clip factors come from their norms, and the clipped sum is one more
+    GEMM over all gates, ``(X (x) r)^T @ (scale * bits)``. The per-sample
+    gradient tensor is never built.
+
+    Rows pass through the kernel ``ROW_BLOCK`` at a time. Full-dataset
+    evaluation and full-batch DP-GD hand it every row, and unblocked, the
+    rows x P bits and rows x P*k responses would grow with n; blocked, they
+    stay one block in size, and only the n x k logits cover all rows.
     """
 
     def __init__(
@@ -445,10 +459,24 @@ class DualObjective:
     def _tensor(self, params: np.ndarray) -> np.ndarray:
         return params.reshape(self.arrangement.P, self.arrangement.d, self.k)
 
-    def _forward(self, params: np.ndarray, X: np.ndarray):
-        """Gate bits and logits of the rows of X."""
+    def _gate_major(self, params: np.ndarray) -> np.ndarray:
+        """V as one (d, P*k) matrix: column block i holds gate i's V[i]."""
+        return self._tensor(params).transpose(1, 0, 2).reshape(
+            self.arrangement.d, self.arrangement.P * self.k
+        )
+
+    def _forward(self, Vg: np.ndarray, X: np.ndarray):
+        """Gate bits and logits of at most ``ROW_BLOCK`` rows of X."""
         bits = (X @ self.arrangement.U.T >= 0).astype(float)
-        return bits, np.einsum("bi,bd,idc->bc", bits, X, self._tensor(params))
+        Z = (X @ Vg).reshape(len(X), self.arrangement.P, self.k)
+        return bits, np.matmul(bits[:, None, :], Z)[:, 0, :]
+
+    def _logits(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
+        Vg = self._gate_major(params)
+        logits = np.empty((len(X), self.k))
+        for s in range(0, len(X), ROW_BLOCK):
+            logits[s : s + ROW_BLOCK] = self._forward(Vg, X[s : s + ROW_BLOCK])[1]
+        return logits
 
     # -- optimizer interface ----------------------------------------------
     def init_params(self, seed: int) -> np.ndarray:
@@ -457,25 +485,32 @@ class DualObjective:
 
     def data_loss(self, params: np.ndarray, X: np.ndarray, y) -> float:
         """Mean per-sample data-term loss over (X, y)."""
-        return losses.mean_loss(self._forward(params, X)[-1], y, self.loss_kind)
+        return losses.mean_loss(self._logits(params, X), y, self.loss_kind)
 
     def clipped_grad_mean(
         self, params: np.ndarray, X: np.ndarray, y, C: float
     ) -> np.ndarray:
         """Mean of per-sample data-term gradients, each clipped to norm C."""
-        bits, logits = self._forward(params, X)
-        r = losses.residuals(logits, y, self.loss_kind)
-        # ||g_b||^2 = (#active gates) * ||x_b||^2 * ||r_b||^2 (rank-one form)
-        norms = np.sqrt(
-            bits.sum(axis=1) * np.sum(X**2, axis=1) * np.sum(r**2, axis=1)
-        )
-        scale = np.ones_like(norms)
-        np.divide(C, norms, out=scale, where=norms > C)
-        grad = np.einsum("b,bi,bd,bc->idc", scale, bits, X, r) / len(X)
+        P, d, k = self.arrangement.P, self.arrangement.d, self.k
+        Vg = self._gate_major(params)
+        total = np.zeros((k * d, P))
+        for s in range(0, len(X), ROW_BLOCK):
+            Xb = X[s : s + ROW_BLOCK]
+            bits, logits = self._forward(Vg, Xb)
+            r = losses.residuals(logits, y[s : s + ROW_BLOCK], self.loss_kind)
+            # ||g_b||^2 = (#active gates) * ||x_b||^2 * ||r_b||^2 (rank-one form)
+            norms = np.sqrt(
+                bits.sum(axis=1) * np.sum(Xb**2, axis=1) * np.sum(r**2, axis=1)
+            )
+            scale = np.ones_like(norms)
+            np.divide(C, norms, out=scale, where=norms > C)
+            Xr = (r[:, :, None] * Xb[:, None, :]).reshape(len(Xb), k * d)
+            total += Xr.T @ (scale[:, None] * bits)
+        grad = total.reshape(k, d, P).transpose(2, 1, 0) / len(X)
         return grad.ravel()
 
     def accuracy(self, params: np.ndarray, X: np.ndarray, labels) -> float:
-        return losses.accuracy(self._forward(params, X)[-1], labels)
+        return losses.accuracy(self._logits(params, X), labels)
 
     def to_model(self, params: np.ndarray) -> DualModel:
         return DualModel(

@@ -1,6 +1,7 @@
 """Dual-model tests: finite-difference gradient oracles, convexity and
 smoothness properties, brute-force pattern enumeration, duality embedding
 and checkpoint round-trips."""
+import dataclasses
 import math
 
 import numpy as np
@@ -118,6 +119,44 @@ def test_clipped_grad_mean_matches_explicit_clipping():
         )
         # clipping must actually bind for this test to mean anything
         assert any(np.linalg.norm(g) == pytest.approx(C) for g in explicit)
+
+
+@pytest.mark.parametrize("kind", ["mse", "ce"])
+@pytest.mark.parametrize("P, d", [(9, 3), (3, 9)])
+def test_blocked_kernel_matches_per_sample_oracle(kind, P, d):
+    # Two full row blocks and a ragged third, against the per-row oracles.
+    n, k = 2 * cd.ROW_BLOCK + 37, 3
+    arr = cd.sample_arrangement(d, P, 5)
+    obj = cd.DualObjective(arr, k=k, lam=0.1, loss=kind)
+    rng = np.random.default_rng(6)
+    params = 0.5 * rng.standard_normal(obj.dim)
+    X = rng.standard_normal((n, d))
+    y = rng.integers(0, k, size=n)
+
+    block_rows = []
+    forward = obj._forward
+    obj._forward = lambda Vg, Xb: block_rows.append(len(Xb)) or forward(Vg, Xb)
+
+    grads = np.array([reference_data_grad(obj, params, X[j], y[j]) for j in range(n)])
+    norms = np.linalg.norm(grads, axis=1)
+    C = float(np.median(norms))
+    assert np.any(norms > C) and np.any(norms < C)
+    clipped = grads * (C / np.maximum(norms, C))[:, None]
+    np.testing.assert_allclose(obj.clipped_grad_mean(params, X, y, C),
+                               clipped.mean(axis=0), atol=1e-12)
+
+    model = dataclasses.replace(obj.to_model(params), lam=0.0)
+    bits = X @ arr.U.T >= 0
+    if kind == "mse":
+        rows = [cd.sample_loss_mse(model, X[j], np.eye(k)[y[j]], bits[j]) for j in range(n)]
+    else:
+        rows = [cd.sample_loss_ce(model, X[j], int(y[j]), bits[j]) for j in range(n)]
+    np.testing.assert_allclose(obj.data_loss(params, X, y),
+                               np.mean([r.loss for r in rows]), atol=1e-12)
+    logits = np.array([cd.forward(model, X[j], bits[j]) for j in range(n)])
+    assert obj.accuracy(params, X, y) == np.mean(np.argmax(logits, axis=1) == y)
+    # every call above went through the kernel one bounded block at a time
+    assert block_rows == 3 * [cd.ROW_BLOCK, cd.ROW_BLOCK, 37]
 
 
 # ---------------------------------------------------------------------------
