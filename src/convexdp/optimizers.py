@@ -201,7 +201,7 @@ def dpsgd_run(
         raise ConfigError(f"batch size {cfg.b} exceeds dataset size {n}")
     rngs = _streams(cfg.seed, cfg.noise_seed)
     return _noisy_minibatch_loop(objective, params0, X, y, cfg, eval_fn,
-                                 lambda it: rngs[0].permutation(n)[: cfg.b], rngs)
+                                 lambda it: rngs[0].choice(n, cfg.b, replace=False), rngs)
 
 
 def noisycgd_run(

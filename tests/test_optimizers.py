@@ -140,6 +140,34 @@ def test_dpsgd_noise_stream_independent_of_batches():
     assert not np.array_equal(q_a, q_b)
 
 
+class BatchRecorder:
+    """Objective stub that records the row ids (column 0) of every batch."""
+
+    lam = 0.0
+
+    def __init__(self):
+        self.batches = []
+
+    def clipped_grad_mean(self, params, X, y, C):
+        self.batches.append(X[:, 0].astype(int))
+        return np.zeros_like(params)
+
+    def data_loss(self, params, X, y):
+        return 0.0
+
+
+def test_dpsgd_batches_distinct_and_cover_all_rows():
+    n, b = 50, 7
+    rec = BatchRecorder()
+    cfg = opt.DPSGDConfig(C=1.0, sigma=0.0, b=b, eta=0.1, epochs=20, seed=3)
+    opt.dpsgd_run(rec, np.zeros(1), np.arange(n, dtype=float)[:, None],
+                  np.zeros(n), cfg)
+    assert len(rec.batches) == cfg.epochs * (n // b)
+    for idx in rec.batches:
+        assert len(set(idx)) == b and idx.min() >= 0 and idx.max() < n
+    assert set(np.concatenate(rec.batches)) == set(range(n))
+
+
 def test_dpsgd_rejects_oversized_batch():
     obj = quadratic_objective()
     X, y = tiny_data(n=4)
@@ -237,7 +265,7 @@ def test_dpsgd_equals_noisycgd_under_shared_schedule():
     rngs = opt._streams(3, 11)
     fresh, _ = opt._noisy_minibatch_loop(
         obj, np.zeros(obj.dim), X, y, cfg, None,
-        lambda it: rngs[0].permutation(12)[:4], rngs,
+        lambda it: rngs[0].choice(12, 4, replace=False), rngs,
     )
     params_sgd, _ = opt.dpsgd_run(obj, np.zeros(obj.dim), X, y, cfg)
     np.testing.assert_allclose(fresh, params_sgd, atol=1e-12)
