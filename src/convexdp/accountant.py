@@ -421,7 +421,10 @@ def _pld_multiply(a: DiscretePLD, b: DiscretePLD) -> DiscretePLD:
     total = masses.sum() + inf_mass
     if not (1 - 1e-9 <= total <= 1 + 1e-9):
         raise NumericError(f"composed PLD lost normalization: {total!r}")
-    masses = masses * ((1.0 - inf_mass) / masses.sum())
+    finite = masses.sum()
+    if finite == 0.0:  # every loss is past the cap: the all-infinity PLD
+        return DiscretePLD(origin, a.loss_grid_step, masses, 1.0)
+    masses = masses * ((1.0 - inf_mass) / finite)
     return DiscretePLD(origin, a.loss_grid_step, masses, inf_mass)
 
 

@@ -264,8 +264,8 @@ def _noisycgd_epsilon(inputs: dict, E: int) -> float:
 
 
 def _eps_repr(eps: float) -> str:
-    if math.isinf(eps):
-        return "inf"
+    """Printed epsilon of a noisy mechanism; "> EPS_MAX" when the search
+    cannot bound it (``find_epsilon`` returns inf beyond ``EPS_MAX``)."""
     if eps > acc.EPS_MAX:
         return f"> {acc.EPS_MAX:g}"
     return repr(float(eps))
@@ -347,7 +347,7 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
     report = {
         "config": cfg.resolved(),
         "accountant_inputs": inputs,
-        "epsilon": _eps_repr(epsilon),
+        "epsilon": "inf" if inputs["sigma"] == 0 else _eps_repr(epsilon),
         "delta": cfg.delta,
         "final_train_loss": trace.records[-1]["train_loss"],
         "final_test_accuracy": trace.records[-1]["test_accuracy"],

@@ -3,8 +3,11 @@ exit-code mapping, and recomputability of every reported epsilon from the
 accountant inputs logged alongside it."""
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +65,32 @@ def test_run_outputs_deterministic(tmp_path, monkeypatch, capsys):
     assert contents[0] == contents[1]  # bit-identical artifacts
 
 
+def test_run_outputs_independent_of_blas_threads(tmp_path):
+    # The dual kernel runs on BLAS; a run must stay bit-reproducible from its
+    # config whatever the size of the BLAS thread pool. The shapes make the
+    # kernel's GEMMs large enough for OpenBLAS to split them across threads.
+    cfg = write_config(
+        tmp_path, method="dual-dpsgd", P=64, b=100,
+        dataset={"kind": "synthetic", "n": 600, "d": 40, "n_test": 200,
+                 "rule": "linear_teacher", "num_classes": 10, "seed": 3},
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    contents = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env[cli.OUTDIR_ENV] = str(out)
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from convexdp.cli import main; sys.exit(main(sys.argv[1:]))",
+             "run", "--config", cfg],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        contents.append(((out / "t.csv").read_bytes(), (out / "t.model.json").read_bytes()))
+    assert contents[0] == contents[1]
+
+
 def test_run_epsilon_recomputable_from_logged_inputs(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path)
     code, out, _ = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
@@ -102,6 +131,15 @@ def test_run_sigma_zero_reports_inf(tmp_path, monkeypatch, capsys):
     assert json.loads(out)["epsilon"] == "inf"
     csv = (tmp_path / "out" / "t.csv").read_text()
     assert csv.splitlines()[-1].endswith(",inf")
+
+
+def test_run_small_sigma_reports_past_eps_max(tmp_path, monkeypatch, capsys):
+    # Noise too small for any epsilon up to EPS_MAX: "> EPS_MAX", not the
+    # "inf" of a noise-free run.
+    cfg = write_config(tmp_path, sigma=0.01)
+    code, out, _ = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
+    assert code == 0
+    assert json.loads(out)["epsilon"] == f"> {acc.EPS_MAX:g}"
 
 
 def test_run_noisycgd_lambda_default_rule(tmp_path, monkeypatch, capsys):
@@ -186,6 +224,31 @@ def test_account_noisycgd_matches_library(tmp_path, monkeypatch, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["mu_gdp"] == pytest.approx(0.05 * math.sqrt(1.2), abs=1e-12)
+
+
+def test_account_dpsgd_all_mass_infinite(tmp_path, monkeypatch, capsys):
+    # Composition pushes every finite loss past the support cap; the result
+    # is the all-infinity PLD, not a division by a zero finite mass.
+    code, out, _ = run_cli(
+        ["account", "dpsgd", "--sigma", "0.5", "--q", "1.0", "--T", "50"],
+        monkeypatch, tmp_path, capsys,
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["pld"]["truncation_mass"] == 1.0
+    assert report["epsilon"] == f"> {acc.EPS_MAX:g}"
+
+
+def test_account_noisycgd_past_eps_max(tmp_path, monkeypatch, capsys):
+    # A noisy mechanism whose epsilon exceeds the search range prints
+    # "> EPS_MAX"; "inf" stays reserved for sigma = 0.
+    args = ["account", "noisycgd", "--L", "2", "--b", "1", "--sigma", "0.05",
+            "--eta", "0.05", "--lam", "1e-3", "--beta", "30", "--k", "60", "--E", "20"]
+    code, out, _ = run_cli(args, monkeypatch, tmp_path, capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert acc.find_epsilon(acc.gaussian_profile(report["mu_gdp"]), 1e-5) == math.inf
+    assert report["epsilon"] == f"> {acc.EPS_MAX:g}"
 
 
 def test_account_convert_rdp(tmp_path, monkeypatch, capsys):
