@@ -418,10 +418,9 @@ def _pld_multiply(a: DiscretePLD, b: DiscretePLD) -> DiscretePLD:
         a.loss_grid_origin + b.loss_grid_origin, a.loss_grid_step, conv, inf_mass
     )
     # Guard against FFT drift in the total mass.
-    total = masses.sum() + inf_mass
-    if not (1 - 1e-9 <= total <= 1 + 1e-9):
-        raise NumericError(f"composed PLD lost normalization: {total!r}")
     finite = masses.sum()
+    if not (1 - 1e-9 <= finite + inf_mass <= 1 + 1e-9):
+        raise NumericError(f"composed PLD lost normalization: {finite + inf_mass!r}")
     if finite == 0.0:  # every loss is past the cap: the all-infinity PLD
         return DiscretePLD(origin, a.loss_grid_step, masses, 1.0)
     masses = masses * ((1.0 - inf_mass) / finite)

@@ -87,7 +87,7 @@ def test_run_outputs_independent_of_blas_threads(tmp_path):
              "run", "--config", cfg],
             env=env, check=True, capture_output=True, timeout=300,
         )
-        contents.append(((out / "t.csv").read_bytes(), (out / "t.model.json").read_bytes()))
+        contents.append([(out / name).read_bytes() for name in ("t.csv", "t.model.json")])
     assert contents[0] == contents[1]
 
 

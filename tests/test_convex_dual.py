@@ -148,9 +148,10 @@ def test_blocked_kernel_matches_per_sample_oracle(kind, P, d):
     model = dataclasses.replace(obj.to_model(params), lam=0.0)
     bits = X @ arr.U.T >= 0
     if kind == "mse":
-        rows = [cd.sample_loss_mse(model, X[j], np.eye(k)[y[j]], bits[j]) for j in range(n)]
+        rows = [cd.sample_loss_mse(model, x, np.eye(k)[c], b)
+                for x, c, b in zip(X, y, bits)]
     else:
-        rows = [cd.sample_loss_ce(model, X[j], int(y[j]), bits[j]) for j in range(n)]
+        rows = [cd.sample_loss_ce(model, x, int(c), b) for x, c, b in zip(X, y, bits)]
     np.testing.assert_allclose(obj.data_loss(params, X, y),
                                np.mean([r.loss for r in rows]), atol=1e-12)
     logits = np.array([cd.forward(model, X[j], bits[j]) for j in range(n)])
