@@ -11,7 +11,9 @@ import json
 import numpy as np
 
 from . import losses
+from .data import write_json
 from .errors import DomainError
+from .losses import ROW_BLOCK
 
 
 @dataclasses.dataclass
@@ -93,8 +95,7 @@ def save_checkpoint(net: MLP, path: str) -> None:
         "U": net.U.ravel().tolist(),
         "A": net.A.ravel().tolist(),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    write_json(path, payload)
 
 
 def load_checkpoint(path: str) -> MLP:
@@ -110,8 +111,20 @@ def load_checkpoint(path: str) -> MLP:
 class MLPObjective:
     """Flat-parameter view of the MLP for the shared training loops.
 
-    Per-sample gradients decompose into two rank-one blocks, so clip norms
-    and clipped sums avoid materializing per-sample gradient tensors.
+    Per-sample gradients decompose into two rank-one blocks, outer(G_b, x_b)
+    for U and outer(h_b, r_b) for A, with G_b = (A r_b) * 1(pre_b > 0) the
+    hidden-layer backprop signal. Clip norms and the clipped sum therefore
+    never build per-sample gradient tensors (Goodfellow 2015's per-example
+    norm trick): the norms come from row dot products. Both blocks are
+    linear in the row's residual r_b and input x_b, so the clip factor and
+    1/n scale those rows x k and rows x d operands, not the rows x m G and
+    h, before two GEMMs add the block's gradient into views of one flat
+    vector.
+
+    Rows pass through ``_forward`` ``ROW_BLOCK`` at a time, and the ReLU is
+    applied in place, keeping only the boolean ``pre > 0`` mask for the
+    backward pass. Full-dataset loss and accuracy therefore hold one block's
+    rows x m activations at a time; only the n x k logits cover all rows.
     """
 
     def __init__(self, d: int, k: int, m: int = 200, loss: str = "mse",
@@ -133,29 +146,45 @@ class MLPObjective:
         return np.concatenate([net.U.ravel(), net.A.ravel()])
 
     def _forward(self, params, X):
-        """Hidden pre-activations, activations and logits of the rows of X."""
+        """Active-unit mask, activations and logits of at most ``ROW_BLOCK`` rows."""
         U, A = self._unflatten(params)
-        pre = X @ U.T
-        h = np.maximum(pre, 0.0)
-        return pre, h, h @ A
+        h = X @ U.T
+        active = h > 0
+        np.maximum(h, 0.0, out=h)
+        return active, h, h @ A
+
+    def _logits(self, params, X) -> np.ndarray:
+        logits = np.empty((len(X), self.k))
+        for s in range(0, len(X), ROW_BLOCK):
+            logits[s : s + ROW_BLOCK] = self._forward(params, X[s : s + ROW_BLOCK])[2]
+        return logits
 
     def data_loss(self, params, X, y) -> float:
-        return losses.mean_loss(self._forward(params, X)[-1], y, self.loss_kind)
+        return losses.mean_loss(self._logits(params, X), y, self.loss_kind)
 
     def clipped_grad_mean(self, params, X, y, C: float) -> np.ndarray:
+        """Mean of per-sample gradients, each clipped to norm C."""
         _, A = self._unflatten(params)
-        pre, h, out = self._forward(params, X)
-        r = losses.residuals(out, y, self.loss_kind)
-        G = (r @ A.T) * (pre > 0)  # (n, m): hidden-layer backprop signal
-        norms = np.sqrt(
-            np.sum(h**2, axis=1) * np.sum(r**2, axis=1)
-            + np.sum(G**2, axis=1) * np.sum(X**2, axis=1)
-        )
-        scale = np.ones_like(norms)
-        np.divide(C, norms, out=scale, where=norms > C)
-        gU = (G * scale[:, None]).T @ X / len(X)
-        gA = (h * scale[:, None]).T @ r / len(X)
-        return np.concatenate([gU.ravel(), gA.ravel()])
+        grad = np.zeros(self.dim)
+        gU, gA = self._unflatten(grad)
+        for s in range(0, len(X), ROW_BLOCK):
+            Xb = X[s : s + ROW_BLOCK]
+            active, h, out = self._forward(params, Xb)
+            r = losses.residuals(out, y[s : s + ROW_BLOCK], self.loss_kind)
+            G = r @ A.T
+            G *= active
+            # ||g_b||^2 = ||h_b||^2 ||r_b||^2 + ||G_b||^2 ||x_b||^2 (rank-one blocks)
+            norms = np.sqrt(
+                np.einsum("ij,ij->i", h, h) * np.einsum("ij,ij->i", r, r)
+                + np.einsum("ij,ij->i", G, G) * np.einsum("ij,ij->i", Xb, Xb)
+            )
+            scale = np.ones_like(norms)
+            np.divide(C, norms, out=scale, where=norms > C)
+            scale /= len(X)
+            r *= scale[:, None]
+            gU += G.T @ (scale[:, None] * Xb)
+            gA += h.T @ r
+        return grad
 
     def accuracy(self, params, X, labels) -> float:
-        return losses.accuracy(self._forward(params, X)[-1], labels)
+        return losses.accuracy(self._logits(params, X), labels)

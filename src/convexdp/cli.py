@@ -84,6 +84,9 @@ class RunConfig:
             self.lam = 0.0
         if self.method == "dual-noisycgd" and self.lam <= 0:
             raise ConfigError("lam: dual-noisycgd requires lambda > 0")
+        if self.method == "dpgd" and self.account_every_epoch:
+            raise ConfigError("account_every_epoch: dpgd keeps no per-epoch trace; "
+                              "set it to false")
 
     def resolved(self) -> dict:
         return dataclasses.asdict(self)
@@ -335,7 +338,7 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
             rng_state_digest="",
         )
 
-    if cfg.account_every_epoch and cfg.method != "dpgd":
+    if cfg.account_every_epoch:
         per_epoch = epsilon_from_inputs(inputs, epochs=cfg.epochs)
         for record in trace.records:
             record["epsilon_at_delta"] = per_epoch[record["epoch"] - 1]
@@ -344,10 +347,13 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
         epsilon = epsilon_from_inputs(inputs)
         trace.records[-1]["epsilon_at_delta"] = epsilon
 
+    # Only a noise-free run has epsilon "inf"; a noisy one past EPS_MAX prints
+    # "> EPS_MAX", in the report and in the CSV alike.
+    eps_text = (lambda eps: "inf") if inputs["sigma"] == 0 else _eps_repr
     report = {
         "config": cfg.resolved(),
         "accountant_inputs": inputs,
-        "epsilon": "inf" if inputs["sigma"] == 0 else _eps_repr(epsilon),
+        "epsilon": eps_text(epsilon),
         "delta": cfg.delta,
         "final_train_loss": trace.records[-1]["train_loss"],
         "final_test_accuracy": trace.records[-1]["test_accuracy"],
@@ -359,7 +365,7 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
         os.makedirs(out_dir, exist_ok=True)
         base = os.path.join(out_dir, cfg.name)
         with open(base + ".csv", "w") as fh:
-            fh.write(trace.to_csv())
+            fh.write(trace.to_csv(eps_text))
         with open(base + ".json", "w") as fh:
             json.dump(report, fh, indent=2)
         if cfg.method in ("dual-dpsgd", "dual-noisycgd", "dpgd"):

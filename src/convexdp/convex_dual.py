@@ -20,7 +20,9 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import losses
+from .data import write_json
 from .errors import DomainError, NumericError
+from .losses import ROW_BLOCK
 
 # ---------------------------------------------------------------------------
 # Domain types
@@ -387,8 +389,7 @@ def save_checkpoint(model: DualModel, path: str) -> None:
         "U": model.arrangement.U.ravel().tolist(),
         "V": model.V.ravel().tolist(),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    write_json(path, payload)
 
 
 def load_checkpoint(path: str) -> DualModel:
@@ -412,11 +413,6 @@ def load_checkpoint(path: str) -> DualModel:
 # ---------------------------------------------------------------------------
 # Batch-level objective used by the optimizers
 # ---------------------------------------------------------------------------
-
-#: Rows per pass through the ``DualObjective`` kernel; bounds its rows x P
-#: and rows x P*k temporaries.
-ROW_BLOCK = 256
-
 
 class DualObjective:
     """Flat-parameter view of the dual model for the training loops.

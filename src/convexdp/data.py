@@ -1,5 +1,6 @@
 """Dataset ingestion and synthesis: IDX images, CSV tables, synthetic
-Gaussian features, subset selection and train/test splits.
+Gaussian features, subset selection and train/test splits; and the JSON
+writer of the model checkpoints.
 
 Datasets are immutable after load; all randomness is seeded.
 """
@@ -7,6 +8,7 @@ from __future__ import annotations
 
 import csv as _csv
 import dataclasses
+import json
 import struct
 from typing import Optional, Sequence, Union
 
@@ -16,6 +18,7 @@ from .errors import ConfigError, DomainError, FormatError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+JSON_LIST_SLICE = 512  # list items per C-encoder call in write_json
 
 
 @dataclasses.dataclass(frozen=True)
@@ -194,3 +197,27 @@ def train_test_split(dataset: Dataset, n_test: int, seed: int):
         normalization=dataset.normalization,
     )
     return mk(train_idx, "train"), mk(test_idx, "test")
+
+
+def write_json(path: str, payload: dict) -> None:
+    """Write the bytes ``json.dump(payload, fh)`` writes, faster.
+
+    ``json.dump`` always runs the pure-Python encoder. ``json.dumps`` runs
+    the C one, but on a whole checkpoint it holds the text of every float at
+    once (4 MB for 36 000 floats). Here the C encoder takes each list
+    ``JSON_LIST_SLICE`` items at a time, which is as fast and holds one
+    slice.
+    """
+    with open(path, "w") as fh:
+        fh.write("{")
+        for i, (key, value) in enumerate(payload.items()):
+            fh.write(("" if i == 0 else ", ") + json.dumps(key) + ": ")
+            if not isinstance(value, list):
+                fh.write(json.dumps(value))
+                continue
+            fh.write("[")
+            for s in range(0, len(value), JSON_LIST_SLICE):
+                fh.write(("" if s == 0 else ", ")
+                         + json.dumps(value[s : s + JSON_LIST_SLICE])[1:-1])
+            fh.write("]")
+        fh.write("}")

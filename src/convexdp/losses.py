@@ -11,6 +11,11 @@ import numpy as np
 
 from .data import one_hot
 
+#: Rows per pass through an objective's forward kernel. Both objectives
+#: evaluate and differentiate ``ROW_BLOCK`` rows at a time, so their
+#: rows x (gates or hidden units) temporaries stay one block in size.
+ROW_BLOCK = 256
+
 
 def residuals(logits: np.ndarray, y, kind: str) -> np.ndarray:
     """d loss / d logits per row: logits - target, or softmax - onehot."""

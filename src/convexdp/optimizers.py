@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,13 +53,12 @@ class TrainTrace:
     def append(self, **record) -> None:
         self.records.append(record)
 
-    def to_csv(self) -> str:
+    def to_csv(self, eps_text: Callable[[float], str] = repr) -> str:
+        """The records as CSV; ``eps_text`` renders the epsilon column."""
         lines = ["epoch,train_loss,test_acc,epsilon"]
         for r in self.records:
             eps = r.get("epsilon_at_delta")
-            eps_txt = "" if eps is None else (
-                "inf" if math.isinf(eps) else repr(float(eps))
-            )
+            eps_txt = "" if eps is None else eps_text(float(eps))
             lines.append(
                 f"{r['epoch']},{r['train_loss']!r},"
                 f"{'' if r.get('test_accuracy') is None else repr(r['test_accuracy'])},"

@@ -1,6 +1,9 @@
 """ReLU baseline tests: forward pass by hand, finite-difference gradients
 away from kinks, the rank-one clipping path against explicit per-sample
-clipping, and checkpoint round-trips."""
+clipping, the row-blocked kernel, and checkpoint round-trips."""
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -107,6 +110,54 @@ def test_objective_loss_matches_reference():
         shifted = out - out.max()
         ref.append(float(np.log(np.exp(shifted).sum()) - shifted[y[i]]))
     assert obj.data_loss(params, X, y) == pytest.approx(np.mean(ref), abs=1e-12)
+
+
+@pytest.mark.parametrize("loss", ["mse", "ce"])
+def test_blocked_kernel_matches_per_sample_oracle(loss):
+    # Two full row blocks and a ragged third, against the per-row oracles.
+    n, d, k, m = 2 * br.ROW_BLOCK + 37, 5, 3, 7
+    obj = br.MLPObjective(d, k, m=m, loss=loss)
+    rng = np.random.default_rng(4)
+    params = 2.0 * obj.init_params(3)
+    X = rng.standard_normal((n, d))
+    y = rng.integers(0, k, size=n)
+
+    block_rows = []
+    forward = obj._forward
+    obj._forward = lambda p, Xb: block_rows.append(len(Xb)) or forward(p, Xb)
+
+    net = br.MLP(*obj._unflatten(params))
+    targets = np.eye(k)[y] if loss == "mse" else y
+    grads = np.array([br.mlp_per_sample_grad(net, X[j], targets[j], loss)
+                      for j in range(n)])
+    norms = np.linalg.norm(grads, axis=1)
+    C = float(np.median(norms))
+    assert np.any(norms > C) and np.any(norms < C)
+    clipped = grads * (C / np.maximum(norms, C))[:, None]
+    np.testing.assert_allclose(obj.clipped_grad_mean(params, X, y, C),
+                               clipped.mean(axis=0), atol=1e-12)
+
+    logits = np.array([br.mlp_forward(net, x) for x in X])
+    if loss == "mse":
+        ref_loss = 0.5 * np.sum((logits - targets) ** 2, axis=1)
+    else:
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        ref_loss = np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(n), y]
+    np.testing.assert_allclose(obj.data_loss(params, X, y), ref_loss.mean(),
+                               atol=1e-12)
+    assert obj.accuracy(params, X, y) == np.mean(np.argmax(logits, axis=1) == y)
+    # every call above went through the kernel one bounded block at a time
+    assert block_rows == 3 * [br.ROW_BLOCK, br.ROW_BLOCK, 37]
+
+
+def test_checkpoint_bytes_match_json_dump(tmp_path):
+    # The checkpoint is exactly what json.dump of its payload writes.
+    path = tmp_path / "mlp.json"
+    br.save_checkpoint(br.init_mlp(4, 3, m=6, seed=9), str(path))
+    text = path.read_text()
+    expected = io.StringIO()
+    json.dump(json.loads(text), expected)
+    assert text == expected.getvalue()
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -65,15 +65,8 @@ def test_run_outputs_deterministic(tmp_path, monkeypatch, capsys):
     assert contents[0] == contents[1]  # bit-identical artifacts
 
 
-def test_run_outputs_independent_of_blas_threads(tmp_path):
-    # The dual kernel runs on BLAS; a run must stay bit-reproducible from its
-    # config whatever the size of the BLAS thread pool. The shapes make the
-    # kernel's GEMMs large enough for OpenBLAS to split them across threads.
-    cfg = write_config(
-        tmp_path, method="dual-dpsgd", P=64, b=100,
-        dataset={"kind": "synthetic", "n": 600, "d": 40, "n_test": 200,
-                 "rule": "linear_teacher", "num_classes": 10, "seed": 3},
-    )
+def outputs_at_blas_threads(tmp_path, cfg):
+    """CSV and model bytes of the run ``cfg`` at 1 and at 2 BLAS threads."""
     src = str(Path(cli.__file__).resolve().parents[1])
     contents = []
     for threads in ("1", "2"):
@@ -88,7 +81,30 @@ def test_run_outputs_independent_of_blas_threads(tmp_path):
             env=env, check=True, capture_output=True, timeout=300,
         )
         contents.append([(out / name).read_bytes() for name in ("t.csv", "t.model.json")])
-    assert contents[0] == contents[1]
+    return contents
+
+
+BLAS_DATASET = {"kind": "synthetic", "n": 600, "d": 40, "n_test": 200,
+                "rule": "linear_teacher", "num_classes": 10, "seed": 3}
+
+
+def test_run_outputs_independent_of_blas_threads(tmp_path):
+    # The dual kernel runs on BLAS; a run must stay bit-reproducible from its
+    # config whatever the size of the BLAS thread pool. The shapes make the
+    # kernel's GEMMs large enough for OpenBLAS to split them across threads.
+    cfg = write_config(tmp_path, method="dual-dpsgd", P=64, b=100,
+                       dataset=BLAS_DATASET)
+    one, two = outputs_at_blas_threads(tmp_path, cfg)
+    assert one == two
+
+
+def test_relu_run_outputs_independent_of_blas_threads(tmp_path):
+    # The same for the MLP kernel: at width 512 its b x d x m and
+    # ROW_BLOCK x d x m GEMMs are past OpenBLAS's single-thread size.
+    cfg = write_config(tmp_path, method="relu-dpsgd", hidden_m=512, b=100,
+                       dataset=BLAS_DATASET)
+    one, two = outputs_at_blas_threads(tmp_path, cfg)
+    assert one == two
 
 
 def test_run_epsilon_recomputable_from_logged_inputs(tmp_path, monkeypatch, capsys):
@@ -140,6 +156,17 @@ def test_run_small_sigma_reports_past_eps_max(tmp_path, monkeypatch, capsys):
     code, out, _ = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
     assert code == 0
     assert json.loads(out)["epsilon"] == f"> {acc.EPS_MAX:g}"
+
+
+def test_run_small_sigma_csv_matches_report(tmp_path, monkeypatch, capsys):
+    # The CSV's epsilon column uses the report's text: "> EPS_MAX" for a noisy
+    # run the search cannot bound, "inf" only for a noise-free one.
+    for sigma, text in ((0.01, f"> {acc.EPS_MAX:g}"), (0.0, "inf")):
+        cfg = write_config(tmp_path, sigma=sigma, account_every_epoch=True)
+        code, out, _ = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
+        assert code == 0 and json.loads(out)["epsilon"] == text
+        rows = (tmp_path / "out" / "t.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == [text, text]
 
 
 def test_run_noisycgd_lambda_default_rule(tmp_path, monkeypatch, capsys):
@@ -319,6 +346,17 @@ def test_accountant_inputs_for_dpgd():
     inputs = cli.accountant_inputs_for_run(cfg, n=120, beta=1.0)
     assert inputs["method"] == "dpsgd"
     assert inputs["q"] == 1.0 and inputs["T"] == cfg.epochs
+
+
+def test_dpgd_rejects_account_every_epoch(tmp_path, monkeypatch, capsys):
+    # dpgd keeps one final trace record, so per-epoch accounting cannot apply.
+    with pytest.raises(ConfigError, match="account_every_epoch"):
+        cli.RunConfig(**dict(BASE_CONFIG, method="dpgd", lam=0.0,
+                             account_every_epoch=True,
+                             dataset=dict(BASE_CONFIG["dataset"])))
+    cfg = write_config(tmp_path, method="dpgd", lam=0.0, account_every_epoch=True)
+    code, _, err = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
+    assert code == 2 and "account_every_epoch" in err
 
 
 def test_relu_dpsgd_runs(tmp_path, monkeypatch, capsys):

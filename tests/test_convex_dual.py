@@ -2,6 +2,8 @@
 smoothness properties, brute-force pattern enumeration, duality embedding
 and checkpoint round-trips."""
 import dataclasses
+import io
+import json
 import math
 
 import numpy as np
@@ -373,6 +375,16 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.lam == model.lam
     assert loaded.bias == model.bias
     assert loaded.arrangement.seed == model.arrangement.seed
+
+
+def test_checkpoint_bytes_match_json_dump(tmp_path):
+    # The checkpoint is exactly what json.dump of its payload writes.
+    path = tmp_path / "model.json"
+    cd.save_checkpoint(make_model(lam=0.25), str(path))
+    text = path.read_text()
+    expected = io.StringIO()
+    json.dump(json.loads(text), expected)
+    assert text == expected.getvalue()
 
 
 def test_forward_shape_validation():

@@ -1,5 +1,7 @@
 """Dataset utilities: a hand-built IDX byte fixture, CSV parsing, synthetic
-target rules, stratified subsetting and splits."""
+target rules, stratified subsetting and splits, and the JSON writer."""
+import io
+import json
 import struct
 from pathlib import Path
 
@@ -142,3 +144,21 @@ def test_one_hot():
         data.one_hot([0, 2, 1], k=3),
         [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
     )
+
+
+def test_write_json_matches_json_dump(tmp_path):
+    # Lists that are empty, shorter than a slice, exactly one slice and a
+    # ragged number of slices, beside scalars, strings and a nested dict.
+    n = data.JSON_LIST_SLICE
+    rng = np.random.default_rng(0)
+    payload = {"empty": [], "one": [0.1], "slice": rng.standard_normal(n).tolist(),
+               "ragged": (1e-7 * rng.standard_normal(2 * n + 3)).tolist(),
+               "ints": list(range(5)), "flag": True, "lambda": 0.25, "name": "a\"b",
+               "nested": {"x": [1.5, -2.0]}}
+    path = tmp_path / "out.json"
+    data.write_json(str(path), payload)
+    expected = io.StringIO()
+    json.dump(payload, expected)
+    assert path.read_text() == expected.getvalue()
+    data.write_json(str(path), {})
+    assert path.read_text() == "{}"
