@@ -188,3 +188,6 @@ class MLPObjective:
 
     def accuracy(self, params, X, labels) -> float:
         return losses.accuracy(self._logits(params, X), labels)
+
+    def to_model(self, params) -> MLP:
+        return MLP(*self._unflatten(params))

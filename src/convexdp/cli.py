@@ -26,7 +26,15 @@ from . import accountant as acc
 from . import baseline_relu, convex_dual, data, optimizers
 from .errors import ConfigError, FormatError, NumericError
 
-METHODS = ("dual-dpsgd", "dual-noisycgd", "relu-dpsgd", "dpgd")
+# Each method's model ("dual" gated-linear or "relu" MLP), training loop (a
+# function name in `optimizers`, looked up at each run) and accountant query.
+# DP-GD is accounted as DP-SGD with full batches.
+METHODS = {
+    "dual-dpsgd": ("dual", "dpsgd_run", "dpsgd"),
+    "dual-noisycgd": ("dual", "noisycgd_run", "noisycgd"),
+    "relu-dpsgd": ("relu", "dpsgd_run", "dpsgd"),
+    "dpgd": ("dual", "dpgd_run", "dpsgd"),
+}
 OUTDIR_ENV = "CONVEXDP_OUTDIR"
 
 
@@ -62,7 +70,8 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"method: unknown method {self.method!r}; "
-                              f"expected one of {METHODS}")
+                              f"expected one of {tuple(METHODS)}")
+        _, loop, accountant = METHODS[self.method]
         for field, positive in (("epochs", self.epochs), ("C", self.C),
                                 ("b", self.b), ("eta", self.eta), ("P", self.P),
                                 ("hidden_m", self.hidden_m)):
@@ -77,15 +86,13 @@ class RunConfig:
         missing = {"gates", "init", "batches", "noise"} - set(self.seeds)
         if missing:
             raise ConfigError(f"seeds: missing {sorted(missing)}")
-        if self.lam is None and self.method == "dual-noisycgd":
-            # experimental default: eta * lambda = 2e-4
-            self.lam = 2e-4 / self.eta
         if self.lam is None:
-            self.lam = 0.0
-        if self.method == "dual-noisycgd" and self.lam <= 0:
-            raise ConfigError("lam: dual-noisycgd requires lambda > 0")
-        if self.method == "dpgd" and self.account_every_epoch:
-            raise ConfigError("account_every_epoch: dpgd keeps no per-epoch trace; "
+            # NoisyCGD's experimental default: eta * lambda = 2e-4
+            self.lam = 2e-4 / self.eta if accountant == "noisycgd" else 0.0
+        if accountant == "noisycgd" and self.lam <= 0:
+            raise ConfigError("lam: NoisyCGD accounting requires lambda > 0")
+        if loop == "dpgd_run" and self.account_every_epoch:
+            raise ConfigError("account_every_epoch: DP-GD keeps no per-epoch trace; "
                               "set it to false")
 
     def resolved(self) -> dict:
@@ -175,40 +182,37 @@ def load_dataset_pair(spec: dict):
 # ---------------------------------------------------------------------------
 
 
-def accountant_inputs_for_run(cfg: RunConfig, n: int, beta: float) -> dict:
-    """The exact accountant query implied by a run config."""
-    if cfg.method in ("dual-dpsgd", "relu-dpsgd"):
+def accountant_inputs_for_run(cfg: RunConfig, X: np.ndarray) -> dict:
+    """The exact accountant query of a run config on the training rows X."""
+    _, loop, accountant = METHODS[cfg.method]
+    n = len(X)
+    if accountant == "dpsgd":
+        # DP-GD's full-batch steps: clip to C, noise std sigma*C/n on the mean
+        b = n if loop == "dpgd_run" else cfg.b
         return {
             "method": "dpsgd",
             "sigma": cfg.sigma,
-            "q": cfg.b / n,
-            "T": cfg.epochs * (n // cfg.b),
+            "q": b / n,
+            "T": cfg.epochs * (n // b),
             "delta": cfg.delta,
         }
-    if cfg.method == "dual-noisycgd":
-        return {
-            "method": "noisycgd",
-            "L": 2.0 * cfg.C,
-            "b": cfg.b,
-            # noise std in update-equation units: C * sigma / b on the mean
-            "sigma": cfg.C * cfg.sigma / cfg.b,
-            "eta": cfg.eta,
-            "lambda": cfg.lam,
-            "beta": beta,
-            "k": n // cfg.b,
-            "E": cfg.epochs,
-            "delta": cfg.delta,
-        }
-    if cfg.method == "dpgd":
-        # full-batch steps: clip to C, noise std sigma*C/n on the mean
-        return {
-            "method": "dpsgd",
-            "sigma": cfg.sigma,
-            "q": 1.0,
-            "T": cfg.epochs,
-            "delta": cfg.delta,
-        }
-    raise ConfigError(f"no accountant for method {cfg.method!r}")
+    # beta, a statistic of the private rows, is computed for the one bound
+    # that reads it: max_j ||x_j||^2 + lam, unless overridden.
+    beta = (cfg.beta if cfg.beta is not None
+            else float(np.max(np.sum(X**2, axis=1))) + float(cfg.lam))
+    return {
+        "method": "noisycgd",
+        "L": 2.0 * cfg.C,
+        "b": cfg.b,
+        # noise std in update-equation units: C * sigma / b on the mean
+        "sigma": cfg.C * cfg.sigma / cfg.b,
+        "eta": cfg.eta,
+        "lambda": cfg.lam,
+        "beta": beta,
+        "k": n // cfg.b,
+        "E": cfg.epochs,
+        "delta": cfg.delta,
+    }
 
 
 def epsilon_from_inputs(
@@ -290,22 +294,22 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
     if cfg.loss == "ce" and k < 2:
         raise ConfigError("cross-entropy needs >= 2 classes")
 
-    if cfg.method in ("dual-dpsgd", "dual-noisycgd", "dpgd"):
+    model, loop, accountant = METHODS[cfg.method]
+    if model == "dual":
+        module = convex_dual
         arrangement = convex_dual.sample_arrangement(d, cfg.P, cfg.seeds["gates"])
         objective = convex_dual.DualObjective(
             arrangement, k=k, lam=float(cfg.lam), loss=cfg.loss, bias=cfg.bias
         )
-        params0 = objective.init_params(cfg.seeds["init"])
     else:
+        module = baseline_relu
         objective = baseline_relu.MLPObjective(
             d, k, m=cfg.hidden_m, loss=cfg.loss, lam=float(cfg.lam)
         )
-        params0 = objective.init_params(cfg.seeds["init"])
+    params0 = objective.init_params(cfg.seeds["init"])
 
-    beta = (cfg.beta if cfg.beta is not None
-            else float(np.max(np.sum(X_train**2, axis=1))) + float(cfg.lam))
-    inputs = accountant_inputs_for_run(cfg, len(X_train), beta)
-    if inputs["method"] == "noisycgd" and inputs["sigma"] > 0:
+    inputs = accountant_inputs_for_run(cfg, X_train)
+    if accountant == "noisycgd" and inputs["sigma"] > 0:
         # Refuse a run whose GDP bound does not apply (eta * beta >= 2)
         # before training it.
         _noisycgd_spec(inputs, cfg.epochs)
@@ -313,20 +317,24 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
     eval_fn = lambda params: objective.accuracy(params, X_test, test.labels)
     labels = train.labels
 
-    if cfg.method != "dpgd":
+    run = getattr(optimizers, loop)  # at call time: probes patch the module
+    if loop != "dpgd_run":
         opt_cfg = optimizers.DPSGDConfig(
             C=cfg.C, sigma=cfg.sigma, b=cfg.b, eta=cfg.eta, epochs=cfg.epochs,
             seed=cfg.seeds["batches"], noise_seed=cfg.seeds["noise"],
         )
-        run = (optimizers.noisycgd_run if cfg.method == "dual-noisycgd"
-               else optimizers.dpsgd_run)
         params, trace = run(
             objective, params0, X_train, labels, opt_cfg, eval_fn=eval_fn
         )
     else:
-        project = optimizers.make_projection(**cfg.dpgd_constraint)
+        constraint = cfg.dpgd_constraint
+        project = optimizers.make_projection(**constraint)
+        shape = np.shape(constraint.get("a", ()))
+        if constraint["kind"] == "band" and shape != (objective.dim,):
+            raise ConfigError(f"dpgd_constraint.a: needs one entry per model "
+                              f"parameter, {objective.dim}; got shape {shape}")
         sigma_gd = cfg.sigma * cfg.C / len(X_train)
-        params = optimizers.dpgd_run(
+        params = run(
             objective, X_train, labels, L=cfg.C, project=project, T=cfg.epochs,
             sigma_gd=sigma_gd, eta=cfg.eta, seed=cfg.seeds["noise"],
         )
@@ -358,7 +366,6 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
         "final_train_loss": trace.records[-1]["train_loss"],
         "final_test_accuracy": trace.records[-1]["test_accuracy"],
         "n_train": len(X_train),
-        "beta_smoothness": beta,
     }
     if write_outputs:
         out_dir = os.environ.get(OUTDIR_ENV, cfg.out_dir)
@@ -368,13 +375,7 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
             fh.write(trace.to_csv(eps_text))
         with open(base + ".json", "w") as fh:
             json.dump(report, fh, indent=2)
-        if cfg.method in ("dual-dpsgd", "dual-noisycgd", "dpgd"):
-            convex_dual.save_checkpoint(objective.to_model(params),
-                                        base + ".model.json")
-        else:
-            U, A = objective._unflatten(params)
-            baseline_relu.save_checkpoint(baseline_relu.MLP(U=U, A=A),
-                                          base + ".model.json")
+        module.save_checkpoint(objective.to_model(params), base + ".model.json")
         report["outputs"] = {
             "csv": base + ".csv",
             "json": base + ".json",
@@ -456,19 +457,15 @@ def _account_dpsgd_cmd(args) -> dict:
 
 
 def _account_noisycgd_cmd(args) -> dict:
-    spec = acc.NoisyCGDSpec(L=args.L, b=args.b, sigma=args.sigma, eta=args.eta,
-                            lambda_sc=args.lam, beta_sm=args.beta, k=args.k,
-                            E=args.E)
-    mu = acc.noisycgd_mu(spec)
-    eps = acc.find_epsilon(acc.gaussian_profile(mu), args.delta)
-    return {
+    inputs = {
         "method": "noisycgd",
         "L": args.L, "b": args.b, "sigma": args.sigma, "eta": args.eta,
         "lambda": args.lam, "beta": args.beta, "k": args.k, "E": args.E,
-        "mu_gdp": mu,
         "delta": args.delta,
-        "epsilon": _eps_repr(eps),
     }
+    mu = acc.noisycgd_mu(_noisycgd_spec(inputs, args.E))
+    eps = acc.find_epsilon(acc.gaussian_profile(mu), args.delta)
+    return dict(inputs, mu_gdp=mu, epsilon=_eps_repr(eps))
 
 
 def _account_convert_rdp_cmd(args) -> dict:

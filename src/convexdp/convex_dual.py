@@ -45,13 +45,6 @@ class Arrangement:
             raise DomainError(f"gate matrix shape {U.shape} != ({self.P}, {self.d})")
 
 
-@dataclasses.dataclass(frozen=True)
-class MaskTable:
-    """Boolean n x P table: bits[j, i] = 1(x_j . u_i >= 0)."""
-
-    bits: np.ndarray
-
-
 @dataclasses.dataclass
 class DualModel:
     """Parameters V (P x d x k) tied to an arrangement, plus ridge weight."""
@@ -98,7 +91,7 @@ class ReLUNetSpec:
 
 
 # ---------------------------------------------------------------------------
-# Arrangements and masks
+# Arrangements and the bias column
 # ---------------------------------------------------------------------------
 
 
@@ -108,15 +101,6 @@ def sample_arrangement(d: int, P: int, seed: int) -> Arrangement:
         raise DomainError("d and P must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return Arrangement(U=rng.standard_normal((P, d)), P=P, d=d, seed=seed)
-
-
-def compute_masks(X: np.ndarray, arr: Arrangement) -> MaskTable:
-    """Activation masks bits[j, i] = 1(x_j . u_i >= 0), ties mapping to 1."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != arr.d:
-        raise DomainError(f"X has {X.shape[1] if X.ndim == 2 else '?'} columns, "
-                          f"arrangement expects {arr.d}")
-    return MaskTable(bits=(X @ arr.U.T) >= 0)
 
 
 def add_bias_column(X: np.ndarray) -> np.ndarray:

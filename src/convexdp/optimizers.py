@@ -124,8 +124,16 @@ def project_band(v: np.ndarray, a: np.ndarray, y: float, C: float) -> np.ndarray
     return project_halfspace(out, -np.asarray(a, dtype=float), C - y)
 
 
-def make_projection(kind: str, **kw) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-    """Projection operator factory for the DP-GD constraint set."""
+def make_projection(kind: Optional[str] = None,
+                    **kw) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+    """Projection operator factory for the DP-GD constraint set.
+
+    A missing ``kind``, or a missing key of its kind, raises ConfigError.
+    """
+    needs = {None: {"kind"}, "ball": {"radius"}, "band": {"a", "y", "C"}}
+    missing = needs.get(kind, set()) - set(kw)
+    if missing:
+        raise ConfigError(f"constraint set {kind!r} needs {sorted(missing)}")
     if kind == "none":
         return None
     if kind == "ball":

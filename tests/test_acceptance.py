@@ -19,7 +19,7 @@ from convexdp import optimizers as opt
 from test_accountant import phi
 from test_baseline_relu import br
 from test_optimizers import band_qp_oracle
-from test_convex_dual import loss_of, with_V, make_model
+from test_convex_dual import compute_masks, loss_of, with_V, make_model
 
 
 def report(capsys, num, ok, detail):
@@ -198,7 +198,7 @@ def test_criterion_07_interpolation(capsys):
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((n, d))
         arr = cd.sample_arrangement(d, P, 1000 + seed)
-        bits = cd.compute_masks(X, arr).bits.astype(float)
+        bits = compute_masks(X, arr).astype(float)
         stacked = np.hstack([bits[:, [i]] * X for i in range(P)])  # (n, P*d)
         if np.linalg.matrix_rank(stacked) < n:
             continue

@@ -14,7 +14,10 @@ import numpy as np
 import pytest
 
 from convexdp import accountant as acc
+from convexdp import baseline_relu as br
 from convexdp import cli
+from convexdp import convex_dual as cd
+from convexdp import optimizers as opt
 from convexdp.errors import ConfigError, DomainError
 
 
@@ -251,6 +254,8 @@ def test_account_noisycgd_matches_library(tmp_path, monkeypatch, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["mu_gdp"] == pytest.approx(0.05 * math.sqrt(1.2), abs=1e-12)
+    assert set(report) == {"method", "L", "b", "sigma", "eta", "lambda", "beta",
+                           "k", "E", "mu_gdp", "delta", "epsilon"}
 
 
 def test_account_dpsgd_all_mass_infinite(tmp_path, monkeypatch, capsys):
@@ -343,9 +348,9 @@ def test_accountant_inputs_for_dpgd():
     cfg = cli.RunConfig(**dict(
         BASE_CONFIG, method="dpgd", lam=0.0, dataset=dict(BASE_CONFIG["dataset"])
     ))
-    inputs = cli.accountant_inputs_for_run(cfg, n=120, beta=1.0)
-    assert inputs["method"] == "dpsgd"
-    assert inputs["q"] == 1.0 and inputs["T"] == cfg.epochs
+    inputs = cli.accountant_inputs_for_run(cfg, np.ones((120, 6)))
+    assert inputs == {"method": "dpsgd", "sigma": cfg.sigma, "q": 1.0,
+                      "T": cfg.epochs, "delta": cfg.delta}
 
 
 def test_dpgd_rejects_account_every_epoch(tmp_path, monkeypatch, capsys):
@@ -357,6 +362,107 @@ def test_dpgd_rejects_account_every_epoch(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path, method="dpgd", lam=0.0, account_every_epoch=True)
     code, _, err = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
     assert code == 2 and "account_every_epoch" in err
+
+
+MALFORMED_CONSTRAINTS = [
+    {"kind": "ball"},
+    {"radius": 1},
+    {"kind": "band", "a": [1, 2]},
+    # a band normal needs one entry per model parameter (P * (d + 1) * k = 96)
+    {"kind": "band", "a": [1, 2], "y": 0, "C": 1},
+]
+
+
+@pytest.mark.parametrize("constraint", MALFORMED_CONSTRAINTS, ids=[
+    "ball-without-radius", "without-kind", "band-without-y", "band-a-wrong-length"])
+def test_malformed_dpgd_constraint_exits_2(constraint, tmp_path, monkeypatch, capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained with a malformed constraint")
+
+    monkeypatch.setattr(cli.optimizers, "dpgd_run", no_training)
+    cfg = write_config(tmp_path, method="dpgd", lam=0.0, dpgd_constraint=constraint)
+    code, _, err = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
+    assert code == 2 and "config error" in err
+
+
+MODEL_MODULES = {"dual": cd, "relu": br}
+
+
+@pytest.mark.parametrize("method", sorted(cli.METHODS))
+def test_every_method_checkpoint_reproduces_report(method, tmp_path, monkeypatch,
+                                                   capsys):
+    ball = {"kind": "ball", "radius": 0.5}
+    extra = {"dpgd_constraint": ball, "lam": 0.0} if method == "dpgd" else {}
+    cfg = write_config(tmp_path, method=method, hidden_m=8, **extra)
+    code, out, _ = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
+    assert code == 0
+    report = json.loads(out)
+    model_kind = cli.METHODS[method][0]
+    model = MODEL_MODULES[model_kind].load_checkpoint(report["outputs"]["model"])
+
+    # Test accuracy of the reloaded model, one row at a time.
+    train, test = cli.load_dataset_pair(BASE_CONFIG["dataset"])
+    if model_kind == "dual":
+        logits = [cd.forward(model, x, model.arrangement.U @ x >= 0)
+                  for x in cd.add_bias_column(test.X)]
+    else:
+        logits = [br.mlp_forward(model, x) for x in cd.add_bias_column(test.X)]
+    accuracy = float(np.mean(np.argmax(logits, axis=1) == test.labels))
+    assert accuracy == report["final_test_accuracy"]
+
+    if method == "dpgd":
+        X = cd.add_bias_column(train.X)
+        seeds = report["config"]["seeds"]
+        objective = cd.DualObjective(
+            cd.sample_arrangement(X.shape[1], BASE_CONFIG["P"], seeds["gates"]),
+            k=2, lam=0.0, loss=BASE_CONFIG["loss"],
+        )
+        C, sigma = BASE_CONFIG["C"], BASE_CONFIG["sigma"]
+        direct = opt.dpgd_run(
+            objective, X, train.labels, L=C, project=opt.make_projection(**ball),
+            T=BASE_CONFIG["epochs"], sigma_gd=sigma * C / len(X),
+            eta=BASE_CONFIG["eta"], seed=seeds["noise"],
+        )
+        np.testing.assert_array_equal(model.V.ravel(), direct)
+
+
+def test_training_loops_looked_up_at_call_time(monkeypatch):
+    # Probes (perfbench) replace the loops on the optimizers module; a run
+    # must call whatever the module holds when it starts.
+    calls = []
+    for name in ("dpsgd_run", "noisycgd_run"):
+        def spy(*args, _name=name, _real=getattr(opt, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.optimizers, name, spy)
+    for method, loop in (("dual-dpsgd", "dpsgd_run"), ("relu-dpsgd", "dpsgd_run"),
+                         ("dual-noisycgd", "noisycgd_run")):
+        calls.clear()
+        cli.execute_run(cli.RunConfig(**dict(
+            BASE_CONFIG, method=method, hidden_m=8,
+            dataset=dict(BASE_CONFIG["dataset"]),
+        )), write_outputs=False)
+        assert calls == [loop]
+
+
+def keys_of(node):
+    if isinstance(node, dict):
+        return set(node).union(*map(keys_of, node.values()))
+    if isinstance(node, list):
+        return set().union(*map(keys_of, node))
+    return set()
+
+
+@pytest.mark.parametrize("method", ["dual-dpsgd", "relu-dpsgd"])
+def test_dpsgd_reports_hold_no_beta(method):
+    # beta (a statistic of the private rows) feeds only the NoisyCGD bound;
+    # the config echo holds only the user's override.
+    report = cli.execute_run(cli.RunConfig(**dict(
+        BASE_CONFIG, method=method, hidden_m=8, dataset=dict(BASE_CONFIG["dataset"]),
+    )), write_outputs=False)
+    report.pop("config")
+    assert not any("beta" in key for key in keys_of(report))
 
 
 def test_relu_dpsgd_runs(tmp_path, monkeypatch, capsys):

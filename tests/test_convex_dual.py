@@ -30,6 +30,16 @@ def with_V(model, V):
     return cd.DualModel(arrangement=model.arrangement, V=V, lam=model.lam)
 
 
+def compute_masks(X, arr):
+    """Reference n x P activation masks bits[j, i] = 1(x_j . u_i >= 0), ties
+    mapping to 1."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != arr.d:
+        raise DomainError(f"X has {X.shape[1] if X.ndim == 2 else '?'} columns, "
+                          f"arrangement expects {arr.d}")
+    return (X @ arr.U.T) >= 0
+
+
 # ---------------------------------------------------------------------------
 # Gradient oracles (central finite differences)
 # ---------------------------------------------------------------------------
@@ -227,9 +237,13 @@ def test_gradient_lipschitz_bound_blockwise():
 
 def test_mask_tie_convention():
     arr = cd.Arrangement(U=np.array([[1.0, 0.0], [0.0, 1.0]]), P=2, d=2, seed=0)
-    masks = cd.compute_masks(np.array([[0.0, -1.0]]), arr)
+    X = np.array([[0.0, -1.0]])
     # x . u1 = 0 -> gate open (tie maps to 1); x . u2 = -1 -> closed
-    np.testing.assert_array_equal(masks.bits, [[True, False]])
+    np.testing.assert_array_equal(compute_masks(X, arr), [[True, False]])
+    # the batch kernel's gate bits follow the same convention
+    obj = cd.DualObjective(arr, k=1, lam=0.0)
+    bits, _ = obj._forward(obj._gate_major(np.zeros(obj.dim)), X)
+    np.testing.assert_array_equal(bits, [[1.0, 0.0]])
 
 
 def brute_force_patterns_2d(X, steps=200_000):
@@ -349,7 +363,7 @@ def test_interpolation_when_stacked_features_full_rank():
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((n, d))
         arr = cd.sample_arrangement(d, P, seed + 100)
-        bits = cd.compute_masks(X, arr).bits.astype(float)
+        bits = compute_masks(X, arr).astype(float)
         stacked = np.hstack([bits[:, [i]] * X for i in range(P)])  # (n, P*d)
         if np.linalg.matrix_rank(stacked) < n:
             continue
