@@ -6,8 +6,8 @@ Subpackages:
   composition for subsampled DP-SGD and the closed-form GDP bound for
   noisy cyclic mini-batch GD.
 * ``convex_dual`` -- the gated linear (convex dual) model: arrangements,
-  per-sample losses and gradients, the gate-factored batch objective,
-  checkpoints, tiny-scale duality checks.
+  the gate-factored batch objective with clipped per-sample gradients,
+  checkpoints.
 * ``losses`` -- the MSE / softmax cross-entropy head (residuals, mean
   loss, accuracy) shared by the dual model and the MLP baseline.
 * ``optimizers`` -- one noisy mini-batch loop behind DP-SGD and NoisyCGD,

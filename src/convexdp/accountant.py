@@ -27,7 +27,7 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import log_ndtr, ndtr
 
 from .errors import DomainError, NumericError, ResourceError
@@ -384,6 +384,16 @@ def _truncate_support(origin: float, step: float, masses: np.ndarray, inf_mass: 
         masses = masses[n_left:]
         masses[0] += float(left[n_left - 1])
     return float(losses[lo + n_left]), masses, inf_mass
+
+
+def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real 1-d arrays, bitwise equal to
+    ``scipy.signal.fftconvolve`` (same steps, without importing it)."""
+    if len(a) == 1 or len(b) == 1:
+        return a * b
+    n = len(a) + len(b) - 1
+    size = next_fast_len(n, True)
+    return irfft(rfft(a, size) * rfft(b, size), size)[:n]
 
 
 def _pld_multiply(a: DiscretePLD, b: DiscretePLD) -> DiscretePLD:

@@ -56,37 +56,6 @@ def init_mlp(d: int, k: int, m: int = 200, seed: int = 0) -> MLP:
     return MLP(U=U, A=A)
 
 
-def mlp_forward(net: MLP, x: np.ndarray) -> np.ndarray:
-    """out = A^T relu(U x)."""
-    x = np.asarray(x, dtype=float)
-    return np.maximum(net.U @ x, 0.0) @ net.A
-
-
-def mlp_per_sample_grad(net: MLP, x: np.ndarray, label, loss: str = "mse") -> np.ndarray:
-    """Flat gradient [dU, dA] of one example, exact backprop through relu."""
-    x = np.asarray(x, dtype=float)
-    pre = net.U @ x
-    h = np.maximum(pre, 0.0)
-    out = h @ net.A
-    if loss == "mse":
-        y = np.atleast_1d(np.asarray(label, dtype=float))
-        r = out - y
-    elif loss == "ce":
-        label = int(label)
-        if not (0 <= label < net.k):
-            raise DomainError(f"label {label} out of range for k={net.k}")
-        shifted = out - out.max()
-        probs = np.exp(shifted)
-        probs /= probs.sum()
-        r = probs
-        r[label] -= 1.0
-    else:
-        raise DomainError(f"unknown loss kind {loss!r}")
-    gA = np.outer(h, r)
-    gU = np.outer((net.A @ r) * (pre > 0), x)
-    return np.concatenate([gU.ravel(), gA.ravel()])
-
-
 def save_checkpoint(net: MLP, path: str) -> None:
     payload = {
         "m": net.m,

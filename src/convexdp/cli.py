@@ -250,14 +250,8 @@ def epsilon_from_inputs(
 def _noisycgd_spec(inputs: dict, E: int) -> acc.NoisyCGDSpec:
     """The GDP bound's inputs after E epochs; raises DomainError if it does not apply."""
     return acc.NoisyCGDSpec(
-        L=inputs["L"],
-        b=inputs["b"],
-        sigma=inputs["sigma"],
-        eta=inputs["eta"],
-        lambda_sc=inputs["lambda"],
-        beta_sm=inputs["beta"],
-        k=inputs["k"],
-        E=E,
+        L=inputs["L"], b=inputs["b"], sigma=inputs["sigma"], eta=inputs["eta"],
+        lambda_sc=inputs["lambda"], beta_sm=inputs["beta"], k=inputs["k"], E=E,
     )
 
 
@@ -328,6 +322,8 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
         )
     else:
         constraint = cfg.dpgd_constraint
+        if not isinstance(constraint, dict):
+            raise ConfigError(f"dpgd_constraint: expected an object, got {constraint!r}")
         project = optimizers.make_projection(**constraint)
         shape = np.shape(constraint.get("a", ()))
         if constraint["kind"] == "band" and shape != (objective.dim,):
@@ -523,12 +519,15 @@ def build_parser() -> argparse.ArgumentParser:
     account_p = sub.add_parser("account", help="standalone accounting queries")
     acc_sub = account_p.add_subparsers(dest="accountant", required=True)
 
+    # `account dpsgd` and `inspect-pld` take the same DP-SGD query.
     dpsgd_p = acc_sub.add_parser("dpsgd")
-    dpsgd_p.add_argument("--sigma", type=float, required=True)
-    dpsgd_p.add_argument("--q", type=float, required=True)
-    dpsgd_p.add_argument("--T", type=int, required=True)
+    pld_p = sub.add_parser("inspect-pld", help="metadata of a composed PLD")
+    for p in (dpsgd_p, pld_p):
+        p.add_argument("--sigma", type=float, required=True)
+        p.add_argument("--q", type=float, required=True)
+        p.add_argument("--T", type=int, required=True)
+        p.add_argument("--grid-step", type=float, default=acc.DEFAULT_GRID_STEP)
     dpsgd_p.add_argument("--delta", type=float, default=1e-5)
-    dpsgd_p.add_argument("--grid-step", type=float, default=acc.DEFAULT_GRID_STEP)
     dpsgd_p.add_argument("--eps", type=float, nargs="*")
 
     cgd_p = acc_sub.add_parser("noisycgd")
@@ -546,12 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     rdp_p.add_argument("--alpha", type=float, required=True)
     rdp_p.add_argument("--eps-rdp", type=float, required=True)
     rdp_p.add_argument("--eps", type=float, nargs="*")
-
-    pld_p = sub.add_parser("inspect-pld", help="metadata of a composed PLD")
-    pld_p.add_argument("--sigma", type=float, required=True)
-    pld_p.add_argument("--q", type=float, required=True)
-    pld_p.add_argument("--T", type=int, required=True)
-    pld_p.add_argument("--grid-step", type=float, default=acc.DEFAULT_GRID_STEP)
 
     return parser
 

@@ -128,18 +128,27 @@ def make_projection(kind: Optional[str] = None,
                     **kw) -> Optional[Callable[[np.ndarray], np.ndarray]]:
     """Projection operator factory for the DP-GD constraint set.
 
-    A missing ``kind``, or a missing key of its kind, raises ConfigError.
+    ``kind`` is "none", "ball" or "band", and ``kw`` exactly its keys, all
+    finite numbers: a ``radius`` > 0, or a normal ``a`` (1-d), an offset
+    ``y`` and a half-width ``C`` > 0. Anything else raises ConfigError.
     """
-    needs = {None: {"kind"}, "ball": {"radius"}, "band": {"a", "y", "C"}}
-    missing = needs.get(kind, set()) - set(kw)
-    if missing:
-        raise ConfigError(f"constraint set {kind!r} needs {sorted(missing)}")
-    if kind == "none":
-        return None
+    needs = {"none": [], "ball": ["radius"], "band": ["C", "a", "y"]}
+    if not isinstance(kind, str) or needs.get(kind) != sorted(kw):
+        raise ConfigError(f"constraint set {kind!r} with keys {sorted(kw)}; "
+                          f"expected one of {needs}")
+    for key, value in kw.items():
+        try:
+            kw[key] = arr = np.asarray(value)
+        except ValueError:  # ragged nested lists
+            arr = np.asarray(None)
+        if (arr.ndim != (key == "a") or arr.dtype.kind not in "iuf"
+                or not np.all(np.isfinite(arr))):
+            raise ConfigError(f"constraint {key}: expected finite number"
+                              f"{'s' if key == 'a' else ''}, got {value!r:.40}")
+        if key in ("radius", "C") and arr <= 0:
+            raise ConfigError(f"constraint {key}: must be positive")
     if kind == "ball":
         radius = float(kw["radius"])
-        if radius <= 0:
-            raise ConfigError("ball radius must be positive")
 
         def ball(v):
             norm = float(np.linalg.norm(v))
@@ -147,9 +156,9 @@ def make_projection(kind: Optional[str] = None,
 
         return ball
     if kind == "band":
-        a = np.asarray(kw["a"], dtype=float)
+        a = kw["a"].astype(float)
         return lambda v: project_band(v, a, float(kw["y"]), float(kw["C"]))
-    raise ConfigError(f"unsupported constraint set {kind!r}")
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.signal import fftconvolve as scipy_fftconvolve
 
 from convexdp import accountant as acc
 from convexdp.errors import DomainError, NumericError
@@ -461,3 +462,35 @@ def test_rdp_to_dp_known_value():
 def test_rdp_to_dp_is_probability(alpha, eps_rdp, eps):
     val = acc.rdp_to_dp(alpha, eps_rdp, eps)
     assert 0.0 <= val <= 1.0
+
+
+def test_fftconvolve_bitwise_equals_scipy():
+    # The local convolution repeats scipy.signal.fftconvolve's steps, so a
+    # composed PLD is bit for bit what scipy's would be. Lengths cover both
+    # parities, 5-smooth and prime sizes, length 1 and a is b.
+    rng = np.random.default_rng(0)
+    lengths = [1, 2, 3, 7, 8, 1000, 1024, 4096, 4097, 7919, 17678, 39999, 40000]
+    lengths += rng.integers(1, 40_000, 20).tolist()
+    for la in lengths:
+        a, b = rng.random(la), rng.random(int(rng.integers(1, 40_000)))
+        for x, y in ((a, b), (b, a), (a, a), (a[:1], b)):
+            out = acc.fftconvolve(x, y)
+            assert len(out) == len(x) + len(y) - 1
+            assert np.array_equal(out, scipy_fftconvolve(x, y))
+
+
+def test_account_dpsgd_convolves_through_module_fftconvolve(monkeypatch):
+    # perfbench counts FFT work by wrapping accountant.fftconvolve: the
+    # composition must look it up on the module at call time.
+    calls = []
+    real = acc.fftconvolve
+
+    def spy(a, b):
+        calls.append((len(a), len(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(acc, "fftconvolve", spy)
+    eps = acc.find_epsilon(acc.account_dpsgd(2.0, 0.05, 8), 1e-5)
+    monkeypatch.undo()
+    assert len(calls) == 3  # pld^2, pld^4, pld^8
+    assert eps == acc.find_epsilon(acc.account_dpsgd(2.0, 0.05, 8), 1e-5)

@@ -10,13 +10,15 @@ import pytest
 from convexdp import baseline_relu as br
 from convexdp.errors import DomainError
 
+import oracles
+
 
 def test_forward_by_hand():
     # U = [[1, -1], [0, 2]], A = [[1, 0], [1, 1]], x = (1, 2):
     # pre = (-1, 4), relu = (0, 4), out = (0*1 + 4*1, 0*0 + 4*1) = (4, 4)
     net = br.MLP(U=np.array([[1.0, -1.0], [0.0, 2.0]]),
                  A=np.array([[1.0, 0.0], [1.0, 1.0]]))
-    np.testing.assert_allclose(br.mlp_forward(net, np.array([1.0, 2.0])), [4.0, 4.0])
+    np.testing.assert_allclose(oracles.mlp_forward(net, np.array([1.0, 2.0])), [4.0, 4.0])
 
 
 def test_init_shapes_and_determinism():
@@ -41,7 +43,7 @@ def test_per_sample_gradient_finite_difference(loss):
             continue
         checked += 1
         y = rng.standard_normal(2) if loss == "mse" else int(rng.integers(0, 2))
-        grad = br.mlp_per_sample_grad(net, x, y, loss)
+        grad = oracles.mlp_per_sample_grad(net, x, y, loss)
         direction = rng.standard_normal(grad.shape)
         direction /= np.linalg.norm(direction)
         dU = direction[:20].reshape(5, 4)
@@ -49,7 +51,7 @@ def test_per_sample_gradient_finite_difference(loss):
 
         def loss_at(t):
             m = br.MLP(U=net.U + t * dU, A=net.A + t * dA)
-            out = br.mlp_forward(m, x)
+            out = oracles.mlp_forward(m, x)
             if loss == "mse":
                 r = out - np.asarray(y, dtype=float)
                 return 0.5 * float(r @ r)
@@ -68,7 +70,7 @@ def test_kink_subgradient_is_zero():
     # pre-activation exactly 0: activation derivative must be 0, so the
     # hidden-weight gradient row vanishes while the output row sees h = 0.
     net = br.MLP(U=np.array([[1.0, -1.0]]), A=np.array([[2.0]]))
-    g = br.mlp_per_sample_grad(net, np.array([1.0, 1.0]), np.array([1.0]), "mse")
+    g = oracles.mlp_per_sample_grad(net, np.array([1.0, 1.0]), np.array([1.0]), "mse")
     np.testing.assert_array_equal(g, np.zeros(3))
 
 
@@ -85,7 +87,7 @@ def test_objective_clipped_grad_matches_explicit():
         explicit = []
         for i in range(10):
             target = np.eye(2)[y[i]] if loss == "mse" else int(y[i])
-            g = br.mlp_per_sample_grad(net, X[i], target, loss)
+            g = oracles.mlp_per_sample_grad(net, X[i], target, loss)
             norm = np.linalg.norm(g)
             explicit.append(g if norm <= C else g * (C / norm))
         np.testing.assert_allclose(
@@ -106,7 +108,7 @@ def test_objective_loss_matches_reference():
     net = br.MLP(U=U, A=A)
     ref = []
     for i in range(6):
-        out = br.mlp_forward(net, X[i])
+        out = oracles.mlp_forward(net, X[i])
         shifted = out - out.max()
         ref.append(float(np.log(np.exp(shifted).sum()) - shifted[y[i]]))
     assert obj.data_loss(params, X, y) == pytest.approx(np.mean(ref), abs=1e-12)
@@ -128,7 +130,7 @@ def test_blocked_kernel_matches_per_sample_oracle(loss):
 
     net = br.MLP(*obj._unflatten(params))
     targets = np.eye(k)[y] if loss == "mse" else y
-    grads = np.array([br.mlp_per_sample_grad(net, X[j], targets[j], loss)
+    grads = np.array([oracles.mlp_per_sample_grad(net, X[j], targets[j], loss)
                       for j in range(n)])
     norms = np.linalg.norm(grads, axis=1)
     C = float(np.median(norms))
@@ -137,7 +139,7 @@ def test_blocked_kernel_matches_per_sample_oracle(loss):
     np.testing.assert_allclose(obj.clipped_grad_mean(params, X, y, C),
                                clipped.mean(axis=0), atol=1e-12)
 
-    logits = np.array([br.mlp_forward(net, x) for x in X])
+    logits = np.array([oracles.mlp_forward(net, x) for x in X])
     if loss == "mse":
         ref_loss = 0.5 * np.sum((logits - targets) ** 2, axis=1)
     else:
@@ -173,6 +175,6 @@ def test_validation():
     with pytest.raises(DomainError):
         br.MLP(U=np.zeros((2, 3)), A=np.zeros((3, 1)))  # width mismatch
     with pytest.raises(DomainError):
-        br.mlp_per_sample_grad(br.init_mlp(2, 2, m=2), np.zeros(2), 5, "ce")
+        oracles.mlp_per_sample_grad(br.init_mlp(2, 2, m=2), np.zeros(2), 5, "ce")
     with pytest.raises(DomainError):
         br.MLPObjective(2, 2, loss="hinge")

@@ -20,6 +20,8 @@ from convexdp import convex_dual as cd
 from convexdp import optimizers as opt
 from convexdp.errors import ConfigError, DomainError
 
+import oracles
+
 
 BASE_CONFIG = {
     "method": "dual-noisycgd",
@@ -370,11 +372,18 @@ MALFORMED_CONSTRAINTS = [
     {"kind": "band", "a": [1, 2]},
     # a band normal needs one entry per model parameter (P * (d + 1) * k = 96)
     {"kind": "band", "a": [1, 2], "y": 0, "C": 1},
+    ["ball"],
+    {"kind": "ball", "radius": "x"},
+    {"kind": "band", "a": "abc", "y": 0, "C": 1},
+    {"kind": "ball", "radius": 1, "extra": 5},
+    {"kind": "ball", "radius": math.nan},
 ]
 
 
 @pytest.mark.parametrize("constraint", MALFORMED_CONSTRAINTS, ids=[
-    "ball-without-radius", "without-kind", "band-without-y", "band-a-wrong-length"])
+    "ball-without-radius", "without-kind", "band-without-y", "band-a-wrong-length",
+    "not-an-object", "radius-not-a-number", "band-a-not-numbers", "unknown-key",
+    "radius-nan"])
 def test_malformed_dpgd_constraint_exits_2(constraint, tmp_path, monkeypatch, capsys):
     def no_training(*args, **kwargs):
         raise AssertionError("trained with a malformed constraint")
@@ -403,10 +412,10 @@ def test_every_method_checkpoint_reproduces_report(method, tmp_path, monkeypatch
     # Test accuracy of the reloaded model, one row at a time.
     train, test = cli.load_dataset_pair(BASE_CONFIG["dataset"])
     if model_kind == "dual":
-        logits = [cd.forward(model, x, model.arrangement.U @ x >= 0)
+        logits = [oracles.forward(model, x, model.arrangement.U @ x >= 0)
                   for x in cd.add_bias_column(test.X)]
     else:
-        logits = [br.mlp_forward(model, x) for x in cd.add_bias_column(test.X)]
+        logits = [oracles.mlp_forward(model, x) for x in cd.add_bias_column(test.X)]
     accuracy = float(np.mean(np.argmax(logits, axis=1) == test.labels))
     assert accuracy == report["final_test_accuracy"]
 
@@ -496,3 +505,44 @@ def test_readme_cli_examples_parse():
             parser.parse_args(command[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {' '.join(command)}")
+
+
+class ZeroGradObjective:
+    """Clipped gradients all zero: a step from params 0 adds only the noise."""
+
+    def __init__(self, dim, lam):
+        self.dim, self.lam = dim, lam
+
+    def clipped_grad_mean(self, params, X, y, C):
+        return np.zeros(self.dim)
+
+    def data_loss(self, params, X, y):
+        return 0.0
+
+
+@pytest.mark.parametrize("method", ["dual-dpsgd", "dual-noisycgd"])
+def test_injected_noise_is_the_noise_the_epsilon_assumes(method):
+    # With n = b one epoch is one step, which leaves params = -(eta * z) for
+    # the run's noise draw z. Its std must be the one the accountant query
+    # reads: NoisyCGD's sigma (with L = 2C), or C/b times DP-SGD's noise
+    # multiplier at q = b/n.
+    C, sigma, b, eta, lam, dim = 1.5, 2.0, 30, 0.02, 0.1, 500
+    seeds = {"gates": 0, "init": 1, "batches": 2, "noise": 3}
+    cfg = cli.RunConfig(**dict(BASE_CONFIG, method=method, C=C, sigma=sigma, b=b,
+                               eta=eta, lam=lam, epochs=1, seeds=seeds))
+    X, labels = np.ones((b, 6)), np.zeros(b, dtype=int)
+    inputs = cli.accountant_inputs_for_run(cfg, X)
+    if inputs["method"] == "noisycgd":
+        assert inputs["L"] == 2 * C
+        std = inputs["sigma"]
+    else:
+        assert inputs["q"] == b / len(X)
+        std = C * inputs["sigma"] / b
+    assert std == C * sigma / b
+
+    loop = getattr(opt, cli.METHODS[method][1])
+    opt_cfg = opt.DPSGDConfig(C=C, sigma=sigma, b=b, eta=eta, epochs=1,
+                              seed=seeds["batches"], noise_seed=seeds["noise"])
+    params, _ = loop(ZeroGradObjective(dim, lam), np.zeros(dim), X, labels, opt_cfg)
+    z = np.random.default_rng(np.random.SeedSequence(seeds["noise"])).standard_normal(dim)
+    assert np.array_equal(params, -(eta * (z * std)))

@@ -12,6 +12,8 @@ import pytest
 from convexdp import convex_dual as cd
 from convexdp.errors import DomainError, FormatError
 
+import oracles
+
 
 def make_model(P=3, d=4, k=2, lam=0.1, seed=0):
     arr = cd.sample_arrangement(d, P, seed)
@@ -22,8 +24,8 @@ def make_model(P=3, d=4, k=2, lam=0.1, seed=0):
 
 def loss_of(model, x, y, bits, kind):
     if kind == "mse":
-        return cd.sample_loss_mse(model, x, y, bits).loss
-    return cd.sample_loss_ce(model, x, int(y), bits).loss
+        return oracles.sample_loss_mse(model, x, y, bits).loss
+    return oracles.sample_loss_ce(model, x, int(y), bits).loss
 
 
 def with_V(model, V):
@@ -58,7 +60,7 @@ def test_per_sample_gradient_finite_difference(kind):
             y = rng.standard_normal(2)
         else:
             y = rng.integers(0, 2)
-        res = (cd.sample_loss_mse if kind == "mse" else cd.sample_loss_ce)(
+        res = (oracles.sample_loss_mse if kind == "mse" else oracles.sample_loss_ce)(
             model, x, y, bits
         )
         direction = rng.standard_normal(model.V.shape)
@@ -77,7 +79,7 @@ def test_data_term_gradient_excludes_ridge():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(4)
     bits = (model.arrangement.U @ x >= 0).astype(float)
-    res = cd.sample_loss_mse(model, x, rng.standard_normal(2), bits)
+    res = oracles.sample_loss_mse(model, x, rng.standard_normal(2), bits)
     np.testing.assert_allclose(
         res.gradient, res.data_term_gradient + model.lam * model.V, atol=1e-14
     )
@@ -90,9 +92,9 @@ def reference_data_grad(obj, params, x, label):
     model = obj.to_model(params)
     bits = obj.arrangement.U @ x >= 0
     if obj.loss_kind == "mse":
-        res = cd.sample_loss_mse(model, x, np.eye(obj.k)[label], bits)
+        res = oracles.sample_loss_mse(model, x, np.eye(obj.k)[label], bits)
     else:
-        res = cd.sample_loss_ce(model, x, int(label), bits)
+        res = oracles.sample_loss_ce(model, x, int(label), bits)
     return res.data_term_gradient.ravel()
 
 
@@ -160,13 +162,13 @@ def test_blocked_kernel_matches_per_sample_oracle(kind, P, d):
     model = dataclasses.replace(obj.to_model(params), lam=0.0)
     bits = X @ arr.U.T >= 0
     if kind == "mse":
-        rows = [cd.sample_loss_mse(model, x, np.eye(k)[c], b)
+        rows = [oracles.sample_loss_mse(model, x, np.eye(k)[c], b)
                 for x, c, b in zip(X, y, bits)]
     else:
-        rows = [cd.sample_loss_ce(model, x, int(c), b) for x, c, b in zip(X, y, bits)]
+        rows = [oracles.sample_loss_ce(model, x, int(c), b) for x, c, b in zip(X, y, bits)]
     np.testing.assert_allclose(obj.data_loss(params, X, y),
                                np.mean([r.loss for r in rows]), atol=1e-12)
-    logits = np.array([cd.forward(model, X[j], bits[j]) for j in range(n)])
+    logits = np.array([oracles.forward(model, X[j], bits[j]) for j in range(n)])
     assert obj.accuracy(params, X, y) == np.mean(np.argmax(logits, axis=1) == y)
     # every call above went through the kernel one bounded block at a time
     assert block_rows == 3 * [cd.ROW_BLOCK, cd.ROW_BLOCK, 37]
@@ -218,14 +220,14 @@ def test_gradient_lipschitz_bound_blockwise():
         V2 = V1.copy()
         i = rng.integers(0, 2)
         V2[i] = rng.standard_normal((3, 2))
-        g1 = cd.sample_loss_mse(
+        g1 = oracles.sample_loss_mse(
             cd.DualModel(arrangement=arr, V=V1, lam=lam), x, y, bits
         ).gradient
-        g2 = cd.sample_loss_mse(
+        g2 = oracles.sample_loss_mse(
             cd.DualModel(arrangement=arr, V=V2, lam=lam), x, y, bits
         ).gradient
         lhs = float(np.linalg.norm((g1 - g2)[i].ravel()))
-        rhs = cd.lipschitz_beta(x, lam) * float(np.linalg.norm((V1 - V2).ravel()))
+        rhs = oracles.lipschitz_beta(x, lam) * float(np.linalg.norm((V1 - V2).ravel()))
         worst = max(worst, lhs - rhs)
     assert worst <= 1e-9
 
@@ -274,24 +276,24 @@ def test_enumeration_matches_angle_sweep_oracle():
     rng = np.random.default_rng(5)
     for trial in range(5):
         X = rng.standard_normal((6, 2))
-        got = cd.enumerate_arrangements_tiny(X, saturation=20_000, seed=trial)
+        got = oracles.enumerate_arrangements_tiny(X, saturation=20_000, seed=trial)
         assert got == brute_force_patterns_2d(X)
 
 
 def test_enumeration_small_cases():
     # two orthogonal points in the plane: all four sign patterns realizable
-    assert len(cd.enumerate_arrangements_tiny(np.eye(2), saturation=5_000)) == 4
+    assert len(oracles.enumerate_arrangements_tiny(np.eye(2), saturation=5_000)) == 4
     # a single point: gate open or closed
     assert len(
-        cd.enumerate_arrangements_tiny(np.array([[1.0, 2.0]]), saturation=5_000)
+        oracles.enumerate_arrangements_tiny(np.array([[1.0, 2.0]]), saturation=5_000)
     ) == 2
 
 
 def test_enumeration_rejects_large_instances():
     with pytest.raises(DomainError):
-        cd.enumerate_arrangements_tiny(np.zeros((13, 2)))
+        oracles.enumerate_arrangements_tiny(np.zeros((13, 2)))
     with pytest.raises(DomainError):
-        cd.enumerate_arrangements_tiny(np.zeros((4, 5)))
+        oracles.enumerate_arrangements_tiny(np.zeros((4, 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +312,14 @@ def random_distinct_pattern_net(rng, n=6, d=2, m=3):
             break
     a = rng.standard_normal(m)
     a[a == 0] = 1.0
-    return cd.ReLUNetSpec(weights=W, alphas=a, lam=0.05), X, y
+    return oracles.ReLUNetSpec(weights=W, alphas=a, lam=0.05), X, y
 
 
 def test_embedding_feasible_and_tight():
     rng = np.random.default_rng(9)
     for _ in range(20):
         net, X, y = random_distinct_pattern_net(rng)
-        res = cd.embed_relu_into_dual(net, X, y)
+        res = oracles.embed_relu_into_dual(net, X, y)
         assert res.min_constraint_slack >= -1e-10
         assert res.dual_objective <= res.relu_objective + 1e-8
         # distinct patterns: the embedding loses nothing
@@ -330,10 +332,10 @@ def test_embedding_shared_pattern_no_worse():
     y = rng.standard_normal(6)
     u = rng.standard_normal(2)
     # two neurons with the same gate pattern and positive outputs
-    net = cd.ReLUNetSpec(
+    net = oracles.ReLUNetSpec(
         weights=np.stack([u, 2.0 * u]), alphas=np.array([1.0, 0.5]), lam=0.05
     )
-    res = cd.embed_relu_into_dual(net, X, y)
+    res = oracles.embed_relu_into_dual(net, X, y)
     assert res.min_constraint_slack >= -1e-10
     assert res.dual_objective <= res.relu_objective + 1e-8
 
@@ -346,7 +348,7 @@ def test_young_scaling_gap():
             u = rng.standard_normal(3)
         alpha = float(rng.uniform(0.1, 3.0)) * float(rng.choice([-1.0, 1.0]))
         lam = float(rng.uniform(0.01, 2.0))
-        numeric, closed = cd.young_scaling_gap(u, alpha, lam)
+        numeric, closed = oracles.young_scaling_gap(u, alpha, lam)
         assert numeric == pytest.approx(closed, abs=1e-8)
         assert closed == pytest.approx(lam * float(u @ u) * alpha**2, abs=1e-12)
 
@@ -404,4 +406,4 @@ def test_checkpoint_bytes_match_json_dump(tmp_path):
 def test_forward_shape_validation():
     model = make_model()
     with pytest.raises(DomainError):
-        cd.forward(model, np.zeros(5), np.zeros(3))
+        oracles.forward(model, np.zeros(5), np.zeros(3))
