@@ -10,8 +10,12 @@ Two accounting routes are provided:
   every convolution, tails of total mass at most ``TRIM_TOL`` are moved
   pessimistically (the right one to the infinity atom, the left one onto
   the lowest kept point), so the support tracks where the mass really is
-  instead of growing with FFT round-off. Several horizons of one run share
-  a single chain of squared PLDs (``account_dpsgd_many``).
+  instead of growing with FFT round-off. The convolutions run on
+  ``numpy.fft`` (numpy >= 2, the same C++ pocketfft as ``scipy.fft``, bit
+  for bit). Several horizons of one run share a single chain of squared
+  PLDs, and ``account_dpsgd_many`` yields their profiles one at a time, so a
+  caller that drops each profile before taking the next holds one horizon's
+  PLD besides the chain.
 * Noisy cyclic mini-batch gradient descent: the closed-form mu-GDP bound
   for strongly convex, smooth losses with fixed disjoint batches.
 
@@ -24,10 +28,9 @@ import dataclasses
 import functools
 import logging
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import log_ndtr, ndtr
 
 from .errors import DomainError, NumericError, ResourceError
@@ -386,14 +389,32 @@ def _truncate_support(origin: float, step: float, masses: np.ndarray, inf_mass: 
     return float(losses[lo + n_left]), masses, inf_mass
 
 
+def next_fast_len(n: int) -> int:
+    """Smallest 2^i * 3^j * 5^k >= n, for n >= 1: the real-FFT size
+    ``scipy.fft.next_fast_len(n, True)`` picks."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power-of-two multiple of p35 that reaches n
+            fit = p35 << ((n - 1) // p35).bit_length()
+            if fit < best:
+                best = fit
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of two real 1-d arrays, bitwise equal to
-    ``scipy.signal.fftconvolve`` (same steps, without importing it)."""
+    ``scipy.signal.fftconvolve`` (same steps and FFT sizes, on ``numpy.fft``,
+    whose pocketfft keeps less memory resident than ``scipy.fft``'s)."""
     if len(a) == 1 or len(b) == 1:
         return a * b
     n = len(a) + len(b) - 1
-    size = next_fast_len(n, True)
-    return irfft(rfft(a, size) * rfft(b, size), size)[:n]
+    size = next_fast_len(n)
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
 
 
 def _pld_multiply(a: DiscretePLD, b: DiscretePLD) -> DiscretePLD:
@@ -431,8 +452,10 @@ def _pld_multiply(a: DiscretePLD, b: DiscretePLD) -> DiscretePLD:
     finite = masses.sum()
     if not (1 - 1e-9 <= finite + inf_mass <= 1 + 1e-9):
         raise NumericError(f"composed PLD lost normalization: {finite + inf_mass!r}")
+    # Both branches copy: ``masses`` is a view into the whole FFT output,
+    # which a PLD must not keep alive.
     if finite == 0.0:  # every loss is past the cap: the all-infinity PLD
-        return DiscretePLD(origin, a.loss_grid_step, masses, 1.0)
+        return DiscretePLD(origin, a.loss_grid_step, masses.copy(), 1.0)
     masses = masses * ((1.0 - inf_mass) / finite)
     return DiscretePLD(origin, a.loss_grid_step, masses, inf_mass)
 
@@ -489,17 +512,19 @@ def account_dpsgd(
     most ``EPS_MAX``) whose right tail is below ``TAIL_TOL``, and composed
     T times.
     """
-    return account_dpsgd_many(sigma, q, [T], grid_step=grid_step)[0]
+    return next(account_dpsgd_many(sigma, q, [T], grid_step=grid_step))
 
 
 def account_dpsgd_many(
     sigma: float, q: float, Ts: Sequence[int], grid_step: float = DEFAULT_GRID_STEP
-) -> list[PrivacyProfile]:
+) -> Iterator[PrivacyProfile]:
     """``account_dpsgd`` at every horizon in ``Ts``, from one squaring chain.
 
-    The step PLD is discretized once and its squares are shared by all
-    horizons, so each profile equals ``account_dpsgd(sigma, q, T)`` bit for
-    bit while the chain is computed once.
+    The inputs are checked and the step PLD is discretized at the call; the
+    returned iterator then composes one horizon per ``next``. The squares
+    are shared by all horizons, so each profile equals
+    ``account_dpsgd(sigma, q, T)`` bit for bit while the chain is computed
+    once, and a profile the caller drops is freed before the next is built.
     """
     if sigma <= 0:
         raise DomainError(f"sigma must be positive, got {sigma!r}")
@@ -521,9 +546,13 @@ def account_dpsgd_many(
             m * grid_step,
         )
     grid = np.arange(-m, m + 1, dtype=float) * grid_step
-    pld = connect_the_dots(step_profile, grid)
+    return _horizon_profiles(connect_the_dots(step_profile, grid), Ts)
+
+
+def _horizon_profiles(pld: DiscretePLD, Ts: Sequence[int]) -> Iterator[PrivacyProfile]:
     powers: list[DiscretePLD] = []
-    return [_pld_profile(compose_pld(pld, T, powers=powers)) for T in Ts]
+    for T in Ts:
+        yield _pld_profile(compose_pld(pld, T, powers=powers))
 
 
 def _pld_profile(pld: DiscretePLD) -> PrivacyProfile:

@@ -35,6 +35,17 @@ METHODS = {
     "relu-dpsgd": ("relu", "dpsgd_run", "dpsgd"),
     "dpgd": ("dual", "dpgd_run", "dpsgd"),
 }
+# The config fields only some models, loops or accountant queries read; every
+# other field applies to every method. DP-GD's batch is the training set.
+FIELDS_READ_BY = {
+    "dual": {"P"},
+    "relu": {"hidden_m"},
+    "dpsgd_run": {"b", "account_every_epoch"},
+    "noisycgd_run": {"b", "account_every_epoch"},
+    "dpgd_run": {"dpgd_constraint"},
+    "dpsgd": set(),
+    "noisycgd": {"beta"},
+}
 OUTDIR_ENV = "CONVEXDP_OUTDIR"
 
 
@@ -71,7 +82,16 @@ class RunConfig:
         if self.method not in METHODS:
             raise ConfigError(f"method: unknown method {self.method!r}; "
                               f"expected one of {tuple(METHODS)}")
-        _, loop, accountant = METHODS[self.method]
+        model, loop, accountant = METHODS[self.method]
+        # A field left at its default is silent, so --emit-config output loads.
+        defaults = {f.name: f.default if f.default_factory is dataclasses.MISSING
+                    else f.default_factory() for f in dataclasses.fields(self)}
+        unread = set().union(*FIELDS_READ_BY.values()).difference(
+            FIELDS_READ_BY[model], FIELDS_READ_BY[loop], FIELDS_READ_BY[accountant])
+        unread = sorted(f for f in unread if getattr(self, f) != defaults[f])
+        if unread:
+            raise ConfigError(f"{', '.join(unread)}: not read by method "
+                              f"{self.method!r}; remove from the config")
         for field, positive in (("epochs", self.epochs), ("C", self.C),
                                 ("b", self.b), ("eta", self.eta), ("P", self.P),
                                 ("hidden_m", self.hidden_m)):
@@ -91,9 +111,6 @@ class RunConfig:
             self.lam = 2e-4 / self.eta if accountant == "noisycgd" else 0.0
         if accountant == "noisycgd" and self.lam <= 0:
             raise ConfigError("lam: NoisyCGD accounting requires lambda > 0")
-        if loop == "dpgd_run" and self.account_every_epoch:
-            raise ConfigError("account_every_epoch: DP-GD keeps no per-epoch trace; "
-                              "set it to false")
 
     def resolved(self) -> dict:
         return dataclasses.asdict(self)
@@ -148,8 +165,9 @@ def load_run_config(path: str, overrides) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def load_dataset_pair(spec: dict):
-    """Resolve a dataset spec into (train, test) datasets."""
+def load_dataset_pair(spec: dict, bias: bool = False):
+    """Resolve a dataset spec into (train, test) datasets; with ``bias`` their
+    features end in a constant-1 column and no unbiased copy is kept."""
     kind = spec.get("kind")
     if kind == "synthetic":
         n, d = int(spec["n"]), int(spec["d"])
@@ -160,19 +178,22 @@ def load_dataset_pair(spec: dict):
         full = data.synthetic_gaussian(
             n + n_test, d, rule=rule, seed=seed, num_classes=num_classes
         )
-        return data.train_test_split(full, n_test, seed=seed + 1)
+        return data.train_test_split(full, n_test, seed=seed + 1, bias=bias)
     if kind == "idx":
         train = data.load_idx(spec["train_images"], spec["train_labels"], "train")
         test = data.load_idx(spec["test_images"], spec["test_labels"], "test")
         if "subset_n" in spec:
             train = data.subset(train, int(spec["subset_n"]),
                                 int(spec.get("subset_seed", 0)))
+        if bias:
+            train, test = (dataclasses.replace(ds, X=convex_dual.add_bias_column(ds.X))
+                           for ds in (train, test))
         return train, test
     if kind == "csv":
         full = data.load_csv(spec["path"])
         return data.train_test_split(
             full, int(spec.get("n_test", max(1, full.n // 4))),
-            seed=int(spec.get("seed", 0)),
+            seed=int(spec.get("seed", 0)), bias=bias,
         )
     raise ConfigError(f"dataset.kind: unknown kind {kind!r}")
 
@@ -223,7 +244,8 @@ def epsilon_from_inputs(
     With ``epochs``, ``inputs`` is read as a run of that many equal epochs,
     and the list of epsilons after epochs 1..epochs is returned. Entry ``e``
     equals ``epsilon_from_inputs`` of the inputs cut at epoch ``e``; the
-    DP-SGD horizons share one composition chain.
+    DP-SGD horizons share one composition chain, and one horizon's PLD at a
+    time is alive.
     """
     method = inputs["method"]
     if method == "dpsgd":
@@ -237,8 +259,10 @@ def epsilon_from_inputs(
         if inputs["sigma"] == 0:
             eps = [math.inf] * len(Ts)
         else:
-            eps = [acc.find_epsilon(profile, inputs["delta"]) for profile in
-                   acc.account_dpsgd_many(inputs["sigma"], inputs["q"], Ts)]
+            eps = []
+            for profile in acc.account_dpsgd_many(inputs["sigma"], inputs["q"], Ts):
+                eps.append(acc.find_epsilon(profile, inputs["delta"]))
+                del profile  # freed before the next horizon is composed
     elif method == "noisycgd":
         Es = [inputs["E"]] if epochs is None else range(1, epochs + 1)
         eps = [_noisycgd_epsilon(inputs, E) for E in Es]
@@ -278,11 +302,8 @@ def _eps_repr(eps: float) -> str:
 
 
 def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
-    train, test = load_dataset_pair(cfg.dataset)
+    train, test = load_dataset_pair(cfg.dataset, bias=cfg.bias)
     X_train, X_test = train.X, test.X
-    if cfg.bias:
-        X_train = convex_dual.add_bias_column(X_train)
-        X_test = convex_dual.add_bias_column(X_test)
     d = X_train.shape[1]
     k = max(train.num_classes, test.num_classes)
     if cfg.loss == "ce" and k < 2:

@@ -19,6 +19,7 @@ from .errors import ConfigError, DomainError, FormatError
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 JSON_LIST_SLICE = 512  # list items per C-encoder call in write_json
+ROWS_SLICE = 256  # rows per gather in a biased split
 
 
 @dataclasses.dataclass(frozen=True)
@@ -183,15 +184,35 @@ def one_hot(labels: np.ndarray, k: Optional[int] = None) -> np.ndarray:
     return np.eye(k)[labels]
 
 
-def train_test_split(dataset: Dataset, n_test: int, seed: int):
-    """Seeded split into (train, test) with n_test held-out rows."""
+def _rows(X: np.ndarray, idx: np.ndarray, bias: bool) -> np.ndarray:
+    """``X[idx]``, followed by a constant-1 column when ``bias``, in one array.
+
+    The rows are gathered ``ROWS_SLICE`` at a time, so no full-size
+    temporary is allocated (and page-faulted) besides the result.
+    """
+    if not bias:
+        return X[idx]
+    out = np.empty((len(idx), X.shape[1] + 1))
+    for s in range(0, len(idx), ROWS_SLICE):
+        out[s : s + ROWS_SLICE, :-1] = X[idx[s : s + ROWS_SLICE]]
+    out[:, -1] = 1.0
+    return out
+
+
+def train_test_split(dataset: Dataset, n_test: int, seed: int, bias: bool = False):
+    """Seeded split into (train, test) with n_test held-out rows.
+
+    With ``bias`` each split's features end in a constant-1 column (affine
+    gates and model), written with the split itself, so no copy of the rows
+    without it outlives the split.
+    """
     if not (0 < n_test < dataset.n):
         raise ConfigError("n_test must be in (0, n)")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     perm = rng.permutation(dataset.n)
     test_idx, train_idx = np.sort(perm[:n_test]), np.sort(perm[n_test:])
     mk = lambda idx, tag: Dataset(
-        X=dataset.X[idx],
+        X=_rows(dataset.X, idx, bias),
         labels=dataset.labels[idx],
         name=f"{dataset.name}/{tag}",
         normalization=dataset.normalization,

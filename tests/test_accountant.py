@@ -10,11 +10,14 @@ Oracles used here deliberately avoid the code paths under test:
 * Composition is checked against the closed-form Gaussian profile, which
   composes exactly (T copies of mu-GDP are sqrt(T)*mu-GDP).
 """
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import next_fast_len as scipy_next_fast_len
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.signal import fftconvolve as scipy_fftconvolve
@@ -494,3 +497,52 @@ def test_account_dpsgd_convolves_through_module_fftconvolve(monkeypatch):
     monkeypatch.undo()
     assert len(calls) == 3  # pld^2, pld^4, pld^8
     assert eps == acc.find_epsilon(acc.account_dpsgd(2.0, 0.05, 8), 1e-5)
+
+
+def test_next_fast_len_equals_scipy():
+    # The FFT sizes decide the convolution's rounding, so they must be
+    # scipy's: every n up to 2^17, then a sample up to past MAX_LEN.
+    for n in range(1, (1 << 17) + 1):
+        assert acc.next_fast_len(n) == scipy_next_fast_len(n, True), n
+    rng = np.random.default_rng(1)
+    for n in rng.integers(1 << 17, 2 * acc.MAX_LEN, 2000).tolist():
+        assert acc.next_fast_len(n) == scipy_next_fast_len(n, True), n
+
+
+def test_composed_plds_own_compact_masses():
+    # A PLD whose masses were a view into its FFT output would keep the
+    # whole output buffer alive.
+    def assert_compact(pld):
+        assert pld.masses.base is None and pld.masses.flags.owndata
+
+    profiles = list(acc.account_dpsgd_many(2.0, 0.05, [1, 2, 3, 8, 21]))
+    for profile in profiles:
+        assert_compact(profile.pld)
+    # all mass at infinite loss: the branch that skips renormalization
+    assert_compact(acc.compose_pld(acc.DiscretePLD(0.0, 0.5, np.zeros(3), 1.0), 3))
+
+
+def test_account_dpsgd_many_yields_each_horizon_bitwise():
+    Ts = [1, 3, 8, 20, 64, 100]
+    for T, profile in zip(Ts, acc.account_dpsgd_many(2.0, 0.05, Ts)):
+        alone = acc.account_dpsgd(2.0, 0.05, T).pld
+        pld = profile.pld
+        assert np.array_equal(pld.masses, alone.masses)
+        assert (pld.loss_grid_origin, pld.loss_grid_step, pld.infinity_mass) == (
+            alone.loss_grid_origin, alone.loss_grid_step, alone.infinity_mass)
+
+
+def test_account_dpsgd_many_is_lazy():
+    # Inputs are checked at the call; after that a profile the caller drops
+    # is freed before the next horizon is composed.
+    with pytest.raises(DomainError):
+        acc.account_dpsgd_many(-1.0, 0.05, [3])
+    with pytest.raises(DomainError):
+        acc.account_dpsgd_many(2.0, 0.05, [3, 0])
+    horizons = acc.account_dpsgd_many(2.0, 0.05, [3, 5])
+    profile = next(horizons)
+    refs = weakref.ref(profile), weakref.ref(profile.pld)
+    del profile
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert next(horizons).pld is not None

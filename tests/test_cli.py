@@ -6,6 +6,7 @@ import math
 import os
 import re
 import shlex
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from convexdp import accountant as acc
 from convexdp import baseline_relu as br
 from convexdp import cli
 from convexdp import convex_dual as cd
+from convexdp import data
 from convexdp import optimizers as opt
 from convexdp.errors import ConfigError, DomainError
 
@@ -38,9 +40,22 @@ BASE_CONFIG = {
 }
 
 
-def write_config(tmp_path, **extra):
-    cfg = dict(BASE_CONFIG)
+def method_config(method=BASE_CONFIG["method"], **extra):
+    """BASE_CONFIG with only the fields ``method`` reads: the ReLU baseline
+    gets hidden_m=8 in place of P, and dpgd, whose batch is the whole
+    training set, no b."""
+    cfg = dict(BASE_CONFIG, method=method, dataset=dict(BASE_CONFIG["dataset"]))
+    if cli.METHODS.get(method, ("dual",))[0] == "relu":
+        del cfg["P"]
+        cfg["hidden_m"] = 8
+    if method == "dpgd":
+        del cfg["b"]
     cfg.update(extra)
+    return cfg
+
+
+def write_config(tmp_path, **extra):
+    cfg = method_config(**extra)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return str(path)
@@ -123,10 +138,7 @@ def test_run_epsilon_recomputable_from_logged_inputs(tmp_path, monkeypatch, caps
 
 @pytest.mark.parametrize("method", ["relu-dpsgd", "dual-dpsgd", "dual-noisycgd"])
 def test_per_epoch_epsilons_match_one_shot(method):
-    cfg = cli.RunConfig(**dict(
-        BASE_CONFIG, method=method, hidden_m=8, epochs=4,
-        account_every_epoch=True, dataset=dict(BASE_CONFIG["dataset"]),
-    ))
+    cfg = cli.RunConfig(**method_config(method, epochs=4, account_every_epoch=True))
     report = cli.execute_run(cfg, write_outputs=False)
     inputs = report["accountant_inputs"]
     steps = report["n_train"] // cfg.b
@@ -347,9 +359,7 @@ def test_sweep_rejects_unknown_grid_key(tmp_path, monkeypatch, capsys):
 
 
 def test_accountant_inputs_for_dpgd():
-    cfg = cli.RunConfig(**dict(
-        BASE_CONFIG, method="dpgd", lam=0.0, dataset=dict(BASE_CONFIG["dataset"])
-    ))
+    cfg = cli.RunConfig(**method_config("dpgd", lam=0.0))
     inputs = cli.accountant_inputs_for_run(cfg, np.ones((120, 6)))
     assert inputs == {"method": "dpsgd", "sigma": cfg.sigma, "q": 1.0,
                       "T": cfg.epochs, "delta": cfg.delta}
@@ -358,12 +368,47 @@ def test_accountant_inputs_for_dpgd():
 def test_dpgd_rejects_account_every_epoch(tmp_path, monkeypatch, capsys):
     # dpgd keeps one final trace record, so per-epoch accounting cannot apply.
     with pytest.raises(ConfigError, match="account_every_epoch"):
-        cli.RunConfig(**dict(BASE_CONFIG, method="dpgd", lam=0.0,
-                             account_every_epoch=True,
-                             dataset=dict(BASE_CONFIG["dataset"])))
+        cli.RunConfig(**method_config("dpgd", lam=0.0, account_every_epoch=True))
     cfg = write_config(tmp_path, method="dpgd", lam=0.0, account_every_epoch=True)
     code, _, err = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
     assert code == 2 and "account_every_epoch" in err
+
+
+BALL = {"kind": "ball", "radius": 1.0}
+UNREAD_FIELDS = [
+    ("relu-dpsgd", "beta", 5.0), ("dual-dpsgd", "beta", 5.0), ("dpgd", "beta", 5.0),
+    ("relu-dpsgd", "P", 64),
+    ("dual-dpsgd", "hidden_m", 50), ("dual-noisycgd", "hidden_m", 50),
+    ("dpgd", "hidden_m", 50),
+    ("dual-dpsgd", "dpgd_constraint", BALL), ("dual-noisycgd", "dpgd_constraint", BALL),
+    ("relu-dpsgd", "dpgd_constraint", BALL),
+    ("dpgd", "b", 50),
+]
+
+
+@pytest.mark.parametrize("method, field, value", UNREAD_FIELDS,
+                         ids=[f"{m}-{f}" for m, f, _ in UNREAD_FIELDS])
+def test_field_the_method_does_not_read_exits_2(method, field, value, tmp_path,
+                                                monkeypatch, capsys):
+    # The report's config would otherwise echo the field as if it applied.
+    cfg = write_config(tmp_path, method=method, **{field: value})
+    code, _, err = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
+    assert code == 2 and "config error" in err and field in err
+
+
+@pytest.mark.parametrize("method", sorted(cli.METHODS))
+def test_emitted_config_loads(method, tmp_path, monkeypatch, capsys):
+    # --emit-config prints every field, those a method does not read at their
+    # defaults; that output is itself a config.
+    cfg = write_config(tmp_path, method=method)
+    code, first, _ = run_cli(["run", "--config", cfg, "--emit-config"],
+                             monkeypatch, tmp_path, capsys)
+    assert code == 0
+    emitted = tmp_path / "emitted.json"
+    emitted.write_text(first)
+    code, again, _ = run_cli(["run", "--config", str(emitted), "--emit-config"],
+                             monkeypatch, tmp_path, capsys)
+    assert code == 0 and again == first
 
 
 MALFORMED_CONSTRAINTS = [
@@ -394,6 +439,33 @@ def test_malformed_dpgd_constraint_exits_2(constraint, tmp_path, monkeypatch, ca
     assert code == 2 and "config error" in err
 
 
+def test_biased_dataset_pair_is_the_pair_plus_a_bias_column(tmp_path):
+    # Every dataset kind: the biased splits are built without an unbiased
+    # copy, and must equal the plain splits with a constant-1 column. The
+    # synthetic split spans several gather slices and a ragged last one.
+    rng = np.random.default_rng(0)
+    pixels = rng.integers(0, 256, (30, 2, 3), dtype=np.uint8)
+    labels = rng.integers(0, 3, 30, dtype=np.uint8)
+    (tmp_path / "images").write_bytes(struct.pack(">IIII", 0x803, 30, 2, 3)
+                                      + pixels.tobytes())
+    (tmp_path / "labels").write_bytes(struct.pack(">II", 0x801, 30) + labels.tobytes())
+    table = np.column_stack([rng.standard_normal((40, 3)), rng.integers(0, 2, 40)])
+    (tmp_path / "table.csv").write_text(
+        "a,b,c,y\n" + "\n".join(",".join(map(repr, row)) for row in table.tolist()))
+    images, label_file = str(tmp_path / "images"), str(tmp_path / "labels")
+    specs = [
+        dict(BASE_CONFIG["dataset"], n=3 * data.ROWS_SLICE - 17),
+        {"kind": "idx", "train_images": images, "train_labels": label_file,
+         "test_images": images, "test_labels": label_file, "subset_n": 20},
+        {"kind": "csv", "path": str(tmp_path / "table.csv"), "n_test": 10},
+    ]
+    for spec in specs:
+        for plain, biased in zip(cli.load_dataset_pair(spec),
+                                 cli.load_dataset_pair(spec, bias=True)):
+            assert np.array_equal(biased.X, cd.add_bias_column(plain.X))
+            assert np.array_equal(biased.labels, plain.labels)
+
+
 MODEL_MODULES = {"dual": cd, "relu": br}
 
 
@@ -402,7 +474,7 @@ def test_every_method_checkpoint_reproduces_report(method, tmp_path, monkeypatch
                                                    capsys):
     ball = {"kind": "ball", "radius": 0.5}
     extra = {"dpgd_constraint": ball, "lam": 0.0} if method == "dpgd" else {}
-    cfg = write_config(tmp_path, method=method, hidden_m=8, **extra)
+    cfg = write_config(tmp_path, method=method, **extra)
     code, out, _ = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
     assert code == 0
     report = json.loads(out)
@@ -448,10 +520,7 @@ def test_training_loops_looked_up_at_call_time(monkeypatch):
     for method, loop in (("dual-dpsgd", "dpsgd_run"), ("relu-dpsgd", "dpsgd_run"),
                          ("dual-noisycgd", "noisycgd_run")):
         calls.clear()
-        cli.execute_run(cli.RunConfig(**dict(
-            BASE_CONFIG, method=method, hidden_m=8,
-            dataset=dict(BASE_CONFIG["dataset"]),
-        )), write_outputs=False)
+        cli.execute_run(cli.RunConfig(**method_config(method)), write_outputs=False)
         assert calls == [loop]
 
 
@@ -467,15 +536,13 @@ def keys_of(node):
 def test_dpsgd_reports_hold_no_beta(method):
     # beta (a statistic of the private rows) feeds only the NoisyCGD bound;
     # the config echo holds only the user's override.
-    report = cli.execute_run(cli.RunConfig(**dict(
-        BASE_CONFIG, method=method, hidden_m=8, dataset=dict(BASE_CONFIG["dataset"]),
-    )), write_outputs=False)
+    report = cli.execute_run(cli.RunConfig(**method_config(method)), write_outputs=False)
     report.pop("config")
     assert not any("beta" in key for key in keys_of(report))
 
 
 def test_relu_dpsgd_runs(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path, method="relu-dpsgd", hidden_m=8, sigma=1.0)
+    cfg = write_config(tmp_path, method="relu-dpsgd", sigma=1.0)
     code, out, _ = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
     assert code == 0
     report = json.loads(out)
