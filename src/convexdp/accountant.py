@@ -19,11 +19,16 @@ Two accounting routes are provided:
 * Noisy cyclic mini-batch gradient descent: the closed-form mu-GDP bound
   for strongly convex, smooth losses with fixed disjoint batches.
 
+Both rest on the standard normal CDF, computed here with numpy alone: for a
+scalar (the epsilon bisection) by ``math.erfc``, for an array (a
+discretization grid) by the Cephes rational forms that scipy's ndtr uses.
+
 Nothing here holds shared mutable state: ``compose_pld`` may extend a
 caller-owned chain of squares, and a PLD caches its own loss grid.
 """
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import logging
@@ -31,7 +36,6 @@ import math
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from .errors import DomainError, NumericError, ResourceError
 
@@ -171,6 +175,84 @@ class NoisyCGDSpec:
 # ---------------------------------------------------------------------------
 # Closed-form Gaussian profile math
 # ---------------------------------------------------------------------------
+
+
+# Cephes (Moshier's ndtr.c) rational forms, highest power first, each
+# denominator's leading 1.0 written out: erf(t) = t*T(t^2)/U(t^2) for |t| < 1;
+# erfcx(t) = exp(t^2)*erfc(t) = P(t)/Q(t) on [1, 8) and R(t)/S(t) beyond.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFCX_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+            4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+            9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFCX_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+            9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+            1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFCX_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+            6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFCX_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+            1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _polevl(coeffs: Sequence[float], x: np.ndarray) -> np.ndarray:
+    """Horner's rule as ``np.polyval`` runs it, in one array instead of two per step."""
+    acc = np.full_like(x, coeffs[0])
+    for c in coeffs[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _erfcx_pq(t: np.ndarray):
+    """(p, q) with erfcx(t) = p/q for an array of t >= 1. R and S see t capped
+    at 1e10, past which log erfcx(t) is below the rounding of t^2."""
+    p, q = np.empty_like(t), np.empty_like(t)
+    near = t < 8.0
+    tn, tf = t[near], np.minimum(t[~near], 1e10)
+    p[near], q[near] = _polevl(_ERFCX_P, tn), _polevl(_ERFCX_Q, tn)
+    p[~near], q[~near] = _polevl(_ERFCX_R, tf), _polevl(_ERFCX_S, tf)
+    return p, q
+
+
+def ndtr(x):
+    """Standard normal CDF, erfc(t)/2 with t = -x/sqrt(2): ``math.erfc`` for a
+    scalar, the Cephes forms for an array (each element in its own branch)."""
+    if isinstance(x, float) or np.ndim(x) == 0:
+        return 0.5 * math.erfc(-float(x) * _SQRT_HALF)
+    t = np.asarray(x, dtype=float) * -_SQRT_HALF
+    out = np.empty_like(t)
+    inner = np.abs(t) < 1.0
+    ti, to = t[inner], t[~inner]
+    out[inner] = 0.5 - 0.5 * (ti * _polevl(_ERF_T, ti * ti) / _polevl(_ERF_U, ti * ti))
+    a = np.minimum(np.abs(to), 1e10)  # exp(-a*a) is 0 long before the cap
+    p, q = _erfcx_pq(a)
+    half_tail = 0.5 * (np.exp(-a * a) * p / q)  # erfc(|t|)/2
+    out[~inner] = np.where(to > 0, half_tail, 1.0 - half_tail)
+    return out
+
+
+def log_ndtr(x):
+    """log Phi(x): log(erfcx(t)/2) - t^2 for t = -x/sqrt(2) >= 1, which cannot
+    underflow, else log1p(-Phi(-x)); scalars use ``math`` while erfc(t) is a
+    normal float."""
+    if isinstance(x, float) or np.ndim(x) == 0:
+        t = -float(x) * _SQRT_HALF
+        if t < 26.0:
+            return math.log1p(-0.5 * math.erfc(-t)) if t <= 0.0 else math.log(0.5 * math.erfc(t))
+        return float(log_ndtr(np.array([float(x)]))[0])
+    x = np.asarray(x, dtype=float)
+    t = x * -_SQRT_HALF
+    out = np.empty_like(t)
+    tail = t >= 1.0
+    tt = t[tail]
+    p, q = _erfcx_pq(tt)
+    with np.errstate(over="ignore"):  # |x| > 1e154: t^2 is inf
+        out[tail] = np.log(0.5 * (p / q)) - tt * tt
+    out[~tail] = np.log1p(-ndtr(-x[~tail]))
+    return out
 
 
 def gaussian_delta(mu: float, eps: float) -> float:
@@ -365,10 +447,13 @@ def _truncate_support(origin: float, step: float, masses: np.ndarray, inf_mass: 
     composition built on the result still dominates. Each call adds at most
     ``TRIM_TOL`` to the infinity atom. ``masses`` may be modified in place.
     """
-    losses = origin + step * np.arange(len(masses))
+    def loss(i: int) -> float:  # as ``DiscretePLD.losses`` computes it
+        return origin + step * i
+
     # Losses increase along the grid: the kept points are one slice.
-    lo = int(np.searchsorted(losses, -SUPPORT_CAP, side="left"))
-    hi = int(np.searchsorted(losses, SUPPORT_CAP, side="right"))
+    grid = range(len(masses))
+    lo = bisect.bisect_left(grid, -SUPPORT_CAP, key=loss)
+    hi = bisect.bisect_right(grid, SUPPORT_CAP, key=loss)
     inf_mass += float(masses[hi:].sum())
     if lo >= hi:
         raise NumericError("entire PLD support fell outside the cap")
@@ -376,17 +461,30 @@ def _truncate_support(origin: float, step: float, masses: np.ndarray, inf_mass: 
     masses = masses[lo:hi]
     masses[0] += folded
 
-    right = np.cumsum(masses[::-1])
-    n_right = min(int(np.searchsorted(right, TRIM_TOL, side="right")), len(masses) - 1)
+    # Each search leaves out the opposite end's point, so one point always stays.
+    n_right, shed = _trim_count(masses[:0:-1])
     if n_right:
-        inf_mass += float(right[n_right - 1])
+        inf_mass += shed
         masses = masses[: len(masses) - n_right]
-    left = np.cumsum(masses)
-    n_left = min(int(np.searchsorted(left, TRIM_TOL, side="right")), len(masses) - 1)
+    n_left, shed = _trim_count(masses[:-1])
     if n_left:
         masses = masses[n_left:]
-        masses[0] += float(left[n_left - 1])
-    return float(losses[lo + n_left]), masses, inf_mass
+        masses[0] += shed
+    return loss(lo + n_left), masses, inf_mass
+
+
+def _trim_count(tail: np.ndarray) -> tuple[int, float]:
+    """Length and mass of the longest prefix of ``tail`` with mass <= ``TRIM_TOL``,
+    summed over doubling slices headed by the total so far, so every partial
+    sum is bitwise the one a ``cumsum`` of all of ``tail`` gives."""
+    total, k, width = 0.0, 0, 64
+    while k < len(tail):
+        sums = np.cumsum(np.concatenate(([total], tail[k:k + width])))
+        j = int(np.searchsorted(sums, TRIM_TOL, side="right"))  # >= 1: sums[0] = total <= TRIM_TOL
+        if j < len(sums):
+            return k + j - 1, float(sums[j - 1])
+        total, k, width = float(sums[-1]), k + width, 2 * width
+    return len(tail), total
 
 
 def next_fast_len(n: int) -> int:
@@ -533,16 +631,17 @@ def account_dpsgd_many(
     spec = SubsampledSpec(base=GaussianPairSpec(mu=2.0 / sigma), q=q)
     step_profile = subsampled_dp_profile(spec)
 
-    # Smallest grid half-width (multiple of the step) whose right tail is
-    # below the per-step truncation tolerance.
-    m = 1
+    # Smallest grid half-width in the doubling sequence 1, 2, 4, ..., m_cap
+    # (multiples of the step) whose right tail is below the per-step
+    # truncation tolerance, from one array query.
     m_cap = int(math.ceil(EPS_MAX / grid_step))
-    while step_profile.delta(m * grid_step) >= TAIL_TOL and m < m_cap:
-        m = min(2 * m, m_cap)
-    if step_profile.delta(m * grid_step) >= TAIL_TOL:
+    widths = [1 << j for j in range((m_cap - 1).bit_length())] + [m_cap]
+    tails = step_profile.delta_array(np.array(widths) * grid_step)
+    m = next((w for w, tail in zip(widths, tails) if tail < TAIL_TOL), m_cap)
+    if m == m_cap and tails[-1] >= TAIL_TOL:
         logger.warning(
             "profile tail still %.2e at eps=%.1f; folding into infinity mass",
-            step_profile.delta(m * grid_step),
+            tails[-1],
             m * grid_step,
         )
     grid = np.arange(-m, m + 1, dtype=float) * grid_step

@@ -187,8 +187,13 @@ def _noisy_minibatch_loop(objective, params0, X, y, cfg: DPSGDConfig, eval_fn,
         for _ in range(len(X) // cfg.b):
             idx = next_batch(it)
             g = objective.clipped_grad_mean(params, X[idx], y[idx], cfg.C)
-            z = noise_rng.standard_normal(len(params)) * noise_scale
-            params -= eta * (g + z + objective.lam * params)
+            # eta * (g + noise + lam * params), in place in the noise draw
+            z = noise_rng.standard_normal(len(params))
+            z *= noise_scale
+            z += g
+            z += objective.lam * params
+            z *= eta
+            params -= z
             _check_finite(params, f"iteration {it}")
             it += 1
         trace.append(

@@ -2,8 +2,9 @@
 
 Oracles used here deliberately avoid the code paths under test:
 
-* Gaussian CDF values come from math.erfc (the implementation uses
-  scipy.special.ndtr / log_ndtr).
+* Gaussian CDF values come from math.erfc. The implementation's own
+  ``ndtr`` / ``log_ndtr`` (Cephes rational forms for arrays, math.erfc for
+  scalars) are checked against scipy.special.
 * Hockey-stick divergences, including the subsampled mixtures, are checked
   against direct numeric quadrature of the defining integral
   H_alpha(P || Q) = integral of [p - alpha*q]_+.
@@ -17,6 +18,7 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 from scipy.fft import next_fast_len as scipy_next_fast_len
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -70,6 +72,76 @@ def hockey_stick_quadrature(alpha, mu, q_up=None, q_down=None):
     )
     assert err < 1e-9
     return val
+
+
+# ---------------------------------------------------------------------------
+# Standard normal CDF, against scipy.special (which the accountant called
+# before it had its own): a wrong coefficient, branch boundary or sign in
+# either path shows as an error far above these bounds.
+# ---------------------------------------------------------------------------
+
+# t = -x/sqrt(2) crosses a branch of the Cephes forms at |t| = 1 and 8, and
+# the scalar log_ndtr switches to erfcx at t = 26.
+BRANCH_POINTS = [s * math.sqrt(2.0) * t for s in (1, -1) for t in (1.0, 8.0, 26.0)]
+BRANCH_POINTS += [np.nextafter(x, d) for x in BRANCH_POINTS for d in (-np.inf, np.inf)]
+
+
+def assert_rel_close(got, ref, rtol):
+    # Relative error on values >= 1e-300; below that, absolute 1e-300.
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    assert got.shape == ref.shape
+    big = np.abs(ref) >= 1e-300
+    err = np.abs(got[big] - ref[big]) / np.abs(ref[big])
+    assert err.max(initial=0.0) <= rtol, ref[big][np.argmax(err)]
+    assert np.all(np.abs(got[~big] - ref[~big]) <= 1e-300)
+
+
+@pytest.mark.parametrize("name", ["ndtr", "log_ndtr"])
+def test_cdf_array_path_matches_scipy(name):
+    x = np.concatenate([np.linspace(-37.0, 37.0, 400_001), BRANCH_POINTS])
+    assert_rel_close(getattr(acc, name)(x), getattr(special, name)(x), 2e-15)
+    # any array shape takes the array path
+    grid = x[:12].reshape(3, 4)
+    assert_rel_close(getattr(acc, name)(grid), getattr(special, name)(grid), 2e-15)
+
+
+@pytest.mark.parametrize("name", ["ndtr", "log_ndtr"])
+def test_cdf_scalar_path_matches_scipy(name):
+    # math.erfc rounds its argument's square differently from Cephes deep in
+    # the tail: 5.7e-14 relative at x = -36 is the largest error measured.
+    xs = np.concatenate([np.linspace(-37.0, 37.0, 2_001), BRANCH_POINTS])
+    ref = getattr(special, name)(xs)
+    for kind in (float, np.float64, np.asarray):
+        got = [getattr(acc, name)(kind(x)) for x in xs]
+        assert all(np.ndim(g) == 0 for g in got)
+        assert_rel_close(got, ref, 1e-13)
+
+
+@given(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=40))
+@settings(deadline=None)
+def test_cdf_matches_scipy_property(values):
+    x = np.array(values)
+    for name in ("ndtr", "log_ndtr"):
+        ref = getattr(special, name)(x)
+        assert_rel_close(getattr(acc, name)(x), ref, 2e-15)
+        assert_rel_close([getattr(acc, name)(v) for v in values], ref, 1e-13)
+
+
+def test_cdf_edge_cases():
+    for kind in (float, lambda v: np.array([v])):
+        def at(name, v):
+            return float(np.ravel(getattr(acc, name)(kind(v)))[0])
+
+        assert (at("ndtr", math.inf), at("ndtr", -math.inf)) == (1.0, 0.0)
+        assert (at("log_ndtr", math.inf), at("log_ndtr", -math.inf)) == (0.0, -math.inf)
+        assert math.isnan(at("ndtr", math.nan)) and math.isnan(at("log_ndtr", math.nan))
+        # Phi(-40) underflows, its log does not (scipy: -804.608...)
+        assert at("ndtr", -40.0) == 0.0
+        assert at("log_ndtr", -40.0) == pytest.approx(special.log_ndtr(-40.0), rel=1e-15)
+        # t^2 overflows past |x| = 1e154, without a warning
+        assert (at("ndtr", -1e200), at("ndtr", 1e200)) == (0.0, 1.0)
+        assert (at("log_ndtr", -1e200), at("log_ndtr", 1e200)) == (-math.inf, 0.0)
+        assert at("log_ndtr", -1e12) == pytest.approx(special.log_ndtr(-1e12), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -546,3 +618,84 @@ def test_account_dpsgd_many_is_lazy():
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
     assert next(horizons).pld is not None
+
+
+def doubling_tail_width(sigma, q, grid_step):
+    # The loop account_dpsgd_many ran before its single array query: one
+    # scalar delta per doubling of the grid half-width.
+    spec = acc.SubsampledSpec(base=acc.GaussianPairSpec(mu=2.0 / sigma), q=q)
+    profile = acc.subsampled_dp_profile(spec)
+    m, m_cap = 1, int(math.ceil(acc.EPS_MAX / grid_step))
+    while profile.delta(m * grid_step) >= acc.TAIL_TOL and m < m_cap:
+        m = min(2 * m, m_cap)
+    return m, profile.delta(m * grid_step) >= acc.TAIL_TOL
+
+
+@pytest.mark.parametrize("grid_step", [1e-3, 0.02, 0.3])
+def test_tail_width_is_the_doubling_loops(grid_step, caplog):
+    # The step PLD spans [-m, m] grid steps, m picked from 1, 2, 4, ...,
+    # m_cap; a search that read the wrong element of its one array query
+    # (or never reached m_cap) would pick another m than the loop did.
+    for sigma in (0.5, 0.8, 2.0, 6.0, 40.0):
+        for q in (1e-3, 1 / 60, 0.2, 1.0):
+            m, warned = doubling_tail_width(sigma, q, grid_step)
+            caplog.clear()
+            pld = acc.account_dpsgd(sigma, q, 1, grid_step=grid_step).pld
+            assert len(pld.masses) == 2 * m + 1, (sigma, q)
+            assert pld.loss_grid_origin == -m * grid_step
+            assert warned == ("profile tail still" in caplog.text), (sigma, q)
+
+
+def truncate_support_oracle(origin, step, masses, inf_mass):
+    # The full-length version: a loss array searched for the cap and one
+    # cumsum per tail.
+    losses = origin + step * np.arange(len(masses))
+    lo = int(np.searchsorted(losses, -acc.SUPPORT_CAP, side="left"))
+    hi = int(np.searchsorted(losses, acc.SUPPORT_CAP, side="right"))
+    inf_mass += float(masses[hi:].sum())
+    if lo >= hi:
+        raise NumericError("entire PLD support fell outside the cap")
+    folded = float(masses[:lo].sum())
+    masses = masses[lo:hi]
+    masses[0] += folded
+    right = np.cumsum(masses[::-1])
+    n_right = min(int(np.searchsorted(right, acc.TRIM_TOL, side="right")), len(masses) - 1)
+    if n_right:
+        inf_mass += float(right[n_right - 1])
+        masses = masses[: len(masses) - n_right]
+    left = np.cumsum(masses)
+    n_left = min(int(np.searchsorted(left, acc.TRIM_TOL, side="right")), len(masses) - 1)
+    if n_left:
+        masses = masses[n_left:]
+        masses[0] += float(left[n_left - 1])
+    return float(losses[lo + n_left]), masses, inf_mass
+
+
+def test_truncate_support_matches_full_length_oracle():
+    # Bit for bit: cut indices found by arithmetic instead of searchsorted
+    # on the losses, and tails summed over doubling slices instead of one
+    # cumsum, must keep every cut and every shed total. Tails of tiny
+    # masses run past several slices; origins straddle both caps.
+    rng = np.random.default_rng(3)
+    for case in range(400):
+        n = int(rng.integers(1, 6000))
+        step = float(rng.choice([1e-3, 0.037, 0.1, 1.0]))
+        origin = float(rng.uniform(-70.0, 5.0))
+        if case % 5 < 2:  # a grid point on (or next to) -SUPPORT_CAP or SUPPORT_CAP
+            cap = acc.SUPPORT_CAP * (1, -1)[case % 5]
+            origin = cap - step * int(rng.integers(0, n))
+        masses = rng.random(n) * 10.0 ** rng.uniform(-19.0, -16.0, n)
+        body = slice(int(rng.integers(0, n)), None, int(rng.integers(1, 2000)))
+        masses[body] += rng.random(len(masses[body]))
+        masses[rng.random(n) < 0.05] = 0.0
+        masses /= masses.sum()
+        inf_mass = float(rng.choice([0.0, 1e-13]))
+        try:
+            want = truncate_support_oracle(origin, step, masses.copy(), inf_mass)
+        except NumericError:
+            with pytest.raises(NumericError):
+                acc._truncate_support(origin, step, masses.copy(), inf_mass)
+            continue
+        got = acc._truncate_support(origin, step, masses.copy(), inf_mass)
+        assert (got[0], got[2]) == (want[0], want[2]), case
+        assert got[1].tobytes() == want[1].tobytes(), case
