@@ -5,6 +5,9 @@ constant, tiny-scale arrangement enumeration, the ReLU-to-dual embedding
 and the Young rescaling check, and per-example forward and backprop for
 the MLP baseline. The package computes the same quantities batched (or
 not at all); these loop over single rows so that the tests can check it.
+The private optimizers' loops are kept here as they were before their noise
+moved to a worker thread: one ``standard_normal(dim)`` draw per step, on
+the calling thread.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from scipy.optimize import minimize_scalar
 from convexdp.baseline_relu import MLP
 from convexdp.convex_dual import DualModel
 from convexdp.errors import DomainError, NumericError
+from convexdp.optimizers import TrainTrace, _check_finite, _digest
 
 
 @dataclasses.dataclass(frozen=True)
@@ -317,3 +321,55 @@ def mlp_per_sample_grad(net: MLP, x: np.ndarray, label, loss: str = "mse") -> np
     gA = np.outer(h, r)
     gU = np.outer((net.A @ r) * (pre > 0), x)
     return np.concatenate([gU.ravel(), gA.ravel()])
+
+
+# ---------------------------------------------------------------------------
+# Private optimizers, one sequential noise draw per step
+# ---------------------------------------------------------------------------
+
+
+def sequential_noisy_minibatch_loop(objective, params0, X, y, cfg, next_batch, rngs):
+    """``optimizers._noisy_minibatch_loop`` without an eval_fn, drawing each
+    step's noise after its gradient."""
+    noise_rng = rngs[1]
+    y = np.asarray(y)
+    params = np.array(params0, dtype=float, copy=True)
+    trace = TrainTrace()
+    noise_scale = cfg.C * cfg.sigma / cfg.b
+    it = 0
+    for epoch in range(1, cfg.epochs + 1):
+        for _ in range(len(X) // cfg.b):
+            idx = next_batch(it)
+            g = objective.clipped_grad_mean(params, X[idx], y[idx], cfg.C)
+            z = noise_rng.standard_normal(len(params))
+            z *= noise_scale
+            z += g
+            z += objective.lam * params
+            z *= float(cfg.eta)
+            params -= z
+            _check_finite(params, f"iteration {it}")
+            it += 1
+        trace.append(
+            epoch=epoch,
+            train_loss=objective.data_loss(params, X, y)
+            + 0.5 * objective.lam * float(params @ params),
+            test_accuracy=None,
+            rng_state_digest=_digest(*rngs),
+        )
+    return params, trace
+
+
+def sequential_dpgd(objective, X, y, L, project, T, sigma_gd, eta, seed=0):
+    """``optimizers.dpgd_run``, drawing each step's noise after its gradient."""
+    noise_rng = np.random.default_rng(np.random.SeedSequence(seed))
+    params = np.zeros(objective.dim)
+    accum = np.zeros(objective.dim)
+    for _ in range(T):
+        g = objective.clipped_grad_mean(params, X, np.asarray(y), L)
+        g = g + noise_rng.standard_normal(len(params)) * sigma_gd
+        params = params - eta * g
+        if project is not None:
+            params = project(params)
+        _check_finite(params, "DP-GD step")
+        accum += params
+    return accum / T

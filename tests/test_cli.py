@@ -9,6 +9,7 @@ import shlex
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,28 @@ def test_exit_code_unknown_field(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path, banana=1)
     code, _, err = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
     assert code == 2 and "banana" in err
+
+
+def test_exit_code_numeric_error_joins_noise_worker(tmp_path, monkeypatch, capsys):
+    # An absurd learning rate overflows the ridge term at the second step,
+    # while the noise worker is drawing the next block (12 steps of 6144
+    # parameters come in blocks of 5 rows). The run exits 3 and leaves no
+    # thread behind.
+    seen = []
+    grad = cd.DualObjective.clipped_grad_mean
+
+    def counting_grad(*args):
+        seen.append(threading.active_count())
+        return grad(*args)
+
+    monkeypatch.setattr(cd.DualObjective, "clipped_grad_mean", counting_grad)
+    cfg = write_config(tmp_path, method="dual-dpsgd", P=512, b=10, eta=1e200, lam=0.5)
+    threads = threading.active_count()
+    with np.errstate(all="ignore"):
+        code, _, err = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
+    assert code == 3 and "numeric error" in err
+    assert max(seen) == threads + 1
+    assert threading.active_count() == threads
 
 
 def test_exit_code_io_error(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,12 @@
 """Optimizer tests: projection against brute-force QP oracles,
-one-step analytic oracles, determinism, noise-stream independence, and the
-DP-SGD / NoisyCGD harness equivalence under a shared batch schedule."""
+one-step analytic oracles, determinism, noise-stream independence, the
+DP-SGD / NoisyCGD harness equivalence under a shared batch schedule, and
+the prefetched noise against one sequential draw per step."""
+import concurrent.futures
+import contextlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +14,8 @@ import pytest
 from convexdp import convex_dual as cd
 from convexdp import optimizers as opt
 from convexdp.errors import ConfigError, NumericError
+
+import oracles
 
 
 def quadratic_objective(dim=4, lam=0.5, seed=0):
@@ -182,8 +189,10 @@ def test_dpsgd_diverging_run_raises():
     # an absurd learning rate drives the ridge term to overflow within two
     # steps; the loop must detect the non-finite iterate and abort
     cfg = opt.DPSGDConfig(C=1e6, sigma=0.0, b=len(X), eta=1e200, epochs=2, seed=0)
+    threads = threading.active_count()
     with np.errstate(all="ignore"), pytest.raises(NumericError):
         opt.dpsgd_run(obj, np.ones(obj.dim), X, y, cfg)
+    assert threading.active_count() == threads
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +279,133 @@ def test_dpsgd_equals_noisycgd_under_shared_schedule():
     params_sgd, _ = opt.dpsgd_run(obj, np.zeros(obj.dim), X, y, cfg)
     np.testing.assert_allclose(fresh, params_sgd, atol=1e-12)
     assert not np.allclose(params_cgd, params_sgd)
+
+
+# ---------------------------------------------------------------------------
+# Noise drawn a block ahead on a worker thread
+# ---------------------------------------------------------------------------
+
+STEPS = 10  # steps per epoch (n / b), and DP-GD's T
+
+
+def blocked_objective(rows, lam=0.3):
+    """A dual objective on 4 features whose noise comes in blocks of
+    ``rows`` rows (fewer if an epoch has fewer steps), as NOISE_BLOCK_BYTES
+    sizes them."""
+    P = opt.NOISE_BLOCK_BYTES // (8 * rows * 5 * 2)
+    obj = cd.DualObjective(cd.sample_arrangement(4, P, 0), k=2, lam=lam, loss="mse")
+    block = max(1, min(STEPS, opt.NOISE_BLOCK_BYTES // (8 * obj.dim)))
+    assert block == min(rows, STEPS)
+    return obj
+
+
+BLOCK_ROWS = [
+    pytest.param(1, id="one-row-blocks"),
+    pytest.param(3, id="ragged-last-block"),  # 10 steps: blocks of 3, 3, 3, 1
+    pytest.param(4 * STEPS, id="one-block-per-epoch"),
+]
+
+
+@pytest.fixture
+def frequent_thread_switches():
+    """A 1 us interpreter switch interval, so that the worker and the loop
+    interleave at far more points than the default 5 ms allows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class NeverScheduledWorker:
+    """An executor whose worker never runs: the loop cancels and draws
+    every block itself."""
+
+    def __init__(self, *args):
+        pass
+
+    def submit(self, fn, *args, **kwargs):
+        return concurrent.futures.Future()
+
+    def shutdown(self, wait, cancel_futures):
+        pass
+
+
+class AlwaysAheadWorker(NeverScheduledWorker):
+    """An executor whose worker has always finished a block when it is due."""
+
+    def submit(self, fn, *args, **kwargs):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+@pytest.mark.parametrize("worker", [None, NeverScheduledWorker, AlwaysAheadWorker],
+                         ids=["thread", "never-scheduled", "always-ahead"])
+@pytest.mark.parametrize("rows", BLOCK_ROWS)
+@pytest.mark.parametrize("method", ["dpsgd", "noisycgd", "dpgd"])
+def test_prefetched_noise_matches_sequential_draws(method, rows, worker, monkeypatch,
+                                                   frequent_thread_switches):
+    # Blocked draws give the bits of one standard_normal(dim) per step, and
+    # no block crosses an epoch end, so every epoch's digest sees exactly
+    # that epoch's draws; whether the worker or the loop draws a block makes
+    # no difference.
+    if worker is not None:
+        monkeypatch.setattr(opt, "ThreadPoolExecutor", worker)
+    obj = blocked_objective(rows, lam=0.0 if method == "dpgd" else 0.3)
+    X, y = tiny_data(n=4 * STEPS)
+    if method == "dpgd":
+        args = (obj, X, y, 0.8, opt.make_projection("ball", radius=2.0), STEPS, 0.7, 0.3)
+        np.testing.assert_array_equal(opt.dpgd_run(*args, seed=5),
+                                      oracles.sequential_dpgd(*args, seed=5))
+        return
+    cfg = opt.DPSGDConfig(C=0.9, sigma=1.3, b=4, eta=0.05, epochs=3, seed=3,
+                          noise_seed=11)
+    rngs = opt._streams(3, 11)
+    if method == "dpsgd":
+        params, trace = opt.dpsgd_run(obj, np.zeros(obj.dim), X, y, cfg)
+        next_batch = lambda it: rngs[0].choice(len(X), cfg.b, replace=False)
+    else:
+        params, trace = opt.noisycgd_run(obj, np.zeros(obj.dim), X, y, cfg)
+        batches = rngs[0].permutation(len(X)).reshape(STEPS, cfg.b)
+        next_batch = lambda it: batches[it % STEPS]
+    want, want_trace = oracles.sequential_noisy_minibatch_loop(
+        obj, np.zeros(obj.dim), X, y, cfg, next_batch, rngs)
+    np.testing.assert_array_equal(params, want)
+    assert trace.records == want_trace.records
+
+
+class ThreadCounter:
+    """Wraps an objective; records the live thread count at every gradient."""
+
+    def __init__(self, objective):
+        self.objective, self.lam, self.dim = objective, objective.lam, objective.dim
+        self.seen = []
+
+    def clipped_grad_mean(self, *args):
+        self.seen.append(threading.active_count())
+        return self.objective.clipped_grad_mean(*args)
+
+    def data_loss(self, *args):
+        return self.objective.data_loss(*args)
+
+
+@pytest.mark.parametrize("run", [opt.dpsgd_run, opt.noisycgd_run])
+@pytest.mark.parametrize("eta", [0.05, 1e200])
+def test_no_thread_outlives_a_loop_call(run, eta):
+    # The noise worker runs during the loop and is joined when it returns,
+    # also when a diverging iterate aborts the run mid-epoch.
+    obj = ThreadCounter(blocked_objective(rows=1))
+    X, y = tiny_data(n=4 * STEPS)
+    cfg = opt.DPSGDConfig(C=1e6, sigma=1.0, b=4, eta=eta, epochs=2, seed=0)
+    diverges = pytest.raises(NumericError) if eta > 1 else contextlib.nullcontext()
+    threads = threading.active_count()
+    with np.errstate(all="ignore"), diverges:
+        run(obj, np.ones(obj.dim), X, y, cfg)
+    assert max(obj.seen) == threads + 1
+    assert len(obj.seen) < STEPS if eta > 1 else len(obj.seen) == 2 * STEPS
+    assert threading.active_count() == threads
 
 
 # ---------------------------------------------------------------------------
