@@ -1,27 +1,30 @@
 """Numerical privacy accounting.
 
-Two accounting routes are provided:
+Both accounting routes rest on one function, ``gaussian_delta``: the
+hockey-stick divergence of N(mu, 1) against N(0, 1) at alpha = exp(eps).
 
 * DP-SGD with without-replacement subsampling under the substitute
-  neighborhood: the per-step guarantee is expressed as a privacy profile
-  built from hockey-stick divergences of a Gaussian dominating pair mixed
-  with the subsampling ratio, discretized onto a uniform loss grid
-  (connect-the-dots style) and self-composed with FFT convolutions. After
-  every convolution, tails of total mass at most ``TRIM_TOL`` are moved
-  pessimistically (the right one to the infinity atom, the left one onto
-  the lowest kept point), so the support tracks where the mass really is
-  instead of growing with FFT round-off. The convolutions run on
-  ``numpy.fft`` (numpy >= 2, the same C++ pocketfft as ``scipy.fft``, bit
-  for bit). Several horizons of one run share a single chain of squared
-  PLDs, and ``account_dpsgd_many`` yields their profiles one at a time, so a
-  caller that drops each profile before taking the next holds one horizon's
-  PLD besides the chain.
+  neighborhood: ``subsampled_profile`` mixes that divergence with the
+  subsampling ratio into the per-step privacy profile, which is discretized
+  onto a uniform loss grid (connect-the-dots style) and self-composed with
+  FFT convolutions. After every convolution, tails of total mass at most
+  ``TRIM_TOL`` are moved pessimistically (the right one to the infinity
+  atom, the left one onto the lowest kept point), so the support tracks
+  where the mass really is instead of growing with FFT round-off. The
+  convolutions run on ``numpy.fft`` (numpy >= 2, the same C++ pocketfft as
+  ``scipy.fft``, bit for bit). Several horizons of one run share a single
+  chain of squared PLDs, and ``account_dpsgd_many`` yields their composed
+  ``DiscretePLD``s one at a time, so a caller that drops each PLD before
+  taking the next holds one horizon's PLD besides the chain.
 * Noisy cyclic mini-batch gradient descent: the closed-form mu-GDP bound
-  for strongly convex, smooth losses with fixed disjoint batches.
+  for strongly convex, smooth losses with fixed disjoint batches, whose
+  curve is ``gaussian_profile(mu)``.
 
-Both rest on the standard normal CDF, computed here with numpy alone: for a
-scalar (the epsilon bisection) by ``math.erfc``, for an array (a
-discretization grid) by the Cephes rational forms that scipy's ndtr uses.
+``find_epsilon`` searches anything with a ``delta(eps)`` method: a
+``DiscretePLD`` or a ``PrivacyProfile``. The standard normal CDF is computed
+here with numpy alone: for a scalar (the epsilon bisection) by ``math.erfc``,
+for an array (a discretization grid) by the Cephes rational forms that
+scipy's ndtr uses.
 
 Nothing here holds shared mutable state: ``compose_pld`` may extend a
 caller-owned chain of squares, and a PLD caches its own loss grid.
@@ -102,41 +105,10 @@ class DiscretePLD:
 class PrivacyProfile:
     """The curve eps -> delta(eps): non-increasing, convex in exp(eps).
 
-    ``evaluator`` accepts a float or an ndarray of epsilons and returns
-    delta values in [0, 1].
+    ``delta`` maps a float or an ndarray of epsilons to delta values in [0, 1].
     """
 
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    pld: Optional[DiscretePLD] = None
-
-    def delta(self, eps) -> float:
-        return float(np.clip(self.evaluator(float(eps)), 0.0, 1.0))
-
-    def delta_array(self, eps_values: np.ndarray) -> np.ndarray:
-        return np.clip(self.evaluator(np.asarray(eps_values, dtype=float)), 0.0, 1.0)
-
-
-@dataclasses.dataclass(frozen=True)
-class GaussianPairSpec:
-    """Dominating pair N(mu, 1) vs N(0, 1); mu is the distinguishability."""
-
-    mu: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mu) and self.mu > 0):
-            raise DomainError(f"mu must be finite and positive, got {self.mu!r}")
-
-
-@dataclasses.dataclass(frozen=True)
-class SubsampledSpec:
-    """Gaussian base pair subsampled without replacement at ratio q."""
-
-    base: GaussianPairSpec
-    q: float
-
-    def __post_init__(self):
-        if not (0 < self.q <= 1):
-            raise DomainError(f"subsampling ratio q must be in (0, 1], got {self.q!r}")
+    delta: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -255,59 +227,30 @@ def log_ndtr(x):
     return out
 
 
-def gaussian_delta(mu: float, eps: float) -> float:
-    """delta(eps) of a mu-GDP mechanism, for eps >= 0."""
-    if eps < 0:
-        raise DomainError(f"eps must be non-negative, got {eps!r}")
-    return gaussian_profile(mu).delta(eps)
+def gaussian_delta(mu: float, eps):
+    """delta(eps) of a mu-GDP mechanism: the hockey-stick divergence
+    H_alpha(N(mu,1) || N(0,1)) at alpha = exp(eps), for a float or an array
+    of any real eps (-inf, alpha = 0, gives 1).
+
+    The likelihood ratio exp(mu*t - mu^2/2) is monotone, so the integrand has
+    a single sign change at t* = eps/mu + mu/2, and the divergence is
+    Phi(mu - t*) - exp(eps) * Phi(-t*), with the exp(eps) factor taken
+    through the log-CDF so that it cannot overflow.
+    """
+    if not (math.isfinite(mu) and mu > 0):
+        raise DomainError(f"mu must be finite and positive, got {mu!r}")
+    tstar = eps / mu + mu / 2.0
+    return np.clip(ndtr(mu - tstar) - np.exp(eps + log_ndtr(-tstar)), 0.0, 1.0)
 
 
 def gaussian_profile(mu: float) -> PrivacyProfile:
-    """Privacy profile of a mu-GDP mechanism.
-
-    Phi(-eps/mu + mu/2) - exp(eps) * Phi(-eps/mu - mu/2), evaluated through
-    log-CDFs so the exp(eps) factor cannot overflow.
-    """
-    if not (math.isfinite(mu) and mu > 0):
-        raise DomainError(f"mu must be finite and positive, got {mu!r}")
-
-    def evaluator(eps):
-        eps = np.asarray(eps, dtype=float)
-        a = -eps / mu + mu / 2.0
-        b = -eps / mu - mu / 2.0
-        out = ndtr(a) - np.exp(eps + log_ndtr(b))
-        return np.clip(out, 0.0, 1.0)
-
-    return PrivacyProfile(evaluator=evaluator)
+    """Privacy profile of a mu-GDP mechanism; ``delta`` checks mu."""
+    return PrivacyProfile(functools.partial(gaussian_delta, mu))
 
 
-def hockey_stick_gaussian(alpha, mu: float):
-    """Hockey-stick divergence H_alpha(N(mu,1) || N(0,1)), closed form.
-
-    The likelihood ratio exp(mu*t - mu^2/2) is monotone, so the integrand
-    has a single sign change at t* = log(alpha)/mu + mu/2 and the divergence
-    reduces to signed Gaussian CDF differences. For alpha >= 1 this equals
-    gaussian_delta(mu, log(alpha)).
-    """
-    if not (math.isfinite(mu) and mu > 0):
-        raise DomainError(f"mu must be finite and positive, got {mu!r}")
-    alpha_arr = np.asarray(alpha, dtype=float)
-    if np.any(alpha_arr < 0):
-        raise DomainError("alpha must be non-negative")
-    scalar = alpha_arr.ndim == 0
-    alpha_arr = np.atleast_1d(alpha_arr)
-    out = np.ones_like(alpha_arr)
-    pos = alpha_arr > 0
-    with np.errstate(divide="ignore"):
-        log_alpha = np.log(alpha_arr[pos])
-    tstar = log_alpha / mu + mu / 2.0
-    out[pos] = ndtr(mu - tstar) - np.exp(log_alpha + log_ndtr(-tstar))
-    out = np.clip(out, 0.0, 1.0)
-    return float(out[0]) if scalar else out
-
-
-def subsampled_profile(spec: SubsampledSpec, alpha):
-    """h(alpha) upper-bounding the subsampled mechanism's divergence.
+def subsampled_profile(mu: float, q: float, alpha: np.ndarray) -> np.ndarray:
+    """h(alpha) upper-bounding the divergence of N(mu, 1) vs N(0, 1)
+    subsampled without replacement at ratio q, for an array of alpha >= 0.
 
     h(alpha) = max{ H_alpha(q*P + (1-q)*Q || Q), H_alpha(P || q*Q + (1-q)*P) }
     with P = N(mu, 1), Q = N(0, 1). Because the likelihood ratio of the base
@@ -315,45 +258,29 @@ def subsampled_profile(spec: SubsampledSpec, alpha):
     that is available in closed form, and the mixture divergence factors
     through the base-pair hockey stick exactly.
     """
-    mu, q = spec.base.mu, spec.q
-    alpha_arr = np.asarray(alpha, dtype=float)
-    if np.any(alpha_arr < 0):
+    if not (0 < q <= 1):
+        raise DomainError(f"subsampling ratio q must be in (0, 1], got {q!r}")
+    if np.any(alpha < 0):
         raise DomainError("alpha must be non-negative")
-    scalar = alpha_arr.ndim == 0
-    alpha_arr = np.atleast_1d(alpha_arr).astype(float)
-
     # H_alpha(q*P + (1-q)*Q || Q): integrand positive everywhere when
     # alpha <= 1-q, otherwise q * H_{(alpha-1+q)/q}(P || Q).
-    up = np.empty_like(alpha_arr)
-    low_a = alpha_arr <= 1.0 - q
-    up[low_a] = 1.0 - alpha_arr[low_a]
-    if np.any(~low_a):
-        up[~low_a] = q * hockey_stick_gaussian((alpha_arr[~low_a] - 1.0 + q) / q, mu)
-
+    out = 1.0 - alpha
+    high = alpha > 1.0 - q
     # H_alpha(P || q*Q + (1-q)*P): zero once alpha*(1-q) >= 1, otherwise
     # (1 - alpha*(1-q)) * H_{alpha*q / (1 - alpha*(1-q))}(P || Q).
-    down = np.zeros_like(alpha_arr)
-    live = alpha_arr * (1.0 - q) < 1.0
-    if np.any(live):
-        w = 1.0 - alpha_arr[live] * (1.0 - q)
-        down[live] = w * hockey_stick_gaussian(alpha_arr[live] * q / w, mu)
-
-    out = np.maximum(up, down)
+    live = alpha * (1.0 - q) < 1.0
+    w = 1.0 - alpha[live] * (1.0 - q)
+    # A ratio of 0 (alpha = 0, or alpha - 1 + q rounding to 0) has log -inf,
+    # where gaussian_delta is 1.
+    with np.errstate(divide="ignore"):
+        out[high] = q * gaussian_delta(mu, np.log((alpha[high] - 1.0 + q) / q))
+        down = w * gaussian_delta(mu, np.log(alpha[live] * q / w))
+    out[live] = np.maximum(out[live], down)
     if not np.all(np.isfinite(out)):
         raise NumericError(
             f"subsampled divergence not finite (mu={mu}, q={q}): {out!r}"
         )
-    return float(out[0]) if scalar else out
-
-
-def subsampled_dp_profile(spec: SubsampledSpec) -> PrivacyProfile:
-    """Privacy profile eps -> h(exp(eps)) of one subsampled step."""
-
-    def evaluator(eps):
-        eps = np.asarray(eps, dtype=float)
-        return subsampled_profile(spec, np.exp(eps))
-
-    return PrivacyProfile(evaluator=evaluator)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +310,7 @@ def connect_the_dots(profile: PrivacyProfile, eps_grid: np.ndarray) -> DiscreteP
     if step <= 0 or not np.allclose(steps, step, rtol=0, atol=1e-9 * abs(step)):
         raise DomainError("eps_grid must be strictly increasing and uniform")
 
-    deltas = profile.delta_array(grid)
+    deltas = profile.delta(grid)
     if np.any(np.diff(deltas) > 1e-12):
         raise NumericError("profile is increasing on the grid; not a privacy profile")
 
@@ -599,8 +526,8 @@ def compose_pld(
 
 def account_dpsgd(
     sigma: float, q: float, T: int, grid_step: float = DEFAULT_GRID_STEP
-) -> PrivacyProfile:
-    """Privacy profile of T DP-SGD steps with WOR subsampling, ratio q.
+) -> DiscretePLD:
+    """PLD of T DP-SGD steps with WOR subsampling, ratio q.
 
     One step releases the noised average of clipped gradients; normalizing
     by b/C gives per-entry contributions of norm <= 1, substitution
@@ -615,29 +542,37 @@ def account_dpsgd(
 
 def account_dpsgd_many(
     sigma: float, q: float, Ts: Sequence[int], grid_step: float = DEFAULT_GRID_STEP
-) -> Iterator[PrivacyProfile]:
+) -> Iterator[DiscretePLD]:
     """``account_dpsgd`` at every horizon in ``Ts``, from one squaring chain.
 
     The inputs are checked and the step PLD is discretized at the call; the
     returned iterator then composes one horizon per ``next``. The squares
-    are shared by all horizons, so each profile equals
+    are shared by all horizons, so each PLD equals
     ``account_dpsgd(sigma, q, T)`` bit for bit while the chain is computed
-    once, and a profile the caller drops is freed before the next is built.
+    once, and a PLD the caller drops is freed before the next is built.
     """
     if sigma <= 0:
         raise DomainError(f"sigma must be positive, got {sigma!r}")
     if any(T < 1 for T in Ts):
         raise DomainError(f"every T must be a positive integer, got {list(Ts)!r}")
-    spec = SubsampledSpec(base=GaussianPairSpec(mu=2.0 / sigma), q=q)
-    step_profile = subsampled_dp_profile(spec)
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise DomainError(f"grid step must be finite and positive, got {grid_step!r}")
+    mu = 2.0 / sigma
+    step_profile = PrivacyProfile(lambda eps: subsampled_profile(mu, q, np.exp(eps)))
 
     # Smallest grid half-width in the doubling sequence 1, 2, 4, ..., m_cap
     # (multiples of the step) whose right tail is below the per-step
-    # truncation tolerance, from one array query.
-    m_cap = int(math.ceil(EPS_MAX / grid_step))
+    # truncation tolerance, from one array query. A grid of more than
+    # MAX_LEN points is refused whatever its tail, so m_cap stops there.
+    m_cap = math.ceil(min(EPS_MAX / grid_step, MAX_LEN))
     widths = [1 << j for j in range((m_cap - 1).bit_length())] + [m_cap]
-    tails = step_profile.delta_array(np.array(widths) * grid_step)
+    tails = step_profile.delta(np.array(widths) * grid_step)
     m = next((w for w, tail in zip(widths, tails) if tail < TAIL_TOL), m_cap)
+    if 2 * m + 1 > MAX_LEN:
+        raise ResourceError(
+            f"grid step {grid_step!r} needs a step PLD of more than {MAX_LEN} "
+            "points; use a coarser loss grid"
+        )
     if m == m_cap and tails[-1] >= TAIL_TOL:
         logger.warning(
             "profile tail still %.2e at eps=%.1f; folding into infinity mass",
@@ -645,23 +580,9 @@ def account_dpsgd_many(
             m * grid_step,
         )
     grid = np.arange(-m, m + 1, dtype=float) * grid_step
-    return _horizon_profiles(connect_the_dots(step_profile, grid), Ts)
-
-
-def _horizon_profiles(pld: DiscretePLD, Ts: Sequence[int]) -> Iterator[PrivacyProfile]:
+    pld = connect_the_dots(step_profile, grid)
     powers: list[DiscretePLD] = []
-    for T in Ts:
-        yield _pld_profile(compose_pld(pld, T, powers=powers))
-
-
-def _pld_profile(pld: DiscretePLD) -> PrivacyProfile:
-    def evaluator(eps):
-        eps = np.asarray(eps, dtype=float)
-        if eps.ndim == 0:
-            return pld_delta(pld, float(eps))
-        return np.array([pld_delta(pld, e) for e in eps.ravel()]).reshape(eps.shape)
-
-    return PrivacyProfile(evaluator=evaluator, pld=pld)
+    return (compose_pld(pld, T, powers=powers) for T in Ts)
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +621,9 @@ def rdp_to_dp(alpha: float, eps_rdp: float, eps: float) -> float:
     exp((alpha-1)(eps_rdp - eps))/alpha * (1 - 1/alpha)^(alpha-1),
     clamped to [0, 1].
     """
+    if not all(map(math.isfinite, (alpha, eps_rdp, eps))):
+        raise DomainError(
+            f"alpha, eps_rdp and eps must be finite, got {alpha!r}, {eps_rdp!r}, {eps!r}")
     if alpha <= 1:
         raise DomainError(f"alpha must exceed 1, got {alpha!r}")
     log_val = (
@@ -712,7 +636,7 @@ def rdp_to_dp(alpha: float, eps_rdp: float, eps: float) -> float:
     return math.exp(log_val)
 
 
-def find_epsilon(profile: PrivacyProfile, delta_target: float) -> float:
+def find_epsilon(profile: PrivacyProfile | DiscretePLD, delta_target: float) -> float:
     """Smallest eps with delta(eps) <= delta_target, by bisection.
 
     Returns 0 when the target is already met at eps = 0, and inf when it is

@@ -260,9 +260,9 @@ def epsilon_from_inputs(
             eps = [math.inf] * len(Ts)
         else:
             eps = []
-            for profile in acc.account_dpsgd_many(inputs["sigma"], inputs["q"], Ts):
-                eps.append(acc.find_epsilon(profile, inputs["delta"]))
-                del profile  # freed before the next horizon is composed
+            for pld in acc.account_dpsgd_many(inputs["sigma"], inputs["q"], Ts):
+                eps.append(acc.find_epsilon(pld, inputs["delta"]))
+                del pld  # freed before the next horizon is composed
     elif method == "noisycgd":
         Es = [inputs["E"]] if epochs is None else range(1, epochs + 1)
         eps = [_noisycgd_epsilon(inputs, E) for E in Es]
@@ -448,10 +448,8 @@ def execute_sweep(path: str, overrides) -> dict:
 
 
 def _account_dpsgd_cmd(args) -> dict:
-    profile = acc.account_dpsgd(args.sigma, args.q, args.T,
-                                grid_step=args.grid_step)
-    eps = acc.find_epsilon(profile, args.delta)
-    pld = profile.pld
+    pld = acc.account_dpsgd(args.sigma, args.q, args.T, grid_step=args.grid_step)
+    eps = acc.find_epsilon(pld, args.delta)
     out = {
         "method": "dpsgd",
         "sigma": args.sigma,
@@ -469,7 +467,7 @@ def _account_dpsgd_cmd(args) -> dict:
         },
     }
     if args.eps:
-        out["delta_at_eps"] = {repr(e): profile.delta(e) for e in args.eps}
+        out["delta_at_eps"] = {repr(e): pld.delta(e) for e in args.eps}
     return out
 
 
@@ -498,9 +496,7 @@ def _account_convert_rdp_cmd(args) -> dict:
 
 
 def _inspect_pld_cmd(args) -> dict:
-    profile = acc.account_dpsgd(args.sigma, args.q, args.T,
-                                grid_step=args.grid_step)
-    pld = profile.pld
+    pld = acc.account_dpsgd(args.sigma, args.q, args.T, grid_step=args.grid_step)
     losses = pld.losses
     mean = float(losses @ pld.masses)
     return {
@@ -518,6 +514,14 @@ def _inspect_pld_cmd(args) -> dict:
 # ---------------------------------------------------------------------------
 # argparse wiring
 # ---------------------------------------------------------------------------
+
+
+def finite_float(text: str) -> float:
+    """argparse type of the accounting options: a float that is not nan or ±inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -544,28 +548,28 @@ def build_parser() -> argparse.ArgumentParser:
     dpsgd_p = acc_sub.add_parser("dpsgd")
     pld_p = sub.add_parser("inspect-pld", help="metadata of a composed PLD")
     for p in (dpsgd_p, pld_p):
-        p.add_argument("--sigma", type=float, required=True)
-        p.add_argument("--q", type=float, required=True)
+        p.add_argument("--sigma", type=finite_float, required=True)
+        p.add_argument("--q", type=finite_float, required=True)
         p.add_argument("--T", type=int, required=True)
-        p.add_argument("--grid-step", type=float, default=acc.DEFAULT_GRID_STEP)
-    dpsgd_p.add_argument("--delta", type=float, default=1e-5)
-    dpsgd_p.add_argument("--eps", type=float, nargs="*")
+        p.add_argument("--grid-step", type=finite_float, default=acc.DEFAULT_GRID_STEP)
+    dpsgd_p.add_argument("--delta", type=finite_float, default=1e-5)
+    dpsgd_p.add_argument("--eps", type=finite_float, nargs="*")
 
     cgd_p = acc_sub.add_parser("noisycgd")
-    cgd_p.add_argument("--L", type=float, required=True)
+    cgd_p.add_argument("--L", type=finite_float, required=True)
     cgd_p.add_argument("--b", type=int, required=True)
-    cgd_p.add_argument("--sigma", type=float, required=True)
-    cgd_p.add_argument("--eta", type=float, required=True)
-    cgd_p.add_argument("--lam", type=float, required=True)
-    cgd_p.add_argument("--beta", type=float, required=True)
+    cgd_p.add_argument("--sigma", type=finite_float, required=True)
+    cgd_p.add_argument("--eta", type=finite_float, required=True)
+    cgd_p.add_argument("--lam", type=finite_float, required=True)
+    cgd_p.add_argument("--beta", type=finite_float, required=True)
     cgd_p.add_argument("--k", type=int, required=True)
     cgd_p.add_argument("--E", type=int, required=True)
-    cgd_p.add_argument("--delta", type=float, default=1e-5)
+    cgd_p.add_argument("--delta", type=finite_float, default=1e-5)
 
     rdp_p = acc_sub.add_parser("convert-rdp")
-    rdp_p.add_argument("--alpha", type=float, required=True)
-    rdp_p.add_argument("--eps-rdp", type=float, required=True)
-    rdp_p.add_argument("--eps", type=float, nargs="*")
+    rdp_p.add_argument("--alpha", type=finite_float, required=True)
+    rdp_p.add_argument("--eps-rdp", type=finite_float, required=True)
+    rdp_p.add_argument("--eps", type=finite_float, nargs="*")
 
     return parser
 

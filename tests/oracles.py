@@ -7,7 +7,9 @@ the MLP baseline. The package computes the same quantities batched (or
 not at all); these loop over single rows so that the tests can check it.
 The private optimizers' loops are kept here as they were before their noise
 moved to a worker thread: one ``standard_normal(dim)`` draw per step, on
-the calling thread.
+the calling thread. The accountant's two Gaussian hockey-stick
+implementations are kept as they were before ``gaussian_delta`` replaced
+both.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from convexdp.accountant import log_ndtr, ndtr
 from convexdp.baseline_relu import MLP
 from convexdp.convex_dual import DualModel
 from convexdp.errors import DomainError, NumericError
@@ -373,3 +376,35 @@ def sequential_dpgd(objective, X, y, L, project, T, sigma_gd, eta, seed=0):
         _check_finite(params, "DP-GD step")
         accum += params
     return accum / T
+
+
+# ---------------------------------------------------------------------------
+# Gaussian hockey stick, the two former implementations
+# ---------------------------------------------------------------------------
+
+
+def hockey_stick_gaussian(alpha, mu: float):
+    """H_alpha(N(mu,1) || N(0,1)) on an array of alpha >= 0, as the subsampled
+    profile computed it: 1 at alpha = 0, else with t* = log(alpha)/mu + mu/2."""
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    out = np.ones_like(alpha)
+    pos = alpha > 0
+    log_alpha = np.log(alpha[pos])
+    tstar = log_alpha / mu + mu / 2.0
+    out[pos] = ndtr(mu - tstar) - np.exp(log_alpha + log_ndtr(-tstar))
+    return np.clip(out, 0.0, 1.0)
+
+
+@dataclasses.dataclass(frozen=True)
+class gaussian_profile:
+    """The mu-GDP curve as the NoisyCGD route evaluated it, one eps at a time:
+    Phi(-eps/mu + mu/2) - exp(eps + log Phi(-eps/mu - mu/2)) on a 0-d array."""
+
+    mu: float
+
+    def delta(self, eps) -> float:
+        eps = np.asarray(float(eps))
+        a = -eps / self.mu + self.mu / 2.0
+        b = -eps / self.mu - self.mu / 2.0
+        out = np.clip(ndtr(a) - np.exp(eps + log_ndtr(b)), 0.0, 1.0)
+        return float(np.clip(out, 0.0, 1.0))

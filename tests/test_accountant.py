@@ -25,7 +25,9 @@ from scipy.optimize import brentq
 from scipy.signal import fftconvolve as scipy_fftconvolve
 
 from convexdp import accountant as acc
-from convexdp.errors import DomainError, NumericError
+from convexdp.errors import DomainError, NumericError, ResourceError
+
+import oracles
 
 
 def phi(x: float) -> float:
@@ -196,37 +198,52 @@ def test_gaussian_profile_monotone_and_bounded(mu, eps1, eps2):
 
 def test_hockey_stick_gaussian_known_value():
     # [TRIVIAL] alpha = 1 gives total variation = 2*Phi(mu/2) - 1.
-    assert acc.hockey_stick_gaussian(1.0, 1.0) == pytest.approx(
+    assert acc.gaussian_delta(1.0, np.log([1.0]))[0] == pytest.approx(
         2.0 * phi(0.5) - 1.0, abs=1e-12
     )
 
 
 def test_hockey_stick_gaussian_vs_quadrature():
+    alphas = np.array([0.0, 0.3, 1.0, 2.0, 7.0])
     for mu in (0.2, 1.0, 2.5):
-        for alpha in (0.0, 0.3, 1.0, 2.0, 7.0):
-            assert acc.hockey_stick_gaussian(alpha, mu) == pytest.approx(
-                hockey_stick_quadrature(alpha, mu), abs=1e-8
-            )
+        with np.errstate(divide="ignore"):
+            got = acc.gaussian_delta(mu, np.log(alphas))
+        for alpha, h in zip(alphas, got):
+            assert h == pytest.approx(hockey_stick_quadrature(alpha, mu), abs=1e-8)
+
+
+def test_gaussian_delta_is_the_two_implementations_it_replaced():
+    # One formula serves both routes. On arrays of log(alpha) it is the
+    # subsampled profile's former hockey stick bit for bit, alpha = 0 (eps =
+    # -inf), the mixtures' alpha <= 1 - q and alpha > e^30 included; through
+    # the scalar bisection it finds the former GDP curve's epsilons.
+    alphas = np.concatenate(([0.0], np.exp(np.linspace(-40.0, 40.0, 20001)), [1e-300]))
+    for mu in (0.01, 0.3, 1.0, 2.0 / 3.0, 4.0, 25.0):
+        with np.errstate(divide="ignore"):
+            got = acc.gaussian_delta(mu, np.log(alphas))
+        assert got.tobytes() == oracles.hockey_stick_gaussian(alphas, mu).tobytes(), mu
+    rng = np.random.default_rng(5)
+    for mu, log10_delta in zip(10 ** rng.uniform(-2, 1, 300), rng.uniform(-12, -1, 300)):
+        want = acc.find_epsilon(oracles.gaussian_profile(mu), 10**log10_delta)
+        assert acc.find_epsilon(acc.gaussian_profile(mu), 10**log10_delta) == want
 
 
 def test_subsampled_profile_vs_quadrature():
     # [DERIVED] the closed-form mixture factorization against the defining
     # integrals of both mixture directions.
     for mu, q in ((1.0, 0.1), (0.5, 0.02), (2.0, 0.5)):
-        spec = acc.SubsampledSpec(base=acc.GaussianPairSpec(mu=mu), q=q)
-        for alpha in (0.5, 0.9, 1.0, 1.3, 2.0, 5.0):
+        alphas = np.array([0.5, 0.9, 1.0, 1.3, 2.0, 5.0])
+        for alpha, h in zip(alphas, acc.subsampled_profile(mu, q, alphas)):
             up = hockey_stick_quadrature(alpha, mu, q_up=q)
             down = hockey_stick_quadrature(alpha, mu, q_down=q)
-            assert acc.subsampled_profile(spec, alpha) == pytest.approx(
-                max(up, down), abs=1e-8
-            )
+            assert h == pytest.approx(max(up, down), abs=1e-8)
 
 
 def test_subsampled_q1_degenerates_to_base():
-    spec = acc.SubsampledSpec(base=acc.GaussianPairSpec(mu=1.0), q=1.0)
     alphas = np.linspace(0.0, 6.0, 100)
-    got = acc.subsampled_profile(spec, alphas)
-    want = acc.hockey_stick_gaussian(alphas, 1.0)
+    got = acc.subsampled_profile(1.0, 1.0, alphas)
+    with np.errstate(divide="ignore"):
+        want = acc.gaussian_delta(1.0, np.log(alphas))
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
@@ -237,14 +254,14 @@ def test_subsampled_q1_degenerates_to_base():
     a2=st.floats(0.0, 10.0),
 )
 def test_subsampled_profile_valid_divergence(mu, q, a1, a2):
-    spec = acc.SubsampledSpec(base=acc.GaussianPairSpec(mu=mu), q=q)
     lo, hi = sorted((a1, a2))
-    h_lo, h_hi = (float(acc.subsampled_profile(spec, a)) for a in (lo, hi))
+    h_lo, h_hi = acc.subsampled_profile(mu, q, np.array([lo, hi]))
     # non-increasing in alpha, bounded by [0, 1], and at most the base
     # divergence (subsampling only shrinks distinguishability)
     assert 0.0 <= h_hi <= h_lo + 1e-12
     assert h_lo <= 1.0 + 1e-12
-    assert h_lo <= float(acc.hockey_stick_gaussian(lo, mu)) + 1e-12
+    with np.errstate(divide="ignore"):
+        assert h_lo <= acc.gaussian_delta(mu, np.log([lo]))[0] + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +299,7 @@ def test_ctd_dominates_off_grid():
     rng = np.random.default_rng(0)
     eps = rng.uniform(-3.9, 3.9, size=1000)
     hat = np.array([acc.pld_delta(pld, e) for e in eps])
-    true = profile.delta_array(eps)
+    true = profile.delta(eps)
     assert np.min(hat - true) >= -1e-10
 
 
@@ -380,7 +397,7 @@ def test_compose_infinity_mass_excess_bounded():
     # exact 1 - (1 - m_inf)^T by at most (T - 1) * TRIM_TOL, plus the
     # rounding of a + b - ab at each multiply. The support cap, which also
     # feeds the atom, does not bind for these horizons.
-    step = acc.account_dpsgd(2.0, 1 / 60, 1).pld
+    step = acc.account_dpsgd(2.0, 1 / 60, 1)
     gauss = make_gaussian_pld(mu=0.5, width=1.0)
     for pld, T in [(step, T) for T in (2, 7, 60, 1200)] + [(gauss, 7), (gauss, 60)]:
         powers = []
@@ -394,12 +411,12 @@ def test_compose_infinity_mass_excess_bounded():
 def test_composed_support_tracks_mass():
     # Without the tail trim, FFT round-off grew every composed PLD to the
     # whole +-64 support cap: 128 000 points on this grid.
-    assert len(acc.account_dpsgd(2.0, 1 / 60, 1200).pld.masses) < 32768
+    assert len(acc.account_dpsgd(2.0, 1 / 60, 1200).masses) < 32768
 
 
 def test_pld_delta_matches_masked_sum():
     # Reference: the boolean-mask form of m_inf + sum_{l > eps} (1 - e^{eps-l}) p.
-    pld = acc.account_dpsgd(2.0, 0.05, 50).pld
+    pld = acc.account_dpsgd(2.0, 0.05, 50)
     losses = pld.loss_grid_origin + pld.loss_grid_step * np.arange(len(pld.masses))
     probes = np.concatenate([
         np.linspace(losses[0] - 1.0, losses[-1] + 1.0, 97), losses[::501], losses[-1:]
@@ -418,10 +435,10 @@ def test_pld_delta_matches_masked_sum():
 
 
 def test_account_dpsgd_q1_single_step_is_gaussian():
-    profile = acc.account_dpsgd(2.0, 1.0, 1)
+    pld = acc.account_dpsgd(2.0, 1.0, 1)
     for eps in (0.1, 0.5, 1.0, 2.0):
         exact = acc.gaussian_delta(1.0, eps)  # mu = 2/sigma = 1
-        got = profile.delta(eps)
+        got = pld.delta(eps)
         assert got == pytest.approx(exact, abs=1e-6)
         assert got >= exact - 1e-10  # domination up to grid roundoff
 
@@ -467,10 +484,10 @@ def test_find_epsilon_meets_target_gaussian(mu, log10_delta):
 )
 @settings(max_examples=15, deadline=None)
 def test_find_epsilon_meets_target_dpsgd(sigma, q, T, log10_delta):
-    profile = acc.account_dpsgd(sigma, q, T)
+    pld = acc.account_dpsgd(sigma, q, T)
     delta = 10.0**log10_delta
-    eps = acc.find_epsilon(profile, delta)
-    assert math.isinf(eps) or profile.delta(eps) <= delta
+    eps = acc.find_epsilon(pld, delta)
+    assert math.isinf(eps) or pld.delta(eps) <= delta
 
 
 def test_find_epsilon_edge_cases():
@@ -527,6 +544,13 @@ def test_noisycgd_spec_validation():
 def test_rdp_to_dp_known_value():
     # [TRIVIAL] alpha=2, eps_rdp=eps=1: exp(0)/2 * (1/2)^1 = 0.25.
     assert acc.rdp_to_dp(2.0, 1.0, 1.0) == pytest.approx(0.25, abs=1e-15)
+
+
+@pytest.mark.parametrize("args", [(math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
+                                  (2.0, math.nan, 1.0), (2.0, 1.0, -math.inf)])
+def test_rdp_to_dp_refuses_non_finite(args):
+    with pytest.raises(DomainError):
+        acc.rdp_to_dp(*args)
 
 
 @given(
@@ -587,48 +611,62 @@ def test_composed_plds_own_compact_masses():
     def assert_compact(pld):
         assert pld.masses.base is None and pld.masses.flags.owndata
 
-    profiles = list(acc.account_dpsgd_many(2.0, 0.05, [1, 2, 3, 8, 21]))
-    for profile in profiles:
-        assert_compact(profile.pld)
+    for pld in list(acc.account_dpsgd_many(2.0, 0.05, [1, 2, 3, 8, 21])):
+        assert_compact(pld)
     # all mass at infinite loss: the branch that skips renormalization
     assert_compact(acc.compose_pld(acc.DiscretePLD(0.0, 0.5, np.zeros(3), 1.0), 3))
 
 
 def test_account_dpsgd_many_yields_each_horizon_bitwise():
     Ts = [1, 3, 8, 20, 64, 100]
-    for T, profile in zip(Ts, acc.account_dpsgd_many(2.0, 0.05, Ts)):
-        alone = acc.account_dpsgd(2.0, 0.05, T).pld
-        pld = profile.pld
+    for T, pld in zip(Ts, acc.account_dpsgd_many(2.0, 0.05, Ts)):
+        alone = acc.account_dpsgd(2.0, 0.05, T)
         assert np.array_equal(pld.masses, alone.masses)
         assert (pld.loss_grid_origin, pld.loss_grid_step, pld.infinity_mass) == (
             alone.loss_grid_origin, alone.loss_grid_step, alone.infinity_mass)
 
 
 def test_account_dpsgd_many_is_lazy():
-    # Inputs are checked at the call; after that a profile the caller drops
-    # is freed before the next horizon is composed.
+    # Inputs are checked at the call; after that a PLD the caller drops is
+    # freed before the next horizon is composed.
     with pytest.raises(DomainError):
         acc.account_dpsgd_many(-1.0, 0.05, [3])
     with pytest.raises(DomainError):
         acc.account_dpsgd_many(2.0, 0.05, [3, 0])
     horizons = acc.account_dpsgd_many(2.0, 0.05, [3, 5])
-    profile = next(horizons)
-    refs = weakref.ref(profile), weakref.ref(profile.pld)
-    del profile
+    pld = next(horizons)
+    ref = weakref.ref(pld)
+    del pld
     gc.collect()
-    assert [ref() for ref in refs] == [None, None]
-    assert next(horizons).pld is not None
+    assert ref() is None
+    assert isinstance(next(horizons), acc.DiscretePLD)
+
+
+@pytest.mark.parametrize("grid_step", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+def test_account_dpsgd_refuses_bad_grid_step(grid_step):
+    with pytest.raises(DomainError, match="grid step"):
+        acc.account_dpsgd_many(2.0, 0.05, [3], grid_step=grid_step)
+
+
+@pytest.mark.parametrize("grid_step", [1e-7, 1e-320])
+def test_account_dpsgd_refuses_grid_past_max_len(grid_step, monkeypatch):
+    # Refused from the 30-point tail query, before any grid-sized array:
+    # the discretization is never reached.
+    monkeypatch.setattr(acc, "connect_the_dots", None)
+    with pytest.raises(ResourceError, match="coarser loss grid"):
+        acc.account_dpsgd_many(2.0, 1 / 60, [1200], grid_step=grid_step)
 
 
 def doubling_tail_width(sigma, q, grid_step):
     # The loop account_dpsgd_many ran before its single array query: one
     # scalar delta per doubling of the grid half-width.
-    spec = acc.SubsampledSpec(base=acc.GaussianPairSpec(mu=2.0 / sigma), q=q)
-    profile = acc.subsampled_dp_profile(spec)
+    def delta(eps):
+        return acc.subsampled_profile(2.0 / sigma, q, np.exp([eps]))[0]
+
     m, m_cap = 1, int(math.ceil(acc.EPS_MAX / grid_step))
-    while profile.delta(m * grid_step) >= acc.TAIL_TOL and m < m_cap:
+    while delta(m * grid_step) >= acc.TAIL_TOL and m < m_cap:
         m = min(2 * m, m_cap)
-    return m, profile.delta(m * grid_step) >= acc.TAIL_TOL
+    return m, delta(m * grid_step) >= acc.TAIL_TOL
 
 
 @pytest.mark.parametrize("grid_step", [1e-3, 0.02, 0.3])
@@ -640,7 +678,7 @@ def test_tail_width_is_the_doubling_loops(grid_step, caplog):
         for q in (1e-3, 1 / 60, 0.2, 1.0):
             m, warned = doubling_tail_width(sigma, q, grid_step)
             caplog.clear()
-            pld = acc.account_dpsgd(sigma, q, 1, grid_step=grid_step).pld
+            pld = acc.account_dpsgd(sigma, q, 1, grid_step=grid_step)
             assert len(pld.masses) == 2 * m + 1, (sigma, q)
             assert pld.loss_grid_origin == -m * grid_step
             assert warned == ("profile tail still" in caplog.text), (sigma, q)

@@ -343,6 +343,49 @@ def test_inspect_pld(tmp_path, monkeypatch, capsys):
     assert report["mean_loss"] > 0
 
 
+DPSGD_QUERIES = (["account", "dpsgd"], ["inspect-pld"])
+DPSGD_ARGS = ["--sigma", "2", "--q", "0.016666666666666666", "--T", "1200"]
+
+
+@pytest.mark.parametrize("command", DPSGD_QUERIES)
+@pytest.mark.parametrize("step", ["0", "-0.001"])
+def test_grid_step_must_be_positive(step, command, tmp_path, monkeypatch, capsys):
+    code, _, err = run_cli(command + DPSGD_ARGS + ["--grid-step", step],
+                           monkeypatch, tmp_path, capsys)
+    assert code == 2 and "grid step must be finite and positive" in err
+
+
+@pytest.mark.parametrize("command", DPSGD_QUERIES)
+def test_grid_step_must_be_finite(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + DPSGD_ARGS + ["--grid-step", "nan"])
+    assert exc.value.code == 2 and "must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", DPSGD_QUERIES)
+def test_grid_step_past_max_len_is_refused(command, tmp_path, monkeypatch, capsys):
+    # The tail is not below TAIL_TOL within 2^23 steps of 1e-7, so the step
+    # PLD would have more than MAX_LEN points: refused before any grid exists.
+    code, _, err = run_cli(command + DPSGD_ARGS + ["--grid-step", "1e-7"],
+                           monkeypatch, tmp_path, capsys)
+    assert code == 3 and f"more than {acc.MAX_LEN} points" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["account", "convert-rdp", "--alpha", "2", "--eps-rdp", "nan"],
+    ["account", "convert-rdp", "--alpha", "nan", "--eps-rdp", "1"],
+    ["account", "convert-rdp", "--alpha", "inf", "--eps-rdp", "1"],
+    ["account", "convert-rdp", "--alpha", "2", "--eps-rdp", "1", "--eps=-inf"],
+    ["account", "dpsgd", *DPSGD_ARGS, "--eps", "nan"],
+])
+def test_accounting_options_must_be_finite(args, capsys):
+    # Before, these exited 0 and printed NaN (not JSON), a delta keyed by
+    # "nan", or a delta of 1 at eps = -inf.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2 and "must be a finite number" in capsys.readouterr().err
+
+
 def test_sweep_grid(tmp_path, monkeypatch, capsys):
     cfg = dict(BASE_CONFIG)
     cfg["grids"] = {"sigma": [2.0, 4.0]}
