@@ -130,6 +130,9 @@ class NoisyCGDSpec:
     E: int
 
     def __post_init__(self):
+        for name in ("L", "sigma", "eta", "lambda_sc", "beta_sm"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.L <= 0:
             raise DomainError("gradient sensitivity L must be positive")
         if self.b < 1 or self.k < 1 or self.E < 1:
@@ -244,7 +247,7 @@ def gaussian_delta(mu: float, eps):
 
 
 def gaussian_profile(mu: float) -> PrivacyProfile:
-    """Privacy profile of a mu-GDP mechanism; ``delta`` checks mu."""
+    """Privacy profile of a mu-GDP mechanism; ``delta`` checks mu (its ``args[0]``)."""
     return PrivacyProfile(functools.partial(gaussian_delta, mu))
 
 

@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -36,12 +36,13 @@ METHODS = {
     "dpgd": ("dual", "dpgd_run", "dpsgd"),
 }
 # The config fields only some models, loops or accountant queries read; every
-# other field applies to every method. DP-GD's batch is the training set.
+# other field applies to every method. DP-GD's batch is the training set, and
+# its loop adds no ridge gradient.
 FIELDS_READ_BY = {
     "dual": {"P"},
     "relu": {"hidden_m"},
-    "dpsgd_run": {"b", "account_every_epoch"},
-    "noisycgd_run": {"b", "account_every_epoch"},
+    "dpsgd_run": {"b", "account_every_epoch", "lam"},
+    "noisycgd_run": {"b", "account_every_epoch", "lam"},
     "dpgd_run": {"dpgd_constraint"},
     "dpsgd": set(),
     "noisycgd": {"beta"},
@@ -83,15 +84,6 @@ class RunConfig:
             raise ConfigError(f"method: unknown method {self.method!r}; "
                               f"expected one of {tuple(METHODS)}")
         model, loop, accountant = METHODS[self.method]
-        # A field left at its default is silent, so --emit-config output loads.
-        defaults = {f.name: f.default if f.default_factory is dataclasses.MISSING
-                    else f.default_factory() for f in dataclasses.fields(self)}
-        unread = set().union(*FIELDS_READ_BY.values()).difference(
-            FIELDS_READ_BY[model], FIELDS_READ_BY[loop], FIELDS_READ_BY[accountant])
-        unread = sorted(f for f in unread if getattr(self, f) != defaults[f])
-        if unread:
-            raise ConfigError(f"{', '.join(unread)}: not read by method "
-                              f"{self.method!r}; remove from the config")
         for field, positive in (("epochs", self.epochs), ("C", self.C),
                                 ("b", self.b), ("eta", self.eta), ("P", self.P),
                                 ("hidden_m", self.hidden_m)):
@@ -111,6 +103,17 @@ class RunConfig:
             self.lam = 2e-4 / self.eta if accountant == "noisycgd" else 0.0
         if accountant == "noisycgd" and self.lam <= 0:
             raise ConfigError("lam: NoisyCGD accounting requires lambda > 0")
+        # A field left at its default is silent, so --emit-config output loads;
+        # it prints an unset lam as 0.0, what lam resolves to where it is unread.
+        defaults = {f.name: f.default if f.default_factory is dataclasses.MISSING
+                    else f.default_factory() for f in dataclasses.fields(self)}
+        defaults["lam"] = 0.0
+        unread = set().union(*FIELDS_READ_BY.values()).difference(
+            FIELDS_READ_BY[model], FIELDS_READ_BY[loop], FIELDS_READ_BY[accountant])
+        unread = sorted(f for f in unread if getattr(self, f) != defaults[f])
+        if unread:
+            raise ConfigError(f"{', '.join(unread)}: not read by method "
+                              f"{self.method!r}; remove from the config")
 
     def resolved(self) -> dict:
         return dataclasses.asdict(self)
@@ -236,56 +239,41 @@ def accountant_inputs_for_run(cfg: RunConfig, X: np.ndarray) -> dict:
     }
 
 
-def epsilon_from_inputs(
-    inputs: dict, epochs: Optional[int] = None
-) -> float | list[float]:
-    """Epsilon of the accountant query ``inputs`` at its ``delta``.
-
-    With ``epochs``, ``inputs`` is read as a run of that many equal epochs,
-    and the list of epsilons after epochs 1..epochs is returned. Entry ``e``
-    equals ``epsilon_from_inputs`` of the inputs cut at epoch ``e``; the
-    DP-SGD horizons share one composition chain, and one horizon's PLD at a
-    time is alive.
-    """
+def _privacy_curves(inputs: dict, epochs: Optional[int] = None) -> Iterable:
+    """The delta(eps) curves of the noisy accountant query ``inputs``: one at
+    its horizon, ``T`` or ``E``, or with ``epochs`` one after each of that many
+    equal parts of it. A bound that does not apply raises at the call; DP-SGD's
+    PLDs are discretized and composed only as they are taken, one at a time."""
     method = inputs["method"]
-    if method == "dpsgd":
-        if epochs is None:
-            Ts = [inputs["T"]]
-        else:
-            steps, rest = divmod(inputs["T"], epochs)
-            if rest:
-                raise ConfigError(f"T={inputs['T']} is not {epochs} equal epochs")
-            Ts = [e * steps for e in range(1, epochs + 1)]
-        if inputs["sigma"] == 0:
-            eps = [math.inf] * len(Ts)
-        else:
-            eps = []
-            for pld in acc.account_dpsgd_many(inputs["sigma"], inputs["q"], Ts):
-                eps.append(acc.find_epsilon(pld, inputs["delta"]))
-                del pld  # freed before the next horizon is composed
-    elif method == "noisycgd":
-        Es = [inputs["E"]] if epochs is None else range(1, epochs + 1)
-        eps = [_noisycgd_epsilon(inputs, E) for E in Es]
-    else:
+    horizon = {"dpsgd": "T", "noisycgd": "E"}.get(method)
+    if horizon is None:
         raise ConfigError(f"unknown accountant method {method!r}")
-    return eps[0] if epochs is None else eps
-
-
-def _noisycgd_spec(inputs: dict, E: int) -> acc.NoisyCGDSpec:
-    """The GDP bound's inputs after E epochs; raises DomainError if it does not apply."""
-    return acc.NoisyCGDSpec(
+    part, rest = divmod(inputs[horizon], epochs or 1)
+    if rest:
+        raise ConfigError(f"{horizon}={inputs[horizon]} is not {epochs} equal epochs")
+    horizons = [e * part for e in range(1, (epochs or 1) + 1)]
+    if method == "dpsgd":
+        # map defers the call to the first next; chain keeps no PLD it passed on.
+        return itertools.chain.from_iterable(map(
+            acc.account_dpsgd_many, [inputs["sigma"]], [inputs["q"]], [horizons]))
+    return [acc.gaussian_profile(acc.noisycgd_mu(acc.NoisyCGDSpec(
         L=inputs["L"], b=inputs["b"], sigma=inputs["sigma"], eta=inputs["eta"],
         lambda_sc=inputs["lambda"], beta_sm=inputs["beta"], k=inputs["k"], E=E,
-    )
+    ))) for E in horizons]
 
 
-def _noisycgd_epsilon(inputs: dict, E: int) -> float:
+def epsilon_from_inputs(inputs: dict, epochs: Optional[int] = None) -> float | list[float]:
+    """Epsilon of the accountant query ``inputs`` at its ``delta``: inf without
+    noise, else the search over ``_privacy_curves``. With ``epochs``, the list
+    of epsilons after epochs 1..epochs, entry ``e`` that of the inputs cut at
+    epoch ``e``."""
     if inputs["sigma"] == 0:
-        return math.inf
-    return acc.find_epsilon(
-        acc.gaussian_profile(acc.noisycgd_mu(_noisycgd_spec(inputs, E))),
-        inputs["delta"],
-    )
+        eps = [math.inf] * (epochs or 1)
+    else:
+        # map, unlike a comprehension, frees each curve before the next is built.
+        eps = list(map(acc.find_epsilon, _privacy_curves(inputs, epochs),
+                       itertools.repeat(inputs["delta"])))
+    return eps[0] if epochs is None else eps
 
 
 def _eps_repr(eps: float) -> str:
@@ -309,7 +297,7 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
     if cfg.loss == "ce" and k < 2:
         raise ConfigError("cross-entropy needs >= 2 classes")
 
-    model, loop, accountant = METHODS[cfg.method]
+    model, loop, _ = METHODS[cfg.method]
     if model == "dual":
         module = convex_dual
         arrangement = convex_dual.sample_arrangement(d, cfg.P, cfg.seeds["gates"])
@@ -324,10 +312,14 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
     params0 = objective.init_params(cfg.seeds["init"])
 
     inputs = accountant_inputs_for_run(cfg, X_train)
-    if accountant == "noisycgd" and inputs["sigma"] > 0:
-        # Refuse a run whose GDP bound does not apply (eta * beta >= 2)
-        # before training it.
-        _noisycgd_spec(inputs, cfg.epochs)
+    # Only a noise-free run has epsilon "inf"; a noisy one past EPS_MAX prints
+    # "> EPS_MAX", in the report and in the CSV alike. A noisy run whose bound
+    # does not apply (say NoisyCGD's eta * beta >= 2) is refused before training.
+    if inputs["sigma"] == 0:
+        eps_text = lambda eps: "inf"
+    else:
+        eps_text = _eps_repr
+        _privacy_curves(inputs)
 
     eval_fn = lambda params: objective.accuracy(params, X_test, test.labels)
     labels = train.labels
@@ -372,9 +364,6 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
         epsilon = epsilon_from_inputs(inputs)
         trace.records[-1]["epsilon_at_delta"] = epsilon
 
-    # Only a noise-free run has epsilon "inf"; a noisy one past EPS_MAX prints
-    # "> EPS_MAX", in the report and in the CSV alike.
-    eps_text = (lambda eps: "inf") if inputs["sigma"] == 0 else _eps_repr
     report = {
         "config": cfg.resolved(),
         "accountant_inputs": inputs,
@@ -419,7 +408,6 @@ def execute_sweep(path: str, overrides) -> dict:
         )
         points.append((values, _run_config(point)))
     rows = []
-    best = None
     for values, cfg in points:
         report = execute_run(cfg)
         row = dict(zip(keys, values))
@@ -430,12 +418,10 @@ def execute_sweep(path: str, overrides) -> dict:
             epsilon=report["epsilon"],
         )
         rows.append(row)
-        if best is None or (row["test_accuracy"] or 0) > (best["test_accuracy"] or 0):
-            best = row
     out_dir = os.environ.get(OUTDIR_ENV, raw.get("out_dir", "runs"))
     os.makedirs(out_dir, exist_ok=True)
     table_path = os.path.join(out_dir, raw.get("name", "run") + "-sweep.json")
-    summary = {"grid_keys": keys, "rows": rows, "best": best}
+    summary = {"grid_keys": keys, "rows": rows}
     with open(table_path, "w") as fh:
         json.dump(summary, fh, indent=2)
     summary["table_path"] = table_path
@@ -478,9 +464,9 @@ def _account_noisycgd_cmd(args) -> dict:
         "lambda": args.lam, "beta": args.beta, "k": args.k, "E": args.E,
         "delta": args.delta,
     }
-    mu = acc.noisycgd_mu(_noisycgd_spec(inputs, args.E))
-    eps = acc.find_epsilon(acc.gaussian_profile(mu), args.delta)
-    return dict(inputs, mu_gdp=mu, epsilon=_eps_repr(eps))
+    [profile] = _privacy_curves(inputs)
+    eps = acc.find_epsilon(profile, args.delta)
+    return dict(inputs, mu_gdp=profile.delta.args[0], epsilon=_eps_repr(eps))
 
 
 def _account_convert_rdp_cmd(args) -> dict:

@@ -539,6 +539,11 @@ def test_noisycgd_spec_validation():
         _cgd_spec(lambda_sc=2.0)  # lambda > beta
     with pytest.raises(DomainError):
         _cgd_spec(sigma=0.0)
+    # nan passes every comparison above, and inf makes mu inf or 0.
+    for field in ("L", "sigma", "eta", "lambda_sc", "beta_sm"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(DomainError, match=field):
+                _cgd_spec(**{field: value})
 
 
 def test_rdp_to_dp_known_value():

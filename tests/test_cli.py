@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -152,10 +153,33 @@ def test_per_epoch_epsilons_match_one_shot(method):
     assert float(report["epsilon"]) == cli.epsilon_from_inputs(inputs)
 
 
-def test_per_epoch_epsilons_need_equal_epochs():
-    inputs = {"method": "dpsgd", "sigma": 2.0, "q": 0.1, "T": 7, "delta": 1e-5}
-    with pytest.raises(ConfigError):
+@pytest.mark.parametrize("inputs", [
+    {"method": "dpsgd", "sigma": 2.0, "q": 0.1, "T": 7, "delta": 1e-5},
+    {"method": "noisycgd", "L": 1.0, "b": 10, "sigma": 2.0, "eta": 0.5,
+     "lambda": 1.0, "beta": 1.0, "k": 2, "E": 7, "delta": 1e-5},
+], ids=["dpsgd", "noisycgd"])
+def test_per_epoch_epsilons_need_equal_epochs(inputs):
+    # Both queries cut their horizon, T steps or E epochs, the same way.
+    with pytest.raises(ConfigError, match="equal epochs"):
         cli.epsilon_from_inputs(inputs, epochs=2)
+
+
+def test_per_epoch_epsilons_free_each_pld_before_the_next(monkeypatch):
+    # One horizon's PLD is alive at a time: each is dropped once its epsilon
+    # is found, before the next horizon is composed. T = 9 in 3 epochs
+    # composes 3, 6 and 9 steps, none a square that the chain keeps.
+    composed = []
+    compose = acc.compose_pld
+
+    def compose_after_drop(pld, T, powers=None):
+        assert all(ref() is None for ref in composed)
+        out = compose(pld, T, powers=powers)
+        composed.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(acc, "compose_pld", compose_after_drop)
+    inputs = {"method": "dpsgd", "sigma": 2.0, "q": 0.1, "T": 9, "delta": 1e-5}
+    assert len(cli.epsilon_from_inputs(inputs, epochs=3)) == len(composed) == 3
 
 
 def test_run_sigma_zero_reports_inf(tmp_path, monkeypatch, capsys):
@@ -214,6 +238,24 @@ def test_noisycgd_warns_when_eta_beta_reaches_two(monkeypatch):
     report = cli.execute_run(cli.RunConfig(**cfg, beta=1.0), write_outputs=False)
     assert report["accountant_inputs"]["beta"] == 1.0
     assert math.isfinite(float(report["epsilon"]))
+
+
+def test_dpsgd_run_builds_no_pld_before_training(monkeypatch):
+    # The early refusal goes through the same query path as the epsilon, but
+    # a DP-SGD step PLD is only discretized after training, for the epsilon.
+    discretized = []
+
+    class Trained(Exception):
+        pass
+
+    def training(*args, **kwargs):
+        raise Trained
+
+    monkeypatch.setattr(acc, "connect_the_dots", lambda *args: discretized.append(args))
+    monkeypatch.setattr(cli.optimizers, "dpsgd_run", training)
+    with pytest.raises(Trained):
+        cli.execute_run(cli.RunConfig(**method_config("dual-dpsgd")), write_outputs=False)
+    assert discretized == []
 
 
 def test_set_overrides_nested_and_typed(tmp_path, monkeypatch, capsys):
@@ -398,7 +440,9 @@ def test_sweep_grid(tmp_path, monkeypatch, capsys):
     assert [row["sigma"] for row in summary["rows"]] == [2.0, 4.0]
     # more noise, less privacy loss
     assert float(summary["rows"][1]["epsilon"]) < float(summary["rows"][0]["epsilon"])
-    assert summary["best"] in summary["rows"]
+    # No row is singled out: choosing one by its test accuracy looks at every
+    # candidate model, and no printed epsilon covers that choice.
+    assert "best" not in summary
 
 
 def test_sweep_nested_grid_key(tmp_path, monkeypatch, capsys):
@@ -448,7 +492,7 @@ UNREAD_FIELDS = [
     ("dpgd", "hidden_m", 50),
     ("dual-dpsgd", "dpgd_constraint", BALL), ("dual-noisycgd", "dpgd_constraint", BALL),
     ("relu-dpsgd", "dpgd_constraint", BALL),
-    ("dpgd", "b", 50),
+    ("dpgd", "b", 50), ("dpgd", "lam", 0.5),
 ]
 
 
