@@ -437,12 +437,17 @@ def next_fast_len(n: int) -> int:
 def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of two real 1-d arrays, bitwise equal to
     ``scipy.signal.fftconvolve`` (same steps and FFT sizes, on ``numpy.fft``,
-    whose pocketfft keeps less memory resident than ``scipy.fft``'s)."""
+    whose pocketfft keeps less memory resident than ``scipy.fft``'s). A
+    squaring (``b is a``) transforms its input once."""
     if len(a) == 1 or len(b) == 1:
         return a * b
     n = len(a) + len(b) - 1
     size = next_fast_len(n)
-    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
+    fa = np.fft.rfft(a, size)
+    # In place, in scipy's operand order: numpy's complex products are not
+    # bitwise commutative, and ``fa * rfft(b)`` may run as ``rfft(b) * fa``.
+    fa *= fa if b is a else np.fft.rfft(b, size)
+    return np.fft.irfft(fa, size)[:n]
 
 
 def _pld_multiply(a: DiscretePLD, b: DiscretePLD) -> DiscretePLD:

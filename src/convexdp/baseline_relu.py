@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from . import losses
-from .data import write_json
+from .data import read_array, write_json
 from .errors import DomainError
 from .losses import ROW_BLOCK
 
@@ -57,12 +57,13 @@ def init_mlp(d: int, k: int, m: int = 200, seed: int = 0) -> MLP:
 
 
 def save_checkpoint(net: MLP, path: str) -> None:
+    """U (m, d) and A (m, k) as ``data.write_json`` encodes arrays."""
     payload = {
         "m": net.m,
         "d": net.d,
         "k": net.k,
-        "U": net.U.ravel().tolist(),
-        "A": net.A.ravel().tolist(),
+        "U": net.U,
+        "A": net.A,
     }
     write_json(path, payload)
 
@@ -72,8 +73,8 @@ def load_checkpoint(path: str) -> MLP:
         payload = json.load(fh)
     m, d, k = payload["m"], payload["d"], payload["k"]
     return MLP(
-        U=np.asarray(payload["U"], dtype=float).reshape(m, d),
-        A=np.asarray(payload["A"], dtype=float).reshape(m, k),
+        U=read_array(payload, "U", (m, d)),
+        A=read_array(payload, "A", (m, k)),
     )
 
 

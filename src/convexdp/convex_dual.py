@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import losses
-from .data import write_json
+from .data import read_array, write_json
 from .errors import DomainError
 from .losses import ROW_BLOCK
 
@@ -96,7 +96,8 @@ def add_bias_column(X: np.ndarray) -> np.ndarray:
 
 
 def save_checkpoint(model: DualModel, path: str) -> None:
-    """JSON container with everything needed to reload without re-deriving."""
+    """JSON container with everything needed to reload without re-deriving;
+    U (P, d) and V (P, d, k) as ``data.write_json`` encodes arrays."""
     payload = {
         "d": model.arrangement.d,
         "P": model.arrangement.P,
@@ -104,8 +105,8 @@ def save_checkpoint(model: DualModel, path: str) -> None:
         "seed": model.arrangement.seed,
         "lambda": model.lam,
         "bias_flag": model.bias,
-        "U": model.arrangement.U.ravel().tolist(),
-        "V": model.V.ravel().tolist(),
+        "U": model.arrangement.U,
+        "V": model.V,
     }
     write_json(path, payload)
 
@@ -115,14 +116,14 @@ def load_checkpoint(path: str) -> DualModel:
         payload = json.load(fh)
     d, P, k = payload["d"], payload["P"], payload["k"]
     arr = Arrangement(
-        U=np.asarray(payload["U"], dtype=float).reshape(P, d),
+        U=read_array(payload, "U", (P, d)),
         P=P,
         d=d,
         seed=payload["seed"],
     )
     return DualModel(
         arrangement=arr,
-        V=np.asarray(payload["V"], dtype=float).reshape(P, d, k),
+        V=read_array(payload, "V", (P, d, k)),
         lam=payload["lambda"],
         bias=payload["bias_flag"],
     )

@@ -1,14 +1,16 @@
 """Dataset ingestion and synthesis: IDX images, CSV tables, synthetic
 Gaussian features, subset selection and train/test splits; and the JSON
-writer of the model checkpoints.
+writer and array decoder of the model checkpoints.
 
 Datasets are immutable after load; all randomness is seeded.
 """
 from __future__ import annotations
 
+import base64
 import csv as _csv
 import dataclasses
 import json
+import math
 import struct
 from typing import Optional, Sequence, Union
 
@@ -18,7 +20,9 @@ from .errors import ConfigError, DomainError, FormatError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
-JSON_LIST_SLICE = 512  # list items per C-encoder call in write_json
+# floats per base64 call in write_json: 8 * 1536 bytes is a multiple of 3,
+# so the slices' texts join into the whole array's text, with no padding
+ARRAY_SLICE = 3 * 512
 ROWS_SLICE = 256  # rows per gather in a biased split
 
 
@@ -221,24 +225,45 @@ def train_test_split(dataset: Dataset, n_test: int, seed: int, bias: bool = Fals
 
 
 def write_json(path: str, payload: dict) -> None:
-    """Write the bytes ``json.dump(payload, fh)`` writes, faster.
+    """Write ``payload`` as one JSON object; an ndarray value is a string.
 
-    ``json.dump`` always runs the pure-Python encoder. ``json.dumps`` runs
-    the C one, but on a whole checkpoint it holds the text of every float at
-    once (4 MB for 36 000 floats). Here the C encoder takes each list
-    ``JSON_LIST_SLICE`` items at a time, which is as fast and holds one
-    slice.
+    The string is the base64 text of the array's little-endian float64
+    bytes in C order (``read_array`` reverses it), so it round-trips bit for
+    bit. Other values are written as ``json.dump`` writes them. An array is
+    encoded ``ARRAY_SLICE`` floats at a time, so the writer holds one
+    slice's text, not the whole array's.
     """
     with open(path, "w") as fh:
         fh.write("{")
         for i, (key, value) in enumerate(payload.items()):
             fh.write(("" if i == 0 else ", ") + json.dumps(key) + ": ")
-            if not isinstance(value, list):
+            if not isinstance(value, np.ndarray):
                 fh.write(json.dumps(value))
                 continue
-            fh.write("[")
-            for s in range(0, len(value), JSON_LIST_SLICE):
-                fh.write(("" if s == 0 else ", ")
-                         + json.dumps(value[s : s + JSON_LIST_SLICE])[1:-1])
-            fh.write("]")
+            fh.write('"')
+            for s in range(0, value.size, ARRAY_SLICE):
+                chunk = value.flat[s : s + ARRAY_SLICE].astype("<f8", copy=False)
+                fh.write(base64.b64encode(chunk.tobytes()).decode("ascii"))
+            fh.write('"')
         fh.write("}")
+
+
+def read_array(payload: dict, key: str, shape: tuple) -> np.ndarray:
+    """The float64 array of ``shape`` that ``write_json`` wrote under ``key``.
+
+    The result is native-endian and writable. A value that is not base64
+    text of exactly ``8 * prod(shape)`` bytes raises DomainError; a list is
+    a checkpoint of an older version, which wrote decimal text.
+    """
+    text, size = payload[key], 8 * math.prod(shape)
+    if isinstance(text, list):
+        raise DomainError(f"checkpoint field {key!r} is a list of decimals: a "
+                          "checkpoint of an older convexdp; load it with that version")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"checkpoint field {key!r} is not base64 text: {exc}") from None
+    if len(raw) != size:
+        raise DomainError(f"checkpoint field {key!r} holds {len(raw)} bytes; "
+                          f"shape {tuple(shape)} needs {size}")
+    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)

@@ -9,8 +9,10 @@ RNG discipline: batch selection and noise come from independent streams
 spawned from the run seed, so removing noise never shifts batch sampling.
 The noise stream is one sequential generator, but its draws run one block
 ahead of the update on a worker thread, so they overlap the gradient (see
-``_noise_rows``). A block never spans an epoch end, so each epoch's digest
-sees exactly that epoch's draws, and the worker never calls BLAS: it only
+``_noise_rows``), also the next epoch's first block during an epoch's
+evaluation. A block never spans an epoch end, and the noise state is
+copied when an epoch's last block is handed over, so each epoch's digest
+sees exactly that epoch's draws. The worker never calls BLAS: it only
 fills preallocated buffers from the generator.
 """
 from __future__ import annotations
@@ -74,9 +76,9 @@ class TrainTrace:
         return "\n".join(lines) + "\n"
 
 
-def _digest(*rngs: np.random.Generator) -> str:
-    blob = json.dumps([r.bit_generator.state for r in rngs], sort_keys=True,
-                      default=str)
+def _digest(*states: dict) -> str:
+    """Short hash of generator states (``bit_generator.state`` dicts)."""
+    blob = json.dumps(list(states), sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -180,40 +182,46 @@ NOISE_BLOCK_BYTES = 256 * 1024
 
 
 @contextlib.contextmanager
-def _noise_rows(rng: np.random.Generator, dim: int, steps: int):
-    """Yield a function whose every call yields ``steps`` rows of N(0, I_dim)
-    noise from ``rng``, in the order sequential ``standard_normal(dim)``
-    draws would give them, with the same bits.
+def _noise_rows(rng: np.random.Generator, dim: int, steps: int, calls: int = 1):
+    """Yield ``(rows, states)``: every one of ``calls`` calls of ``rows()``
+    yields ``steps`` rows of N(0, I_dim) noise from ``rng``, in the order
+    sequential ``standard_normal(dim)`` draws would give them, with the same
+    bits; ``states[i]`` is ``rng.bit_generator.state`` once call i's rows
+    are drawn, and it appears when call i hands over its last block.
 
     Rows are drawn in blocks of at most NOISE_BLOCK_BYTES; while the caller
     consumes block j, a worker thread fills block j + 1 into the other of two
-    preallocated buffers. A block the worker has not started when it is due
-    is cancelled and drawn by the caller, so a worker thread that waits for
-    a core never stalls the loop. No block spans two calls, so ``rng`` is
-    idle and has drawn exactly the rows handed out once a call's rows are
-    exhausted. A row may be modified in place; it is valid until the next
-    row is taken. The worker exists only when a call draws more than one
-    block, and it is joined on every exit from the ``with`` block.
+    preallocated buffers, also across calls, so the next call's first block
+    is drawn while the caller works between calls. A block the worker has
+    not started when it is due is cancelled and drawn by the caller, so a
+    worker thread that waits for a core never stalls the loop. No block spans
+    two calls. A row may be modified in place; it is valid until the next row
+    is taken. The worker exists only when more than one block is drawn, and
+    it is joined on every exit from the ``with`` block.
     """
     rows = max(1, min(steps, NOISE_BLOCK_BYTES // (8 * dim)))
-    sizes = [rows] * (steps // rows) + [steps % rows] * (steps % rows > 0)
+    sizes = ([rows] * (steps // rows) + [steps % rows] * (steps % rows > 0)) * calls
+    per_call = len(sizes) // calls
     bufs = np.empty((min(2, len(sizes)), rows, dim))
     pool = ThreadPoolExecutor(1, "convexdp-noise") if len(sizes) > 1 else None
+    states = []
+    ahead = None
 
-    def segment():
-        ahead = None
-        for j, size in enumerate(sizes):
-            if ahead is None or ahead.cancel():
-                block = rng.standard_normal(out=bufs[j % 2, :size])
-            else:
-                block = ahead.result()
-            if j + 1 < len(sizes):
-                ahead = pool.submit(rng.standard_normal,
-                                    out=bufs[(j + 1) % 2, :sizes[j + 1]])
+    def draw(j):
+        return rng.standard_normal(out=bufs[j % 2, :sizes[j]])
+
+    def call_rows():
+        nonlocal ahead
+        first = len(states) * per_call
+        for j in range(first, first + per_call):
+            block = draw(j) if ahead is None or ahead.cancel() else ahead.result()
+            if j + 1 == first + per_call:
+                states.append(rng.bit_generator.state)
+            ahead = pool.submit(draw, j + 1) if j + 1 < len(sizes) else None
             yield from block
 
     try:
-        yield segment
+        yield call_rows, states
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
@@ -227,7 +235,7 @@ def _noisy_minibatch_loop(objective, params0, X, y, cfg: DPSGDConfig, eval_fn,
     ``next_batch(it)`` to C, averages them, adds N(0, C^2 sigma^2 / b^2 I)
     noise and the unclipped ridge gradient, and applies the learning-rate
     step; an epoch is floor(n/b) steps. ``rngs`` = (batch, noise) streams,
-    whose states each epoch's trace record digests.
+    whose states at the epoch's end each epoch's trace record digests.
     """
     y = np.asarray(y)
     params = np.array(params0, dtype=float, copy=True)
@@ -235,7 +243,8 @@ def _noisy_minibatch_loop(objective, params0, X, y, cfg: DPSGDConfig, eval_fn,
     noise_scale = cfg.C * cfg.sigma / cfg.b
     eta = float(cfg.eta)
     it = 0
-    with _noise_rows(rngs[1], len(params), len(X) // cfg.b) as epoch_noise:
+    with _noise_rows(rngs[1], len(params), len(X) // cfg.b, cfg.epochs) as (
+            epoch_noise, noise_states):
         for epoch in range(1, cfg.epochs + 1):
             for z in epoch_noise():
                 idx = next_batch(it)
@@ -253,7 +262,8 @@ def _noisy_minibatch_loop(objective, params0, X, y, cfg: DPSGDConfig, eval_fn,
                 train_loss=objective.data_loss(params, X, y)
                 + 0.5 * objective.lam * float(params @ params),
                 test_accuracy=None if eval_fn is None else eval_fn(params),
-                rng_state_digest=_digest(*rngs),
+                rng_state_digest=_digest(rngs[0].bit_generator.state,
+                                         noise_states[-1]),
             )
     return params, trace
 
@@ -327,7 +337,7 @@ def dpgd_run(
     noise_rng = np.random.default_rng(np.random.SeedSequence(seed))
     params = np.zeros(objective.dim)
     accum = np.zeros(objective.dim)
-    with _noise_rows(noise_rng, objective.dim, T) as noise:
+    with _noise_rows(noise_rng, objective.dim, T) as (noise, _):
         for z in noise():
             g = objective.clipped_grad_mean(params, X, np.asarray(y), L)
             z *= sigma_gd

@@ -357,7 +357,7 @@ def sequential_noisy_minibatch_loop(objective, params0, X, y, cfg, next_batch, r
             train_loss=objective.data_loss(params, X, y)
             + 0.5 * objective.lam * float(params @ params),
             test_accuracy=None,
-            rng_state_digest=_digest(*rngs),
+            rng_state_digest=_digest(*(r.bit_generator.state for r in rngs)),
         )
     return params, trace
 

@@ -600,6 +600,27 @@ def test_account_dpsgd_convolves_through_module_fftconvolve(monkeypatch):
     assert eps == acc.find_epsilon(acc.account_dpsgd(2.0, 0.05, 8), 1e-5)
 
 
+def test_squaring_transforms_its_input_once(monkeypatch):
+    # Every squaring in compose_pld's chain is fftconvolve(p, p): one
+    # forward FFT, reused for both factors; two distinct inputs take two.
+    calls = []
+    real = np.fft.rfft
+
+    def spy(x, n):
+        calls.append(len(x))
+        return real(x, n)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    x = np.random.default_rng(3).random(1000)
+    acc.fftconvolve(x, x)
+    assert len(calls) == 1
+    acc.fftconvolve(x, x.copy())
+    assert len(calls) == 3
+    calls.clear()
+    acc.account_dpsgd(2.0, 0.05, 8)  # pld^2, pld^4, pld^8: squarings only
+    assert len(calls) == 3
+
+
 def test_next_fast_len_equals_scipy():
     # The FFT sizes decide the convolution's rounding, so they must be
     # scipy's: every n up to 2^17, then a sample up to past MAX_LEN.

@@ -663,12 +663,30 @@ def test_relu_dpsgd_runs(tmp_path, monkeypatch, capsys):
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def readme_python_blocks():
+    """The README's library example and its checkpoint-reading snippet."""
+    library, checkpoint = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    return library, checkpoint
+
+
 def test_readme_library_example_runs():
-    (code,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     scope = {}
-    exec(code, scope)
+    exec(readme_python_blocks()[0], scope)
     assert math.isfinite(scope["eps"]) and scope["mu"] > 0
     assert len(scope["trace"].records) == 20
+
+
+def test_readme_checkpoint_snippet_reads_v(tmp_path, monkeypatch):
+    # The documented encoding, read with numpy alone, is the saved V.
+    model = cd.DualModel(cd.sample_arrangement(4, 3, 0),
+                         np.random.default_rng(1).standard_normal((3, 4, 2)))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs").mkdir()
+    cd.save_checkpoint(model, "runs/demo.model.json")
+    scope = {}
+    exec(readme_python_blocks()[1], scope)
+    assert scope["V"].tobytes() == model.V.tobytes()
+    assert scope["V"].shape == model.V.shape
 
 
 def test_readme_cli_examples_parse():

@@ -1,5 +1,7 @@
 """Dataset utilities: a hand-built IDX byte fixture, CSV parsing, synthetic
-target rules, stratified subsetting and splits, and the JSON writer."""
+target rules, stratified subsetting and splits, and the JSON writer and
+array decoder of the checkpoints."""
+import base64
 import io
 import json
 import struct
@@ -147,18 +149,66 @@ def test_one_hot():
 
 
 def test_write_json_matches_json_dump(tmp_path):
-    # Lists that are empty, shorter than a slice, exactly one slice and a
-    # ragged number of slices, beside scalars, strings and a nested dict.
-    n = data.JSON_LIST_SLICE
+    # Arrays that are empty, shorter than a slice, exactly one slice and a
+    # ragged number of slices, beside lists, scalars, strings and a nested
+    # dict. Each array is the base64 text of its whole little-endian
+    # float64 bytes, although the writer encodes it a slice at a time.
+    n = data.ARRAY_SLICE
     rng = np.random.default_rng(0)
-    payload = {"empty": [], "one": [0.1], "slice": rng.standard_normal(n).tolist(),
-               "ragged": (1e-7 * rng.standard_normal(2 * n + 3)).tolist(),
+    payload = {"empty": np.empty(0), "one": np.array([0.1]),
+               "slice": rng.standard_normal(n),
+               "ragged": 1e-7 * rng.standard_normal((2 * n + 3, 1)),
                "ints": list(range(5)), "flag": True, "lambda": 0.25, "name": "a\"b",
                "nested": {"x": [1.5, -2.0]}}
     path = tmp_path / "out.json"
     data.write_json(str(path), payload)
     expected = io.StringIO()
-    json.dump(payload, expected)
+    json.dump({key: base64.b64encode(value.astype("<f8").tobytes()).decode()
+               if isinstance(value, np.ndarray) else value
+               for key, value in payload.items()}, expected)
     assert path.read_text() == expected.getvalue()
     data.write_json(str(path), {})
     assert path.read_text() == "{}"
+
+
+def roundtrip(tmp_path, array):
+    path = tmp_path / "array.json"
+    data.write_json(str(path), {"a": array})
+    return data.read_array(json.loads(path.read_text()), "a", array.shape)
+
+
+@pytest.mark.parametrize("values", [
+    [-0.0, 0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1.0, np.pi],
+    np.random.default_rng(1).standard_normal(3 * data.ARRAY_SLICE + 7),
+], ids=["extremes", "three-slices-and-ragged"])
+def test_array_roundtrip_is_bit_exact(tmp_path, values):
+    array = np.asarray(values, dtype=float)
+    back = roundtrip(tmp_path, array)
+    assert back.tobytes() == array.tobytes()  # -0.0 keeps its sign bit
+    assert back.dtype == np.float64 and back.dtype.isnative
+    assert back.flags.writeable and back.flags.c_contiguous
+
+
+def test_array_roundtrip_keeps_logical_order(tmp_path):
+    # A transposed view and a big-endian array are written in C order of
+    # their values, and come back native-endian.
+    a = np.random.default_rng(2).standard_normal((3, 5, 2))
+    for array in (a.transpose(2, 0, 1), a.astype(">f8"), a[:, ::2, :]):
+        back = roundtrip(tmp_path, array)
+        assert back.dtype.isnative
+        assert back.shape == array.shape
+        assert back.tobytes() == np.ascontiguousarray(array, dtype=float).tobytes()
+
+
+def test_read_array_refuses_wrong_length_and_lists():
+    text = base64.b64encode(np.arange(6.0).tobytes()).decode()
+    assert data.read_array({"V": text}, "V", (2, 3)).tolist() == [[0, 1, 2], [3, 4, 5]]
+    for shape in [(2, 2), (2, 4), (7,)]:
+        with pytest.raises(DomainError, match="holds 48 bytes"):
+            data.read_array({"V": text}, "V", shape)
+    with pytest.raises(DomainError, match="holds 45 bytes"):
+        data.read_array({"V": text[:-4]}, "V", (2, 3))
+    with pytest.raises(DomainError, match="base64"):
+        data.read_array({"V": text[:-1]}, "V", (2, 3))  # bad padding
+    with pytest.raises(DomainError, match="older"):
+        data.read_array({"V": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]}, "V", (2, 3))

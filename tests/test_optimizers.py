@@ -376,6 +376,28 @@ def test_prefetched_noise_matches_sequential_draws(method, rows, worker, monkeyp
     assert trace.records == want_trace.records
 
 
+class RecordingWorker(AlwaysAheadWorker):
+    """An always-ahead worker that counts the blocks submitted to it."""
+
+    submitted = 0
+
+    def submit(self, fn, *args, **kwargs):
+        RecordingWorker.submitted += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+def test_next_epochs_first_block_is_drawn_by_the_worker(monkeypatch):
+    # With one block per epoch, every block but the run's first is drawn by
+    # the worker while the loop evaluates the epoch before it.
+    monkeypatch.setattr(opt, "ThreadPoolExecutor", RecordingWorker)
+    monkeypatch.setattr(RecordingWorker, "submitted", 0)
+    obj = blocked_objective(4 * STEPS)
+    X, y = tiny_data(n=4 * STEPS)
+    cfg = opt.DPSGDConfig(C=0.9, sigma=1.3, b=4, eta=0.05, epochs=3, seed=3)
+    opt.dpsgd_run(obj, np.zeros(obj.dim), X, y, cfg)
+    assert RecordingWorker.submitted == cfg.epochs - 1
+
+
 class ThreadCounter:
     """Wraps an objective; records the live thread count at every gradient."""
 
