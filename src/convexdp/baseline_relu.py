@@ -101,6 +101,10 @@ class MLPObjective:
                  lam: float = 0.0):
         if loss not in ("mse", "ce"):
             raise DomainError(f"unknown loss kind {loss!r}")
+        if loss == "ce" and k < 2:
+            raise DomainError("cross-entropy requires k >= 2")
+        if not lam >= 0:  # nan too
+            raise DomainError(f"lambda must be non-negative, got {lam!r}")
         self.d, self.k, self.m = d, k, m
         self.loss_kind = loss
         self.lam = lam

@@ -48,6 +48,23 @@ FIELDS_READ_BY = {
     "noisycgd": {"beta"},
 }
 OUTDIR_ENV = "CONVEXDP_OUTDIR"
+# The values each RunConfig annotation takes: a JSON integer is a float too,
+# and a bool is only a bool.
+JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "dict": dict}
+# Each dataset kind's required and optional spec keys, besides "kind". The
+# counts are integers; "rule" is a rule name or a target list, and every
+# other key a file path.
+DATASET_KEYS = {
+    "synthetic": ({"n", "d"}, {"n_test", "rule", "seed", "num_classes"}),
+    "idx": ({"train_images", "train_labels", "test_images", "test_labels"},
+            {"subset_n", "subset_seed"}),
+    "csv": ({"path"}, {"n_test", "seed"}),
+}
+COUNT_KEYS = {"n", "d", "n_test", "seed", "num_classes", "subset_n", "subset_seed"}
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -80,17 +97,26 @@ class RunConfig:
     dpgd_constraint: dict = dataclasses.field(default_factory=lambda: {"kind": "none"})
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kind = f.type.removeprefix("Optional[").rstrip("]")
+            if value is None and kind != f.type:  # an unset Optional field
+                continue
+            if not isinstance(value, JSON_TYPES[kind]) or (
+                    isinstance(value, bool) and kind != "bool"):
+                raise ConfigError(f"{f.name}: expected {kind}, got {value!r}")
+            if kind == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name}: must be finite, got {value!r}")
         if self.method not in METHODS:
             raise ConfigError(f"method: unknown method {self.method!r}; "
                               f"expected one of {tuple(METHODS)}")
         model, loop, accountant = METHODS[self.method]
-        for field, positive in (("epochs", self.epochs), ("C", self.C),
-                                ("b", self.b), ("eta", self.eta), ("P", self.P),
-                                ("hidden_m", self.hidden_m)):
-            if positive <= 0:
-                raise ConfigError(f"{field}: must be positive, got {positive!r}")
-        if self.sigma < 0:
-            raise ConfigError(f"sigma: must be non-negative, got {self.sigma!r}")
+        for field in ("epochs", "C", "b", "eta", "P", "hidden_m", "beta"):
+            if (value := getattr(self, field)) is not None and value <= 0:
+                raise ConfigError(f"{field}: must be positive, got {value!r}")
+        for field in ("sigma", "lam"):
+            if (value := getattr(self, field)) is not None and value < 0:
+                raise ConfigError(f"{field}: must be non-negative, got {value!r}")
         if not (0 < self.delta < 1):
             raise ConfigError(f"delta: must be in (0, 1), got {self.delta!r}")
         if self.loss not in ("mse", "ce"):
@@ -98,6 +124,11 @@ class RunConfig:
         missing = {"gates", "init", "batches", "noise"} - set(self.seeds)
         if missing:
             raise ConfigError(f"seeds: missing {sorted(missing)}")
+        for key, seed in self.seeds.items():
+            if not _is_count(seed):
+                raise ConfigError(f"seeds.{key}: must be a non-negative integer, "
+                                  f"got {seed!r}")
+        _check_dataset_spec(self.dataset)
         if self.lam is None:
             # NoisyCGD's experimental default: eta * lambda = 2e-4
             self.lam = 2e-4 / self.eta if accountant == "noisycgd" else 0.0
@@ -140,6 +171,8 @@ def _read_config(path: str, overrides) -> dict:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path}: invalid JSON ({exc})") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path}: expected an object")
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -168,37 +201,53 @@ def load_run_config(path: str, overrides) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+def _check_dataset_spec(spec) -> None:
+    """Refuse a dataset spec that is not an object of its kind's keys, with
+    non-negative integer counts and string paths."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"dataset: expected an object, got {spec!r}")
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in DATASET_KEYS:
+        raise ConfigError(f"dataset.kind: unknown kind {kind!r}; "
+                          f"expected one of {tuple(DATASET_KEYS)}")
+    required, optional = DATASET_KEYS[kind]
+    for problem, keys in (("missing", required - set(spec)),
+                          ("unknown keys", set(spec) - required - optional - {"kind"})):
+        if keys:
+            raise ConfigError(f"dataset: {problem} {sorted(keys)} for kind {kind!r}")
+    for key, value in spec.items():
+        if key in COUNT_KEYS and not _is_count(value):
+            raise ConfigError(f"dataset.{key}: must be a non-negative integer, "
+                              f"got {value!r}")
+        if key == "rule" and not isinstance(value, (str, list)):
+            raise ConfigError(f"dataset.rule: expected a rule name or a target "
+                              f"list, got {value!r}")
+        if key not in COUNT_KEYS | {"rule"} and not isinstance(value, str):
+            raise ConfigError(f"dataset.{key}: expected a string, got {value!r}")
+
+
 def load_dataset_pair(spec: dict, bias: bool = False):
     """Resolve a dataset spec into (train, test) datasets; with ``bias`` their
     features end in a constant-1 column and no unbiased copy is kept."""
-    kind = spec.get("kind")
-    if kind == "synthetic":
-        n, d = int(spec["n"]), int(spec["d"])
-        n_test = int(spec.get("n_test", max(1, n // 4)))
-        rule = spec.get("rule", "norm_threshold")
-        seed = int(spec.get("seed", 0))
-        num_classes = int(spec.get("num_classes", 2))
+    _check_dataset_spec(spec)
+    # n_test defaults to a quarter of n: synthetic training rows, or CSV rows
+    n_test = lambda n: spec.get("n_test", max(1, n // 4))
+    if spec["kind"] == "synthetic":
+        n, seed = spec["n"], spec.get("seed", 0)
         full = data.synthetic_gaussian(
-            n + n_test, d, rule=rule, seed=seed, num_classes=num_classes
+            n + n_test(n), spec["d"], rule=spec.get("rule", "norm_threshold"),
+            seed=seed, num_classes=spec.get("num_classes", 2),
         )
-        return data.train_test_split(full, n_test, seed=seed + 1, bias=bias)
-    if kind == "idx":
-        train = data.load_idx(spec["train_images"], spec["train_labels"], "train")
-        test = data.load_idx(spec["test_images"], spec["test_labels"], "test")
-        if "subset_n" in spec:
-            train = data.subset(train, int(spec["subset_n"]),
-                                int(spec.get("subset_seed", 0)))
-        if bias:
-            train, test = (dataclasses.replace(ds, X=convex_dual.add_bias_column(ds.X))
-                           for ds in (train, test))
-        return train, test
-    if kind == "csv":
-        full = data.load_csv(spec["path"])
-        return data.train_test_split(
-            full, int(spec.get("n_test", max(1, full.n // 4))),
-            seed=int(spec.get("seed", 0)), bias=bias,
-        )
-    raise ConfigError(f"dataset.kind: unknown kind {kind!r}")
+        return data.train_test_split(full, n_test(n), seed=seed + 1, bias=bias)
+    if spec["kind"] == "idx":
+        train = data.load_idx(spec["train_images"], spec["train_labels"])
+        test = data.load_idx(spec["test_images"], spec["test_labels"])
+        return (data.subset(train, spec.get("subset_n", train.n),
+                            spec.get("subset_seed", 0), bias),
+                data.subset(test, test.n, 0, bias))
+    full = data.load_csv(spec["path"])
+    return data.train_test_split(full, n_test(full.n), seed=spec.get("seed", 0),
+                                 bias=bias)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +343,6 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
     X_train, X_test = train.X, test.X
     d = X_train.shape[1]
     k = max(train.num_classes, test.num_classes)
-    if cfg.loss == "ce" and k < 2:
-        raise ConfigError("cross-entropy needs >= 2 classes")
 
     model, loop, _ = METHODS[cfg.method]
     if model == "dual":
@@ -335,8 +382,6 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
         )
     else:
         constraint = cfg.dpgd_constraint
-        if not isinstance(constraint, dict):
-            raise ConfigError(f"dpgd_constraint: expected an object, got {constraint!r}")
         project = optimizers.make_projection(**constraint)
         shape = np.shape(constraint.get("a", ()))
         if constraint["kind"] == "band" and shape != (objective.dim,):
@@ -395,18 +440,21 @@ def execute_sweep(path: str, overrides) -> dict:
     """Every point of the config's ``grids``, all validated before any runs."""
     raw = _read_config(path, overrides)
     grids = raw.pop("grids", None)
-    if not grids or any(len(v) == 0 for v in grids.values()):
-        raise ConfigError("sweep needs a non-empty 'grids' mapping")
+    if not (isinstance(grids, dict) and grids
+            and all(isinstance(v, list) and v for v in grids.values())):
+        raise ConfigError("sweep needs a non-empty 'grids' mapping of fields "
+                          "to non-empty lists")
     keys = sorted(grids)
     points = []
     for values in itertools.product(*(grids[key] for key in keys)):
         point = copy.deepcopy(raw)  # grid keys may set nested fields
         for key, value in zip(keys, values):
             _set_path(point, key, json.dumps(value))
-        point["name"] = raw.get("name", "run") + "-" + "-".join(
+        cfg = _run_config(dict(point, name=raw.get("name", "run")))
+        cfg.name += "-" + "-".join(
             f"{key.replace('.', '_')}{value}" for key, value in zip(keys, values)
         )
-        points.append((values, _run_config(point)))
+        points.append((values, cfg))
     rows = []
     for values, cfg in points:
         report = execute_run(cfg)

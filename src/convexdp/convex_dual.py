@@ -72,7 +72,7 @@ class DualModel:
 
 
 # ---------------------------------------------------------------------------
-# Arrangements and the bias column
+# Arrangements
 # ---------------------------------------------------------------------------
 
 
@@ -82,12 +82,6 @@ def sample_arrangement(d: int, P: int, seed: int) -> Arrangement:
         raise DomainError("d and P must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return Arrangement(U=rng.standard_normal((P, d)), P=P, d=d, seed=seed)
-
-
-def add_bias_column(X: np.ndarray) -> np.ndarray:
-    """Append a constant-1 feature (affine gates and model)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +157,8 @@ class DualObjective:
             raise DomainError(f"unknown loss kind {loss!r}")
         if loss == "ce" and k < 2:
             raise DomainError("cross-entropy requires k >= 2")
+        if not lam >= 0:  # nan too
+            raise DomainError(f"lambda must be non-negative, got {lam!r}")
         self.arrangement = arrangement
         self.k = k
         self.lam = lam

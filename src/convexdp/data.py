@@ -1,6 +1,6 @@
 """Dataset ingestion and synthesis: IDX images, CSV tables, synthetic
-Gaussian features, subset selection and train/test splits; and the JSON
-writer and array decoder of the model checkpoints.
+Gaussian features, and subsets, splits and the bias column, all gathered by
+``_rows``; and the JSON writer and array decoder of the model checkpoints.
 
 Datasets are immutable after load; all randomness is seeded.
 """
@@ -30,8 +30,6 @@ ROWS_SLICE = 256  # rows per gather in a biased split
 class Dataset:
     X: np.ndarray  # (n, d) float64
     labels: np.ndarray  # int class indices, or float targets for regression
-    name: str = ""
-    normalization: str = "none"
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -49,10 +47,6 @@ class Dataset:
         return self.X.shape[0]
 
     @property
-    def d(self) -> int:
-        return self.X.shape[1]
-
-    @property
     def num_classes(self) -> int:
         if not np.issubdtype(self.labels.dtype, np.integer):
             raise DomainError("dataset has real-valued targets, not classes")
@@ -66,7 +60,7 @@ def _read_exact(fh, count: int, what: str) -> bytes:
     return buf
 
 
-def load_idx(images_path: str, labels_path: str, name: str = "idx") -> Dataset:
+def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Parse big-endian IDX image/label files; pixels scaled to [0, 1].
 
     Images flatten to d = rows * cols (784 for the 28x28 corpora); byte 255
@@ -87,10 +81,10 @@ def load_idx(images_path: str, labels_path: str, name: str = "idx") -> Dataset:
     labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
     if n_lab != n:
         raise FormatError(f"image count {n} != label count {n_lab}")
-    return Dataset(X=X, labels=labels, name=name, normalization="pixel/255")
+    return Dataset(X=X, labels=labels)
 
 
-def load_csv(path: str, name: str = "csv") -> Dataset:
+def load_csv(path: str) -> Dataset:
     """Header row, float feature columns, final label column."""
     with open(path, newline="") as fh:
         reader = _csv.reader(fh)
@@ -108,7 +102,7 @@ def load_csv(path: str, name: str = "csv") -> Dataset:
     labels = data[:, -1]
     if np.allclose(labels, np.round(labels)):
         labels = labels.astype(np.int64)
-    return Dataset(X=data[:, :-1], labels=labels, name=name)
+    return Dataset(X=data[:, :-1], labels=labels)
 
 
 def synthetic_gaussian(
@@ -117,7 +111,6 @@ def synthetic_gaussian(
     rule: Union[str, np.ndarray, Sequence[float]] = "random_labels",
     seed: int = 0,
     num_classes: int = 2,
-    name: str = "synthetic",
 ) -> Dataset:
     """i.i.d. N(0, 1) features with targets from the given rule.
 
@@ -145,11 +138,13 @@ def synthetic_gaussian(
         labels = np.asarray(rule)
         if len(labels) != n:
             raise ConfigError("explicit target vector length != n")
-    return Dataset(X=X, labels=labels, name=name)
+    return Dataset(X=X, labels=labels)
 
 
-def subset(dataset: Dataset, n_sub: int, seed: int) -> Dataset:
-    """Uniform WOR subset; class-stratified for categorical labels.
+def subset(dataset: Dataset, n_sub: int, seed: int, bias: bool = False) -> Dataset:
+    """Uniform WOR subset; class-stratified for categorical labels. With
+    ``bias`` its features end in a constant-1 column, as in
+    ``train_test_split``; without, a subset of every row is ``dataset`` itself.
 
     Stratification uses largest-remainder allocation, so per-class counts
     differ by at most 1 from proportionality.
@@ -158,8 +153,10 @@ def subset(dataset: Dataset, n_sub: int, seed: int) -> Dataset:
         raise ConfigError(f"n_sub={n_sub} exceeds dataset size {dataset.n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if n_sub == dataset.n:
-        return dataset
-    if np.issubdtype(dataset.labels.dtype, np.integer):
+        if not bias:
+            return dataset
+        idx = np.arange(n_sub)
+    elif np.issubdtype(dataset.labels.dtype, np.integer):
         classes, counts = np.unique(dataset.labels, return_counts=True)
         exact = counts * (n_sub / dataset.n)
         take = np.floor(exact).astype(int)
@@ -174,12 +171,7 @@ def subset(dataset: Dataset, n_sub: int, seed: int) -> Dataset:
         idx = np.sort(np.concatenate(chosen))
     else:
         idx = np.sort(rng.permutation(dataset.n)[:n_sub])
-    return Dataset(
-        X=dataset.X[idx],
-        labels=dataset.labels[idx],
-        name=f"{dataset.name}[{n_sub}]",
-        normalization=dataset.normalization,
-    )
+    return Dataset(X=_rows(dataset.X, idx, bias), labels=dataset.labels[idx])
 
 
 def one_hot(labels: np.ndarray, k: Optional[int] = None) -> np.ndarray:
@@ -203,6 +195,12 @@ def _rows(X: np.ndarray, idx: np.ndarray, bias: bool) -> np.ndarray:
     return out
 
 
+def add_bias_column(X: np.ndarray) -> np.ndarray:
+    """X followed by a constant-1 feature (affine gates and model)."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return _rows(X, np.arange(len(X)), bias=True)
+
+
 def train_test_split(dataset: Dataset, n_test: int, seed: int, bias: bool = False):
     """Seeded split into (train, test) with n_test held-out rows.
 
@@ -215,13 +213,8 @@ def train_test_split(dataset: Dataset, n_test: int, seed: int, bias: bool = Fals
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     perm = rng.permutation(dataset.n)
     test_idx, train_idx = np.sort(perm[:n_test]), np.sort(perm[n_test:])
-    mk = lambda idx, tag: Dataset(
-        X=_rows(dataset.X, idx, bias),
-        labels=dataset.labels[idx],
-        name=f"{dataset.name}/{tag}",
-        normalization=dataset.normalization,
-    )
-    return mk(train_idx, "train"), mk(test_idx, "test")
+    mk = lambda idx: Dataset(X=_rows(dataset.X, idx, bias), labels=dataset.labels[idx])
+    return mk(train_idx), mk(test_idx)
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -253,17 +246,26 @@ def read_array(payload: dict, key: str, shape: tuple) -> np.ndarray:
 
     The result is native-endian and writable. A value that is not base64
     text of exactly ``8 * prod(shape)`` bytes raises DomainError; a list is
-    a checkpoint of an older version, which wrote decimal text.
+    a checkpoint of an older version, which wrote decimal text. The text is
+    decoded ``ARRAY_SLICE`` floats at a time into the result, so besides the
+    text the reader holds one slice's bytes, not the whole array's.
     """
     text, size = payload[key], 8 * math.prod(shape)
     if isinstance(text, list):
         raise DomainError(f"checkpoint field {key!r} is a list of decimals: a "
                           "checkpoint of an older convexdp; load it with that version")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"checkpoint field {key!r} is not base64 text: {exc}") from None
-    if len(raw) != size:
-        raise DomainError(f"checkpoint field {key!r} holds {len(raw)} bytes; "
+    if not isinstance(text, str) or len(text) % 4:
+        raise DomainError(f"checkpoint field {key!r} is not base64 text")
+    held = len(text) // 4 * 3 - text[-2:].count("=")
+    if held != size:
+        raise DomainError(f"checkpoint field {key!r} holds {held} bytes; "
                           f"shape {tuple(shape)} needs {size}")
-    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+    out = np.empty(size // 8)
+    chars = 8 * ARRAY_SLICE // 3 * 4  # base64 characters per slice
+    try:
+        for i, s in enumerate(range(0, out.size, ARRAY_SLICE)):
+            raw = base64.b64decode(text[i * chars : (i + 1) * chars], validate=True)
+            out[s : s + ARRAY_SLICE] = np.frombuffer(raw, dtype="<f8")
+    except ValueError as exc:
+        raise DomainError(f"checkpoint field {key!r} is not base64 text: {exc}") from None
+    return out.reshape(shape)

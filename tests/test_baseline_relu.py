@@ -178,3 +178,12 @@ def test_validation():
         oracles.mlp_per_sample_grad(br.init_mlp(2, 2, m=2), np.zeros(2), 5, "ce")
     with pytest.raises(DomainError):
         br.MLPObjective(2, 2, loss="hinge")
+
+
+def test_objective_refuses_negative_lambda_and_single_class_ce():
+    for lam in (-1e-3, float("nan")):
+        with pytest.raises(DomainError, match="non-negative"):
+            br.MLPObjective(3, 2, m=4, loss="ce", lam=lam)
+    with pytest.raises(DomainError, match="k >= 2"):
+        br.MLPObjective(3, 1, m=4, loss="ce")
+    assert br.MLPObjective(3, 1, m=4, loss="mse").k == 1  # one regression output

@@ -506,6 +506,65 @@ def test_field_the_method_does_not_read_exits_2(method, field, value, tmp_path,
     assert code == 2 and "config error" in err and field in err
 
 
+BAD_SETTINGS = [
+    ("dual-noisycgd", "epochs=2.5"), ("dual-noisycgd", "b=2.5"),
+    ("dual-noisycgd", "P=2.5"), ("relu-dpsgd", "hidden_m=2.5"),
+    ("dual-noisycgd", "name=5"),
+    *[("dual-dpsgd", f"{field}={value}")
+      for field in ("C", "eta", "sigma") for value in ("NaN", "Infinity")],
+    ("relu-dpsgd", "account_every_epoch=no"),
+    *[("dual-noisycgd", 'seeds={"gates": %s, "init": 1, "batches": 2, "noise": 3}' % gates)
+      for gates in ("-1", "0.5")],
+    ("relu-dpsgd", "lam=-5"), ("dual-dpsgd", "lam=-1"),
+    ("dual-noisycgd", "grids.sigma=2"),
+]
+
+
+@pytest.mark.parametrize("method, setting", BAD_SETTINGS,
+                         ids=[f"{m}-{s}".replace(" ", "") for m, s in BAD_SETTINGS])
+def test_bad_value_exits_2_before_loading_data(method, setting, tmp_path,
+                                               monkeypatch, capsys):
+    # A wrongly typed, non-finite or negative value is refused from the config
+    # alone: no data is loaded and no output file written.
+    def no_loading(*args, **kwargs):
+        raise AssertionError("loaded data for a config with a bad value")
+
+    monkeypatch.setattr(cli, "load_dataset_pair", no_loading)
+    command = "sweep" if setting.startswith("grids.") else "run"
+    cfg = write_config(tmp_path, method=method)
+    code, _, err = run_cli([command, "--config", cfg, "--set", setting],
+                           monkeypatch, tmp_path, capsys)
+    assert code == 2 and "config error" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_values_are_valid_floats():
+    # JSON writes 1.0 as 1 in some tools; a bool is not a number, though.
+    cfg = cli.RunConfig(**method_config(C=1, sigma=2, eta=1, lam=1, beta=3))
+    assert (cfg.C, cfg.sigma, cfg.eta, cfg.lam, cfg.beta) == (1, 2, 1, 1, 3)
+    with pytest.raises(ConfigError, match="C: expected float"):
+        cli.RunConfig(**method_config(C=True))
+
+
+BAD_SPECS = {
+    "not-an-object": [1, 2],
+    "missing-key": {"kind": "synthetic", "n": 120},
+    "non-integer-count": dict(BASE_CONFIG["dataset"], n="abc"),
+    "unknown-key": dict(BASE_CONFIG["dataset"], n_tset=10),
+    "unknown-kind": {"kind": "parquet", "path": "x"},
+}
+
+
+@pytest.mark.parametrize("spec", BAD_SPECS.values(), ids=BAD_SPECS)
+def test_bad_dataset_spec_exits_2(spec, tmp_path, monkeypatch, capsys):
+    with pytest.raises(ConfigError, match="dataset"):
+        cli.load_dataset_pair(spec)
+    cfg = write_config(tmp_path, dataset=spec)
+    code, _, err = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
+    assert code == 2 and "config error" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("method", sorted(cli.METHODS))
 def test_emitted_config_loads(method, tmp_path, monkeypatch, capsys):
     # --emit-config prints every field, those a method does not read at their
@@ -572,7 +631,7 @@ def test_biased_dataset_pair_is_the_pair_plus_a_bias_column(tmp_path):
     for spec in specs:
         for plain, biased in zip(cli.load_dataset_pair(spec),
                                  cli.load_dataset_pair(spec, bias=True)):
-            assert np.array_equal(biased.X, cd.add_bias_column(plain.X))
+            assert np.array_equal(biased.X, data.add_bias_column(plain.X))
             assert np.array_equal(biased.labels, plain.labels)
 
 
@@ -595,14 +654,14 @@ def test_every_method_checkpoint_reproduces_report(method, tmp_path, monkeypatch
     train, test = cli.load_dataset_pair(BASE_CONFIG["dataset"])
     if model_kind == "dual":
         logits = [oracles.forward(model, x, model.arrangement.U @ x >= 0)
-                  for x in cd.add_bias_column(test.X)]
+                  for x in data.add_bias_column(test.X)]
     else:
-        logits = [oracles.mlp_forward(model, x) for x in cd.add_bias_column(test.X)]
+        logits = [oracles.mlp_forward(model, x) for x in data.add_bias_column(test.X)]
     accuracy = float(np.mean(np.argmax(logits, axis=1) == test.labels))
     assert accuracy == report["final_test_accuracy"]
 
     if method == "dpgd":
-        X = cd.add_bias_column(train.X)
+        X = data.add_bias_column(train.X)
         seeds = report["config"]["seeds"]
         objective = cd.DualObjective(
             cd.sample_arrangement(X.shape[1], BASE_CONFIG["P"], seeds["gates"]),
@@ -687,6 +746,13 @@ def test_readme_checkpoint_snippet_reads_v(tmp_path, monkeypatch):
     exec(readme_python_blocks()[1], scope)
     assert scope["V"].tobytes() == model.V.tobytes()
     assert scope["V"].shape == model.V.shape
+
+
+def test_readme_config_loads():
+    # The documented run config, dataset spec included, passes validation.
+    [text] = re.findall(r"cat > cfg.json <<'EOF'\n(.*?)EOF", README.read_text(), re.S)
+    cfg = cli.RunConfig(**json.loads(text))
+    assert cfg.dataset["kind"] == "synthetic" and cfg.name == "demo"
 
 
 def test_readme_cli_examples_parse():

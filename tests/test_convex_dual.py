@@ -407,3 +407,12 @@ def test_forward_shape_validation():
     model = make_model()
     with pytest.raises(DomainError):
         oracles.forward(model, np.zeros(5), np.zeros(3))
+
+
+def test_objective_refuses_negative_lambda():
+    # Refused at construction, not first by to_model's DualModel after training.
+    arr = cd.sample_arrangement(3, 4, seed=0)
+    for lam in (-1e-3, math.nan):
+        with pytest.raises(DomainError, match="non-negative"):
+            cd.DualObjective(arr, k=2, lam=lam, loss="ce")
+    assert cd.DualObjective(arr, k=2, lam=0.0, loss="ce").lam == 0.0

@@ -1,10 +1,11 @@
 """Dataset utilities: a hand-built IDX byte fixture, CSV parsing, synthetic
-target rules, stratified subsetting and splits, and the JSON writer and
-array decoder of the checkpoints."""
+target rules, stratified subsetting, splits and the bias column, and the
+JSON writer and array decoder of the checkpoints."""
 import base64
 import io
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,6 @@ def test_load_idx_hand_fixture(tmp_path):
     np.testing.assert_array_equal(ds.X[0], [0.0, 1.0, 128 / 255, 1 / 255])
     np.testing.assert_array_equal(ds.X[1], [7 / 255, 0.0, 0.0, 1.0])
     np.testing.assert_array_equal(ds.labels, [3, 9])
-    assert ds.normalization == "pixel/255"
 
 
 def test_load_idx_bad_magic(tmp_path):
@@ -141,6 +141,20 @@ def test_train_test_split_disjoint():
     assert np.unique(joined, axis=0).shape[0] == 100
 
 
+def test_bias_column_and_biased_subset_append_ones():
+    # The gather runs ROWS_SLICE rows at a time; the matrix spans a ragged
+    # last slice.
+    X = np.random.default_rng(5).standard_normal((2 * data.ROWS_SLICE + 3, 4))
+    ones = lambda A: np.hstack([A, np.ones((len(A), 1))])
+    assert np.array_equal(data.add_bias_column(X), ones(X))
+    ds = data.synthetic_gaussian(1000, 4, rule="random_labels", seed=7, num_classes=4)
+    plain, biased = data.subset(ds, 100, seed=1), data.subset(ds, 100, seed=1, bias=True)
+    assert np.array_equal(biased.X, ones(plain.X))
+    assert np.array_equal(biased.labels, plain.labels)
+    assert data.subset(ds, ds.n, seed=1) is ds  # every row, unbiased: no copy
+    assert np.array_equal(data.subset(ds, ds.n, seed=1, bias=True).X, ones(ds.X))
+
+
 def test_one_hot():
     np.testing.assert_array_equal(
         data.one_hot([0, 2, 1], k=3),
@@ -212,3 +226,31 @@ def test_read_array_refuses_wrong_length_and_lists():
         data.read_array({"V": text[:-1]}, "V", (2, 3))  # bad padding
     with pytest.raises(DomainError, match="older"):
         data.read_array({"V": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]}, "V", (2, 3))
+
+
+def test_read_array_refuses_text_that_is_not_base64():
+    # The text is decoded a slice at a time; a bad character or a padding in
+    # a later slice is refused as well as one in the first.
+    text = base64.b64encode(np.arange(3.0 * data.ARRAY_SLICE).tobytes()).decode()
+    cut = 8 * data.ARRAY_SLICE // 3 * 4 + 100  # inside the second slice
+    for bad in (text[:cut] + "!" + text[cut + 1 :], text[:cut] + "=" + text[cut + 1 :],
+                text[:10] + "\u00e9" + text[11:]):
+        with pytest.raises(DomainError, match="base64"):
+            data.read_array({"V": bad}, "V", (3, data.ARRAY_SLICE))
+    with pytest.raises(DomainError, match="base64"):
+        data.read_array({"V": 5}, "V", (1,))
+
+
+def test_read_array_holds_one_copy_of_the_array():
+    # Besides the JSON text, the reader allocates the result and one slice:
+    # no whole decoded bytes object, and no second native copy.
+    array = np.random.default_rng(3).standard_normal(200 * data.ARRAY_SLICE + 5)
+    payload = {"V": base64.b64encode(array.tobytes()).decode()}
+    tracemalloc.start()
+    try:
+        back = data.read_array(payload, "V", array.shape)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.tobytes() == array.tobytes()
+    assert peak <= 1.1 * array.nbytes, (peak, array.nbytes)
