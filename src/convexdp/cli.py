@@ -136,9 +136,7 @@ class RunConfig:
             raise ConfigError("lam: NoisyCGD accounting requires lambda > 0")
         # A field left at its default is silent, so --emit-config output loads;
         # it prints an unset lam as 0.0, what lam resolves to where it is unread.
-        defaults = {f.name: f.default if f.default_factory is dataclasses.MISSING
-                    else f.default_factory() for f in dataclasses.fields(self)}
-        defaults["lam"] = 0.0
+        defaults = dict(_field_defaults(), lam=0.0)
         unread = set().union(*FIELDS_READ_BY.values()).difference(
             FIELDS_READ_BY[model], FIELDS_READ_BY[loop], FIELDS_READ_BY[accountant])
         unread = sorted(f for f in unread if getattr(self, f) != defaults[f])
@@ -150,11 +148,19 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
+def _field_defaults() -> dict:
+    """Each RunConfig field's default, a fresh copy of a mutable one."""
+    return {f.name: f.default if f.default_factory is dataclasses.MISSING
+            else f.default_factory() for f in dataclasses.fields(RunConfig)}
+
+
 def _set_path(cfg: dict, dotted: str, raw: str) -> None:
     keys = dotted.split(".")
     node = cfg
     for key in keys[:-1]:
-        node = node.setdefault(key, {})
+        # a missing object field starts from its default, whose other keys stay
+        default = _field_defaults().get(key) if node is cfg else None
+        node = node.setdefault(key, default if isinstance(default, dict) else {})
         if not isinstance(node, dict):
             raise ConfigError(f"cannot descend into {dotted!r}")
     try:
@@ -255,20 +261,24 @@ def load_dataset_pair(spec: dict, bias: bool = False):
 # ---------------------------------------------------------------------------
 
 
+def _opt_config(cfg: RunConfig, n: int) -> optimizers.DPSGDConfig:
+    """The training-loop config of a run on n training rows; DP-GD's batch is
+    all n of them."""
+    return optimizers.DPSGDConfig(
+        C=cfg.C, sigma=cfg.sigma, b=n if METHODS[cfg.method][1] == "dpgd_run" else cfg.b,
+        eta=cfg.eta, epochs=cfg.epochs, seed=cfg.seeds["batches"],
+        noise_seed=cfg.seeds["noise"],
+    )
+
+
 def accountant_inputs_for_run(cfg: RunConfig, X: np.ndarray) -> dict:
     """The exact accountant query of a run config on the training rows X."""
-    _, loop, accountant = METHODS[cfg.method]
-    n = len(X)
+    accountant = METHODS[cfg.method][2]
+    opt_cfg = _opt_config(cfg, len(X))
+    n, b = len(X), opt_cfg.b
     if accountant == "dpsgd":
-        # DP-GD's full-batch steps: clip to C, noise std sigma*C/n on the mean
-        b = n if loop == "dpgd_run" else cfg.b
-        return {
-            "method": "dpsgd",
-            "sigma": cfg.sigma,
-            "q": b / n,
-            "T": cfg.epochs * (n // b),
-            "delta": cfg.delta,
-        }
+        return {"method": "dpsgd", "sigma": cfg.sigma, "q": b / n,
+                "T": cfg.epochs * (n // b), "delta": cfg.delta}
     # beta, a statistic of the private rows, is computed for the one bound
     # that reads it: max_j ||x_j||^2 + lam, unless overridden.
     beta = (cfg.beta if cfg.beta is not None
@@ -276,31 +286,31 @@ def accountant_inputs_for_run(cfg: RunConfig, X: np.ndarray) -> dict:
     return {
         "method": "noisycgd",
         "L": 2.0 * cfg.C,
-        "b": cfg.b,
-        # noise std in update-equation units: C * sigma / b on the mean
-        "sigma": cfg.C * cfg.sigma / cfg.b,
+        "b": b,
+        # noise std in update-equation units, on the mean
+        "sigma": opt_cfg.noise_std,
         "eta": cfg.eta,
         "lambda": cfg.lam,
         "beta": beta,
-        "k": n // cfg.b,
+        "k": n // b,
         "E": cfg.epochs,
         "delta": cfg.delta,
     }
 
 
-def _privacy_curves(inputs: dict, epochs: Optional[int] = None) -> Iterable:
-    """The delta(eps) curves of the noisy accountant query ``inputs``: one at
-    its horizon, ``T`` or ``E``, or with ``epochs`` one after each of that many
-    equal parts of it. A bound that does not apply raises at the call; DP-SGD's
-    PLDs are discretized and composed only as they are taken, one at a time."""
+def _privacy_curves(inputs: dict, epochs: int = 1) -> Iterable:
+    """The delta(eps) curves of the noisy accountant query ``inputs``, one
+    after each of ``epochs`` equal parts of its horizon, ``T`` or ``E``. A
+    bound that does not apply raises at the call; DP-SGD's PLDs are
+    discretized and composed only as they are taken, one at a time."""
     method = inputs["method"]
     horizon = {"dpsgd": "T", "noisycgd": "E"}.get(method)
     if horizon is None:
         raise ConfigError(f"unknown accountant method {method!r}")
-    part, rest = divmod(inputs[horizon], epochs or 1)
+    part, rest = divmod(inputs[horizon], epochs)
     if rest:
         raise ConfigError(f"{horizon}={inputs[horizon]} is not {epochs} equal epochs")
-    horizons = [e * part for e in range(1, (epochs or 1) + 1)]
+    horizons = [e * part for e in range(1, epochs + 1)]
     if method == "dpsgd":
         # map defers the call to the first next; chain keeps no PLD it passed on.
         return itertools.chain.from_iterable(map(
@@ -311,18 +321,15 @@ def _privacy_curves(inputs: dict, epochs: Optional[int] = None) -> Iterable:
     ))) for E in horizons]
 
 
-def epsilon_from_inputs(inputs: dict, epochs: Optional[int] = None) -> float | list[float]:
-    """Epsilon of the accountant query ``inputs`` at its ``delta``: inf without
-    noise, else the search over ``_privacy_curves``. With ``epochs``, the list
-    of epsilons after epochs 1..epochs, entry ``e`` that of the inputs cut at
-    epoch ``e``."""
+def epsilon_from_inputs(inputs: dict, epochs: int = 1) -> list[float]:
+    """Epsilons of the accountant query ``inputs`` at its ``delta`` after
+    epochs 1..epochs, entry ``e`` that of the inputs cut at epoch ``e``: inf
+    without noise, else the search over ``_privacy_curves``."""
     if inputs["sigma"] == 0:
-        eps = [math.inf] * (epochs or 1)
-    else:
-        # map, unlike a comprehension, frees each curve before the next is built.
-        eps = list(map(acc.find_epsilon, _privacy_curves(inputs, epochs),
-                       itertools.repeat(inputs["delta"])))
-    return eps[0] if epochs is None else eps
+        return [math.inf] * epochs
+    # map, unlike a comprehension, frees each curve before the next is built.
+    return list(map(acc.find_epsilon, _privacy_curves(inputs, epochs),
+                    itertools.repeat(inputs["delta"])))
 
 
 def _eps_repr(eps: float) -> str:
@@ -340,9 +347,7 @@ def _eps_repr(eps: float) -> str:
 
 def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
     train, test = load_dataset_pair(cfg.dataset, bias=cfg.bias)
-    X_train, X_test = train.X, test.X
-    d = X_train.shape[1]
-    k = max(train.num_classes, test.num_classes)
+    d, k = train.X.shape[1], max(train.num_classes, test.num_classes)
 
     model, loop, _ = METHODS[cfg.method]
     if model == "dual":
@@ -358,7 +363,7 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
         )
     params0 = objective.init_params(cfg.seeds["init"])
 
-    inputs = accountant_inputs_for_run(cfg, X_train)
+    inputs = accountant_inputs_for_run(cfg, train.X)
     # Only a noise-free run has epsilon "inf"; a noisy one past EPS_MAX prints
     # "> EPS_MAX", in the report and in the CSV alike. A noisy run whose bound
     # does not apply (say NoisyCGD's eta * beta >= 2) is refused before training.
@@ -368,46 +373,20 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
         eps_text = _eps_repr
         _privacy_curves(inputs)
 
-    eval_fn = lambda params: objective.accuracy(params, X_test, test.labels)
-    labels = train.labels
-
+    # DP-GD's loop also takes the projection onto its constraint set.
+    extra = ({"project": optimizers.make_projection(objective.dim, **cfg.dpgd_constraint)}
+             if loop == "dpgd_run" else {})
+    eval_fn = lambda params: objective.accuracy(params, test.X, test.labels)
     run = getattr(optimizers, loop)  # at call time: probes patch the module
-    if loop != "dpgd_run":
-        opt_cfg = optimizers.DPSGDConfig(
-            C=cfg.C, sigma=cfg.sigma, b=cfg.b, eta=cfg.eta, epochs=cfg.epochs,
-            seed=cfg.seeds["batches"], noise_seed=cfg.seeds["noise"],
-        )
-        params, trace = run(
-            objective, params0, X_train, labels, opt_cfg, eval_fn=eval_fn
-        )
-    else:
-        constraint = cfg.dpgd_constraint
-        project = optimizers.make_projection(**constraint)
-        shape = np.shape(constraint.get("a", ()))
-        if constraint["kind"] == "band" and shape != (objective.dim,):
-            raise ConfigError(f"dpgd_constraint.a: needs one entry per model "
-                              f"parameter, {objective.dim}; got shape {shape}")
-        sigma_gd = cfg.sigma * cfg.C / len(X_train)
-        params = run(
-            objective, X_train, labels, L=cfg.C, project=project, T=cfg.epochs,
-            sigma_gd=sigma_gd, eta=cfg.eta, seed=cfg.seeds["noise"],
-        )
-        trace = optimizers.TrainTrace()
-        trace.append(
-            epoch=cfg.epochs,
-            train_loss=objective.data_loss(params, X_train, labels),
-            test_accuracy=eval_fn(params),
-            rng_state_digest="",
-        )
+    params, trace = run(objective, params0, train.X, train.labels,
+                        _opt_config(cfg, len(train.X)), eval_fn=eval_fn, **extra)
 
-    if cfg.account_every_epoch:
-        per_epoch = epsilon_from_inputs(inputs, epochs=cfg.epochs)
-        for record in trace.records:
-            record["epsilon_at_delta"] = per_epoch[record["epoch"] - 1]
-        epsilon = trace.records[-1]["epsilon_at_delta"]
-    else:
-        epsilon = epsilon_from_inputs(inputs)
-        trace.records[-1]["epsilon_at_delta"] = epsilon
+    # Per-epoch accounting gives each epoch's record its epsilon; otherwise
+    # the last record gets the run's.
+    epochs = cfg.epochs if cfg.account_every_epoch else 1
+    for record, eps in zip(trace.records[-epochs:], epsilon_from_inputs(inputs, epochs)):
+        record["epsilon_at_delta"] = eps
+    epsilon = trace.records[-1]["epsilon_at_delta"]
 
     report = {
         "config": cfg.resolved(),
@@ -416,22 +395,20 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
         "delta": cfg.delta,
         "final_train_loss": trace.records[-1]["train_loss"],
         "final_test_accuracy": trace.records[-1]["test_accuracy"],
-        "n_train": len(X_train),
+        "n_train": len(train.X),
     }
     if write_outputs:
         out_dir = os.environ.get(OUTDIR_ENV, cfg.out_dir)
         os.makedirs(out_dir, exist_ok=True)
         base = os.path.join(out_dir, cfg.name)
-        with open(base + ".csv", "w") as fh:
+        paths = {"csv": base + ".csv", "json": base + ".json",
+                 "model": base + ".model.json"}
+        with open(paths["csv"], "w") as fh:
             fh.write(trace.to_csv(eps_text))
-        with open(base + ".json", "w") as fh:
+        with open(paths["json"], "w") as fh:
             json.dump(report, fh, indent=2)
-        module.save_checkpoint(objective.to_model(params), base + ".model.json")
-        report["outputs"] = {
-            "csv": base + ".csv",
-            "json": base + ".json",
-            "model": base + ".model.json",
-        }
+        module.save_checkpoint(objective.to_model(params), paths["model"])
+        report["outputs"] = paths
     report["trace"] = trace.records
     return report
 

@@ -21,6 +21,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
 
@@ -45,12 +46,18 @@ class DPSGDConfig:
     noise_seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise ConfigError("clip norm C must be positive")
-        if self.sigma < 0:
-            raise ConfigError("noise multiplier sigma must be non-negative")
+        for name in ("C", "sigma", "eta"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0 or (value == 0 and name != "sigma"):
+                least = "non-negative" if name == "sigma" else "positive"
+                raise ConfigError(f"{name}: must be finite and {least}, got {value!r}")
         if self.b < 1 or self.epochs < 1:
             raise ConfigError("b and epochs must be positive integers")
+
+    @property
+    def noise_std(self) -> float:
+        """Std of the noise added to the mean of b clipped gradients: C * sigma / b."""
+        return self.C * self.sigma / self.b
 
 
 @dataclasses.dataclass
@@ -133,13 +140,14 @@ def project_band(v: np.ndarray, a: np.ndarray, y: float, C: float) -> np.ndarray
     return project_halfspace(out, -np.asarray(a, dtype=float), C - y)
 
 
-def make_projection(kind: Optional[str] = None,
+def make_projection(dim: int, /, kind: Optional[str] = None,
                     **kw) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-    """Projection operator factory for the DP-GD constraint set.
+    """Projection operator factory for the DP-GD constraint set in R^dim.
 
     ``kind`` is "none", "ball" or "band", and ``kw`` exactly its keys, all
-    finite numbers: a ``radius`` > 0, or a normal ``a`` (1-d), an offset
-    ``y`` and a half-width ``C`` > 0. Anything else raises ConfigError.
+    finite numbers: a ``radius`` > 0, or a normal ``a`` of ``dim`` entries,
+    an offset ``y`` and a half-width ``C`` > 0. Anything else raises
+    ConfigError.
     """
     needs = {"none": [], "ball": ["radius"], "band": ["C", "a", "y"]}
     if not isinstance(kind, str) or needs.get(kind) != sorted(kw):
@@ -156,6 +164,9 @@ def make_projection(kind: Optional[str] = None,
                               f"{'s' if key == 'a' else ''}, got {value!r:.40}")
         if key in ("radius", "C") and arr <= 0:
             raise ConfigError(f"constraint {key}: must be positive")
+    if kind == "band" and kw["a"].shape != (dim,):
+        raise ConfigError(f"dpgd_constraint.a: needs one entry per model "
+                          f"parameter, {dim}; got shape {kw['a'].shape}")
     if kind == "ball":
         radius = float(kw["radius"])
 
@@ -240,7 +251,7 @@ def _noisy_minibatch_loop(objective, params0, X, y, cfg: DPSGDConfig, eval_fn,
     y = np.asarray(y)
     params = np.array(params0, dtype=float, copy=True)
     trace = TrainTrace()
-    noise_scale = cfg.C * cfg.sigma / cfg.b
+    noise_scale = cfg.noise_std
     eta = float(cfg.eta)
     it = 0
     with _noise_rows(rngs[1], len(params), len(X) // cfg.b, cfg.epochs) as (
@@ -315,36 +326,46 @@ def noisycgd_run(
 
 def dpgd_run(
     objective,
+    params0: np.ndarray,
     X: np.ndarray,
     y,
-    L: float,
-    project: Optional[Callable[[np.ndarray], np.ndarray]],
-    T: int,
-    sigma_gd: float,
-    eta: float,
-    seed: int = 0,
-) -> np.ndarray:
-    """Full-batch projected DP gradient descent, returning the iterate average.
+    cfg: DPSGDConfig,
+    eval_fn: Optional[Callable[[np.ndarray], float]] = None,
+    project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+):
+    """Full-batch projected DP gradient descent, releasing the iterate average.
 
-    theta_0 = 0; each step adds N(0, sigma_gd^2 I) to the full-batch mean of
-    per-sample gradients clipped to L, takes a projected step, and the
-    average (1/T) * sum of theta_1..theta_T is released. It stays apart
-    from the noisy mini-batch loop: no ridge term, noise in absolute units,
-    a projection and an iterate average, and no trace.
+    From theta_0 = ``params0``, each of ``cfg.epochs`` steps adds
+    N(0, cfg.noise_std^2 I) to the full-batch mean of per-sample gradients
+    clipped to C, takes a step and projects it; the average (1/T) * sum of
+    theta_1..theta_T is released with one trace record, at epoch T. The
+    batch is the training set, so ``cfg.b`` must be n. It stays apart from
+    the noisy mini-batch loop: no ridge term, a projection and an iterate
+    average.
     """
-    if T < 1:
-        raise ConfigError("T must be a positive integer")
-    noise_rng = np.random.default_rng(np.random.SeedSequence(seed))
-    params = np.zeros(objective.dim)
-    accum = np.zeros(objective.dim)
-    with _noise_rows(noise_rng, objective.dim, T) as (noise, _):
+    n = len(X)
+    if cfg.b != n:
+        raise ConfigError(f"DP-GD's batch is the training set: b={cfg.b}, n={n}")
+    y = np.asarray(y)
+    params = np.array(params0, dtype=float, copy=True)
+    accum = np.zeros(len(params))
+    with _noise_rows(_streams(cfg.seed, cfg.noise_seed)[1], len(params),
+                     cfg.epochs) as (noise, noise_states):
         for z in noise():
-            g = objective.clipped_grad_mean(params, X, np.asarray(y), L)
-            z *= sigma_gd
+            g = objective.clipped_grad_mean(params, X, y, cfg.C)
+            z *= cfg.noise_std
             z += g
-            params = params - eta * z
+            params = params - cfg.eta * z
             if project is not None:
                 params = project(params)
             _check_finite(params, "DP-GD step")
             accum += params
-    return accum / T
+    params = accum / cfg.epochs
+    trace = TrainTrace()
+    trace.append(
+        epoch=cfg.epochs,
+        train_loss=objective.data_loss(params, X, y),
+        test_accuracy=None if eval_fn is None else eval_fn(params),
+        rng_state_digest=_digest(noise_states[-1]),
+    )
+    return params, trace

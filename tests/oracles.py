@@ -362,20 +362,24 @@ def sequential_noisy_minibatch_loop(objective, params0, X, y, cfg, next_batch, r
     return params, trace
 
 
-def sequential_dpgd(objective, X, y, L, project, T, sigma_gd, eta, seed=0):
-    """``optimizers.dpgd_run``, drawing each step's noise after its gradient."""
-    noise_rng = np.random.default_rng(np.random.SeedSequence(seed))
-    params = np.zeros(objective.dim)
-    accum = np.zeros(objective.dim)
-    for _ in range(T):
-        g = objective.clipped_grad_mean(params, X, np.asarray(y), L)
-        g = g + noise_rng.standard_normal(len(params)) * sigma_gd
-        params = params - eta * g
+def sequential_dpgd(objective, params0, X, y, cfg, project, noise_rng):
+    """``optimizers.dpgd_run`` without an eval_fn, drawing each step's noise
+    from ``noise_rng`` after its gradient."""
+    params = np.array(params0, dtype=float, copy=True)
+    accum = np.zeros(len(params))
+    for _ in range(cfg.epochs):
+        g = objective.clipped_grad_mean(params, X, np.asarray(y), cfg.C)
+        g = g + noise_rng.standard_normal(len(params)) * (cfg.C * cfg.sigma / cfg.b)
+        params = params - cfg.eta * g
         if project is not None:
             params = project(params)
         _check_finite(params, "DP-GD step")
         accum += params
-    return accum / T
+    params = accum / cfg.epochs
+    trace = TrainTrace()
+    trace.append(epoch=cfg.epochs, train_loss=objective.data_loss(params, X, y),
+                 test_accuracy=None, rng_state_digest=_digest(noise_rng.bit_generator.state))
+    return params, trace
 
 
 # ---------------------------------------------------------------------------

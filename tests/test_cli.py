@@ -134,7 +134,7 @@ def test_run_epsilon_recomputable_from_logged_inputs(tmp_path, monkeypatch, caps
     code, out, _ = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
     assert code == 0
     report = json.loads(out)
-    eps_again = cli.epsilon_from_inputs(report["accountant_inputs"])
+    [eps_again] = cli.epsilon_from_inputs(report["accountant_inputs"])
     assert float(report["epsilon"]) == eps_again
 
 
@@ -149,8 +149,8 @@ def test_per_epoch_epsilons_match_one_shot(method):
         epoch = record["epoch"]
         cut = (dict(inputs, T=epoch * steps) if inputs["method"] == "dpsgd"
                else dict(inputs, E=epoch))
-        assert record["epsilon_at_delta"] == cli.epsilon_from_inputs(cut)
-    assert float(report["epsilon"]) == cli.epsilon_from_inputs(inputs)
+        assert [record["epsilon_at_delta"]] == cli.epsilon_from_inputs(cut)
+    assert [float(report["epsilon"])] == cli.epsilon_from_inputs(inputs)
 
 
 @pytest.mark.parametrize("inputs", [
@@ -458,6 +458,37 @@ def test_sweep_nested_grid_key(tmp_path, monkeypatch, capsys):
         assert report["config"]["dataset"]["seed"] == row["dataset.seed"]
 
 
+DEFAULT_SEEDS = {"gates": 0, "init": 1, "batches": 2, "noise": 3}
+
+
+def test_set_one_key_of_an_object_field_the_config_leaves_out(tmp_path, monkeypatch,
+                                                              capsys):
+    # The object starts from the field's default, so its other keys keep theirs.
+    cfg = write_config(tmp_path)
+    code, out, err = run_cli(["run", "--config", cfg, "--set", "seeds.noise=7",
+                              "--emit-config"], monkeypatch, tmp_path, capsys)
+    assert code == 0, err
+    assert json.loads(out)["seeds"] == dict(DEFAULT_SEEDS, noise=7)
+    cfg = write_config(tmp_path, method="dpgd", lam=0.0)
+    code, out, err = run_cli(["run", "--config", cfg, "--set", "dpgd_constraint.radius=0.5",
+                              "--emit-config"], monkeypatch, tmp_path, capsys)
+    assert code == 0, err
+    assert json.loads(out)["dpgd_constraint"] == {"kind": "none", "radius": 0.5}
+
+
+def test_sweep_grid_key_into_an_object_field_the_config_leaves_out(tmp_path, monkeypatch,
+                                                                   capsys):
+    cfg = dict(BASE_CONFIG, epochs=1, grids={"seeds.noise": [7, 8]})
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["sweep", "--config", str(path)],
+                             monkeypatch, tmp_path, capsys)
+    assert code == 0, err
+    for row in json.loads(out)["rows"]:
+        report = json.loads((tmp_path / "out" / f"{row['name']}.json").read_text())
+        assert report["config"]["seeds"] == dict(DEFAULT_SEEDS, noise=row["seeds.noise"])
+
+
 def test_sweep_rejects_unknown_grid_key(tmp_path, monkeypatch, capsys):
     cfg = dict(BASE_CONFIG, grids={"sigmaa": [2.0]})
     path = tmp_path / "sweep.json"
@@ -667,12 +698,11 @@ def test_every_method_checkpoint_reproduces_report(method, tmp_path, monkeypatch
             cd.sample_arrangement(X.shape[1], BASE_CONFIG["P"], seeds["gates"]),
             k=2, lam=0.0, loss=BASE_CONFIG["loss"],
         )
-        C, sigma = BASE_CONFIG["C"], BASE_CONFIG["sigma"]
-        direct = opt.dpgd_run(
-            objective, X, train.labels, L=C, project=opt.make_projection(**ball),
-            T=BASE_CONFIG["epochs"], sigma_gd=sigma * C / len(X),
-            eta=BASE_CONFIG["eta"], seed=seeds["noise"],
-        )
+        cfg = opt.DPSGDConfig(C=BASE_CONFIG["C"], sigma=BASE_CONFIG["sigma"], b=len(X),
+                              eta=BASE_CONFIG["eta"], epochs=BASE_CONFIG["epochs"],
+                              seed=seeds["batches"], noise_seed=seeds["noise"])
+        direct, _ = opt.dpgd_run(objective, np.zeros(objective.dim), X, train.labels,
+                                 cfg, project=opt.make_projection(objective.dim, **ball))
         np.testing.assert_array_equal(model.V.ravel(), direct)
 
 
@@ -680,16 +710,17 @@ def test_training_loops_looked_up_at_call_time(monkeypatch):
     # Probes (perfbench) replace the loops on the optimizers module; a run
     # must call whatever the module holds when it starts.
     calls = []
-    for name in ("dpsgd_run", "noisycgd_run"):
+    for name in ("dpsgd_run", "noisycgd_run", "dpgd_run"):
         def spy(*args, _name=name, _real=getattr(opt, name), **kwargs):
             calls.append(_name)
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(cli.optimizers, name, spy)
     for method, loop in (("dual-dpsgd", "dpsgd_run"), ("relu-dpsgd", "dpsgd_run"),
-                         ("dual-noisycgd", "noisycgd_run")):
+                         ("dual-noisycgd", "noisycgd_run"), ("dpgd", "dpgd_run")):
         calls.clear()
-        cli.execute_run(cli.RunConfig(**method_config(method)), write_outputs=False)
+        extra = {"lam": 0.0} if method == "dpgd" else {}
+        cli.execute_run(cli.RunConfig(**method_config(method, **extra)), write_outputs=False)
         assert calls == [loop]
 
 
@@ -781,16 +812,20 @@ class ZeroGradObjective:
         return 0.0
 
 
-@pytest.mark.parametrize("method", ["dual-dpsgd", "dual-noisycgd"])
+@pytest.mark.parametrize("method", ["dual-dpsgd", "dual-noisycgd", "dpgd"])
 def test_injected_noise_is_the_noise_the_epsilon_assumes(method):
     # With n = b one epoch is one step, which leaves params = -(eta * z) for
-    # the run's noise draw z. Its std must be the one the accountant query
-    # reads: NoisyCGD's sigma (with L = 2C), or C/b times DP-SGD's noise
-    # multiplier at q = b/n.
+    # the run's noise draw z (DP-GD releases the average of that one step).
+    # Its std must be the one the accountant query reads: NoisyCGD's sigma
+    # (with L = 2C), or C/b times DP-SGD's noise multiplier at q = b/n.
     C, sigma, b, eta, lam, dim = 1.5, 2.0, 30, 0.02, 0.1, 500
     seeds = {"gates": 0, "init": 1, "batches": 2, "noise": 3}
-    cfg = cli.RunConfig(**dict(BASE_CONFIG, method=method, C=C, sigma=sigma, b=b,
-                               eta=eta, lam=lam, epochs=1, seeds=seeds))
+    fields = dict(BASE_CONFIG, method=method, C=C, sigma=sigma, b=b, eta=eta, lam=lam,
+                  epochs=1, seeds=seeds)
+    if method == "dpgd":  # its batch is the training set, and it has no ridge term
+        del fields["b"]
+        fields["lam"] = 0.0
+    cfg = cli.RunConfig(**fields)
     X, labels = np.ones((b, 6)), np.zeros(b, dtype=int)
     inputs = cli.accountant_inputs_for_run(cfg, X)
     if inputs["method"] == "noisycgd":
@@ -802,8 +837,7 @@ def test_injected_noise_is_the_noise_the_epsilon_assumes(method):
     assert std == C * sigma / b
 
     loop = getattr(opt, cli.METHODS[method][1])
-    opt_cfg = opt.DPSGDConfig(C=C, sigma=sigma, b=b, eta=eta, epochs=1,
-                              seed=seeds["batches"], noise_seed=seeds["noise"])
+    opt_cfg = cli._opt_config(cfg, len(X))  # the config execute_run trains with
     params, _ = loop(ZeroGradObjective(dim, lam), np.zeros(dim), X, labels, opt_cfg)
     z = np.random.default_rng(np.random.SeedSequence(seeds["noise"])).standard_normal(dim)
     assert np.array_equal(params, -(eta * (z * std)))

@@ -81,11 +81,15 @@ def test_project_halfspace_basics():
 
 
 def test_make_projection_kinds():
-    assert opt.make_projection("none") is None
-    ball = opt.make_projection("ball", radius=1.0)
+    assert opt.make_projection(2, "none") is None
+    ball = opt.make_projection(2, "ball", radius=1.0)
     assert np.linalg.norm(ball(np.array([3.0, 4.0]))) == pytest.approx(1.0)
     with pytest.raises(ConfigError):
-        opt.make_projection("polytope")
+        opt.make_projection(2, "polytope")
+    band = opt.make_projection(2, "band", a=[1.0, 0.0], y=0.0, C=1.0)
+    np.testing.assert_array_equal(band(np.array([3.0, 4.0])), [1.0, 4.0])
+    with pytest.raises(ConfigError, match="one entry per model parameter, 3"):
+        opt.make_projection(3, "band", a=[1.0, 0.0], y=0.0, C=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +360,14 @@ def test_prefetched_noise_matches_sequential_draws(method, rows, worker, monkeyp
     obj = blocked_objective(rows, lam=0.0 if method == "dpgd" else 0.3)
     X, y = tiny_data(n=4 * STEPS)
     if method == "dpgd":
-        args = (obj, X, y, 0.8, opt.make_projection("ball", radius=2.0), STEPS, 0.7, 0.3)
-        np.testing.assert_array_equal(opt.dpgd_run(*args, seed=5),
-                                      oracles.sequential_dpgd(*args, seed=5))
+        cfg = opt.DPSGDConfig(C=0.8, sigma=1.3, b=len(X), eta=0.3, epochs=STEPS,
+                              seed=3, noise_seed=5)
+        ball = opt.make_projection(obj.dim, "ball", radius=2.0)
+        params, trace = opt.dpgd_run(obj, np.zeros(obj.dim), X, y, cfg, project=ball)
+        want, want_trace = oracles.sequential_dpgd(obj, np.zeros(obj.dim), X, y, cfg, ball,
+                                                   opt._streams(3, 5)[1])
+        np.testing.assert_array_equal(params, want)
+        assert trace.records == want_trace.records
         return
     cfg = opt.DPSGDConfig(C=0.9, sigma=1.3, b=4, eta=0.05, epochs=3, seed=3,
                           noise_seed=11)
@@ -441,24 +450,37 @@ def test_dpgd_quadratic_average_oracle():
     obj = quadratic_objective(lam=0.0)
     X, y = tiny_data()
     T, eta = 5, 0.02
-    released = opt.dpgd_run(obj, X, y, L=1e9, project=None, T=T, sigma_gd=0.0,
-                            eta=eta)
+    cfg = opt.DPSGDConfig(C=1e9, sigma=0.0, b=len(X), eta=eta, epochs=T)
+    released, trace = opt.dpgd_run(obj, np.zeros(obj.dim), X, y, cfg)
     theta = np.zeros(obj.dim)
     acc = np.zeros(obj.dim)
     for _ in range(T):
         theta = theta - eta * obj.clipped_grad_mean(theta, X, y, math.inf)
         acc += theta
     np.testing.assert_allclose(released, acc / T, atol=1e-12)
+    # one trace record, of the released average
+    [record] = trace.records
+    assert record["epoch"] == T and record["test_accuracy"] is None
+    assert record["train_loss"] == obj.data_loss(released, X, y)
 
 
 def test_dpgd_projection_applied_each_step():
     obj = quadratic_objective(lam=0.0)
     X, y = tiny_data()
-    ball = opt.make_projection("ball", radius=1e-3)
-    released = opt.dpgd_run(obj, X, y, L=10.0, project=ball, T=4, sigma_gd=0.5,
-                            eta=1.0, seed=0)
+    ball = opt.make_projection(obj.dim, "ball", radius=1e-3)
+    cfg = opt.DPSGDConfig(C=10.0, sigma=1.0, b=len(X), eta=1.0, epochs=4)
+    released, _ = opt.dpgd_run(obj, np.zeros(obj.dim), X, y, cfg, project=ball)
     # every iterate lies in the ball, hence so does the average
     assert np.linalg.norm(released) <= 1e-3 + 1e-12
+
+
+@pytest.mark.parametrize("b", [4, 13])
+def test_dpgd_refuses_a_batch_other_than_the_training_set(b):
+    obj = quadratic_objective(lam=0.0)
+    X, y = tiny_data()
+    cfg = opt.DPSGDConfig(C=1.0, sigma=1.0, b=b, eta=0.1, epochs=2)
+    with pytest.raises(ConfigError, match="batch is the training set"):
+        opt.dpgd_run(obj, np.zeros(obj.dim), X, y, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +505,16 @@ def test_config_validation():
         opt.DPSGDConfig(C=0.0, sigma=1.0, b=1, eta=0.1, epochs=1)
     with pytest.raises(ConfigError):
         opt.DPSGDConfig(C=1.0, sigma=-1.0, b=1, eta=0.1, epochs=1)
+    # C, sigma and eta must be finite, and eta positive; each refusal names its field
+    good = {"C": 1.0, "sigma": 1.0, "eta": 0.1}
+    for field in good:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=f"^{field}: must be finite"):
+                opt.DPSGDConfig(**dict(good, **{field: bad}), b=1, epochs=1)
+    for eta in (0.0, -0.1):
+        with pytest.raises(ConfigError, match="^eta: must be finite and positive"):
+            opt.DPSGDConfig(C=1.0, sigma=1.0, b=1, eta=eta, epochs=1)
+    assert opt.DPSGDConfig(C=1.0, sigma=0.0, b=1, eta=0.1, epochs=1).noise_std == 0.0
     obj = quadratic_objective(lam=0.0)
     X, y = tiny_data()
     cfg = opt.DPSGDConfig(C=1.0, sigma=1.0, b=4, eta=0.1, epochs=1)
