@@ -129,6 +129,7 @@ class RunConfig:
                 raise ConfigError(f"seeds.{key}: must be a non-negative integer, "
                                   f"got {seed!r}")
         _check_dataset_spec(self.dataset)
+        optimizers.check_constraint(**self.dpgd_constraint)
         if self.lam is None:
             # NoisyCGD's experimental default: eta * lambda = 2e-4
             self.lam = 2e-4 / self.eta if accountant == "noisycgd" else 0.0

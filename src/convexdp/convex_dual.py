@@ -63,7 +63,7 @@ class DualModel:
             )
         if not np.all(np.isfinite(self.V)):
             raise DomainError("V must be finite")
-        if self.lam < 0:
+        if not self.lam >= 0:  # nan too
             raise DomainError("lambda must be non-negative")
 
     @property

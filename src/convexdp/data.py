@@ -41,6 +41,8 @@ class Dataset:
             raise DomainError("labels length does not match X")
         if not np.all(np.isfinite(X)):
             raise DomainError("features must be finite")
+        if np.issubdtype(self.labels.dtype, np.integer) and np.any(self.labels < 0):
+            raise DomainError("class labels must be non-negative integers")
 
     @property
     def n(self) -> int:

@@ -9,18 +9,14 @@ RNG discipline: batch selection and noise come from independent streams
 spawned from the run seed, so removing noise never shifts batch sampling.
 The noise stream is one sequential generator, but its draws run one block
 ahead of the update on a worker thread, so they overlap the gradient (see
-``_noise_rows``), also the next epoch's first block during an epoch's
-evaluation. A block never spans an epoch end, and the noise state is
-copied when an epoch's last block is handed over, so each epoch's digest
-sees exactly that epoch's draws. The worker never calls BLAS: it only
-fills preallocated buffers from the generator.
+``_noise_rows``) and the per-epoch evaluation. The worker never calls
+BLAS: it only fills preallocated buffers from the generator.
 """
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
-import json
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
@@ -83,12 +79,6 @@ class TrainTrace:
         return "\n".join(lines) + "\n"
 
 
-def _digest(*states: dict) -> str:
-    """Short hash of generator states (``bit_generator.state`` dicts)."""
-    blob = json.dumps(list(states), sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
 def _streams(seed: int, noise_seed: Optional[int]):
     """Independent batch and noise generators; explicit or spawned seeds."""
     if noise_seed is None:
@@ -140,13 +130,12 @@ def project_band(v: np.ndarray, a: np.ndarray, y: float, C: float) -> np.ndarray
     return project_halfspace(out, -np.asarray(a, dtype=float), C - y)
 
 
-def make_projection(dim: int, /, kind: Optional[str] = None,
-                    **kw) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-    """Projection operator factory for the DP-GD constraint set in R^dim.
+def check_constraint(kind: Optional[str] = None, **kw) -> dict:
+    """The keys of a DP-GD constraint set as numpy arrays.
 
     ``kind`` is "none", "ball" or "band", and ``kw`` exactly its keys, all
-    finite numbers: a ``radius`` > 0, or a normal ``a`` of ``dim`` entries,
-    an offset ``y`` and a half-width ``C`` > 0. Anything else raises
+    finite numbers: a ``radius`` > 0, or a list ``a`` (the normal), an
+    offset ``y`` and a half-width ``C`` > 0. Anything else raises
     ConfigError.
     """
     needs = {"none": [], "ball": ["radius"], "band": ["C", "a", "y"]}
@@ -164,6 +153,15 @@ def make_projection(dim: int, /, kind: Optional[str] = None,
                               f"{'s' if key == 'a' else ''}, got {value!r:.40}")
         if key in ("radius", "C") and arr <= 0:
             raise ConfigError(f"constraint {key}: must be positive")
+    return kw
+
+
+def make_projection(dim: int, /, kind: Optional[str] = None,
+                    **kw) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+    """Projection operator factory for the DP-GD constraint set in R^dim,
+    one that ``check_constraint`` accepts and whose normal ``a`` has ``dim``
+    entries."""
+    kw = check_constraint(kind, **kw)
     if kind == "band" and kw["a"].shape != (dim,):
         raise ConfigError(f"dpgd_constraint.a: needs one entry per model "
                           f"parameter, {dim}; got shape {kw['a'].shape}")
@@ -193,60 +191,51 @@ NOISE_BLOCK_BYTES = 256 * 1024
 
 
 @contextlib.contextmanager
-def _noise_rows(rng: np.random.Generator, dim: int, steps: int, calls: int = 1):
-    """Yield ``(rows, states)``: every one of ``calls`` calls of ``rows()``
-    yields ``steps`` rows of N(0, I_dim) noise from ``rng``, in the order
-    sequential ``standard_normal(dim)`` draws would give them, with the same
-    bits; ``states[i]`` is ``rng.bit_generator.state`` once call i's rows
-    are drawn, and it appears when call i hands over its last block.
+def _noise_rows(rng: np.random.Generator, dim: int, steps: int):
+    """Yield an iterator over ``steps`` rows of N(0, I_dim) noise from
+    ``rng``, in the order sequential ``standard_normal(dim)`` draws would
+    give them, with the same bits.
 
     Rows are drawn in blocks of at most NOISE_BLOCK_BYTES; while the caller
     consumes block j, a worker thread fills block j + 1 into the other of two
-    preallocated buffers, also across calls, so the next call's first block
-    is drawn while the caller works between calls. A block the worker has
-    not started when it is due is cancelled and drawn by the caller, so a
-    worker thread that waits for a core never stalls the loop. No block spans
-    two calls. A row may be modified in place; it is valid until the next row
-    is taken. The worker exists only when more than one block is drawn, and
-    it is joined on every exit from the ``with`` block.
+    preallocated buffers. A block the worker has not started when it is due
+    is cancelled and drawn by the caller, so a worker thread that waits for
+    a core never stalls the loop. A row may be modified in place; it is
+    valid until the next row is taken. The worker exists only when more
+    than one block is drawn, and it is joined on every exit from the
+    ``with`` block.
     """
     rows = max(1, min(steps, NOISE_BLOCK_BYTES // (8 * dim)))
-    sizes = ([rows] * (steps // rows) + [steps % rows] * (steps % rows > 0)) * calls
-    per_call = len(sizes) // calls
-    bufs = np.empty((min(2, len(sizes)), rows, dim))
-    pool = ThreadPoolExecutor(1, "convexdp-noise") if len(sizes) > 1 else None
-    states = []
-    ahead = None
+    blocks = -(-steps // rows)
+    bufs = np.empty((min(2, blocks), rows, dim))
+    pool = ThreadPoolExecutor(1, "convexdp-noise") if blocks > 1 else None
 
     def draw(j):
-        return rng.standard_normal(out=bufs[j % 2, :sizes[j]])
+        return rng.standard_normal(out=bufs[j % 2, :steps - j * rows])
 
-    def call_rows():
-        nonlocal ahead
-        first = len(states) * per_call
-        for j in range(first, first + per_call):
+    def all_rows():
+        ahead = None
+        for j in range(blocks):
             block = draw(j) if ahead is None or ahead.cancel() else ahead.result()
-            if j + 1 == first + per_call:
-                states.append(rng.bit_generator.state)
-            ahead = pool.submit(draw, j + 1) if j + 1 < len(sizes) else None
+            ahead = pool.submit(draw, j + 1) if j + 1 < blocks else None
             yield from block
 
     try:
-        yield call_rows, states
+        yield all_rows()
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _noisy_minibatch_loop(objective, params0, X, y, cfg: DPSGDConfig, eval_fn,
-                          next_batch: Callable[[int], np.ndarray], rngs):
+                          next_batch: Callable[[int], np.ndarray], noise_rng):
     """The noisy mini-batch update shared by DP-SGD and NoisyCGD.
 
     Step ``it`` clips the per-sample data-term gradients of the batch
     ``next_batch(it)`` to C, averages them, adds N(0, C^2 sigma^2 / b^2 I)
     noise and the unclipped ridge gradient, and applies the learning-rate
-    step; an epoch is floor(n/b) steps. ``rngs`` = (batch, noise) streams,
-    whose states at the epoch's end each epoch's trace record digests.
+    step; an epoch is floor(n/b) steps. ``noise_rng`` gives one noise row
+    per step, in step order across the whole run.
     """
     y = np.asarray(y)
     params = np.array(params0, dtype=float, copy=True)
@@ -254,10 +243,10 @@ def _noisy_minibatch_loop(objective, params0, X, y, cfg: DPSGDConfig, eval_fn,
     noise_scale = cfg.noise_std
     eta = float(cfg.eta)
     it = 0
-    with _noise_rows(rngs[1], len(params), len(X) // cfg.b, cfg.epochs) as (
-            epoch_noise, noise_states):
+    steps = len(X) // cfg.b
+    with _noise_rows(noise_rng, len(params), steps * cfg.epochs) as noise:
         for epoch in range(1, cfg.epochs + 1):
-            for z in epoch_noise():
+            for z in itertools.islice(noise, steps):
                 idx = next_batch(it)
                 g = objective.clipped_grad_mean(params, X[idx], y[idx], cfg.C)
                 # eta * (g + noise + lam * params), in place in the noise row
@@ -273,8 +262,6 @@ def _noisy_minibatch_loop(objective, params0, X, y, cfg: DPSGDConfig, eval_fn,
                 train_loss=objective.data_loss(params, X, y)
                 + 0.5 * objective.lam * float(params @ params),
                 test_accuracy=None if eval_fn is None else eval_fn(params),
-                rng_state_digest=_digest(rngs[0].bit_generator.state,
-                                         noise_states[-1]),
             )
     return params, trace
 
@@ -292,9 +279,10 @@ def dpsgd_run(
     n = len(X)
     if cfg.b > n:
         raise ConfigError(f"batch size {cfg.b} exceeds dataset size {n}")
-    rngs = _streams(cfg.seed, cfg.noise_seed)
+    batch_rng, noise_rng = _streams(cfg.seed, cfg.noise_seed)
     return _noisy_minibatch_loop(objective, params0, X, y, cfg, eval_fn,
-                                 lambda it: rngs[0].choice(n, cfg.b, replace=False), rngs)
+                                 lambda it: batch_rng.choice(n, cfg.b, replace=False),
+                                 noise_rng)
 
 
 def noisycgd_run(
@@ -318,10 +306,10 @@ def noisycgd_run(
         raise ConfigError(f"n={n} not divisible by batch size b={cfg.b}")
     if objective.lam <= 0:
         raise ConfigError("NoisyCGD requires lambda > 0")
-    rngs = _streams(cfg.seed, cfg.noise_seed)
-    batches = rngs[0].permutation(n).reshape(n // cfg.b, cfg.b)
+    batch_rng, noise_rng = _streams(cfg.seed, cfg.noise_seed)
+    batches = batch_rng.permutation(n).reshape(n // cfg.b, cfg.b)
     return _noisy_minibatch_loop(objective, params0, X, y, cfg, eval_fn,
-                                 lambda it: batches[it % len(batches)], rngs)
+                                 lambda it: batches[it % len(batches)], noise_rng)
 
 
 def dpgd_run(
@@ -350,8 +338,8 @@ def dpgd_run(
     params = np.array(params0, dtype=float, copy=True)
     accum = np.zeros(len(params))
     with _noise_rows(_streams(cfg.seed, cfg.noise_seed)[1], len(params),
-                     cfg.epochs) as (noise, noise_states):
-        for z in noise():
+                     cfg.epochs) as noise:
+        for z in noise:
             g = objective.clipped_grad_mean(params, X, y, cfg.C)
             z *= cfg.noise_std
             z += g
@@ -366,6 +354,5 @@ def dpgd_run(
         epoch=cfg.epochs,
         train_loss=objective.data_loss(params, X, y),
         test_accuracy=None if eval_fn is None else eval_fn(params),
-        rng_state_digest=_digest(noise_states[-1]),
     )
     return params, trace

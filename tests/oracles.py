@@ -24,7 +24,7 @@ from convexdp.accountant import log_ndtr, ndtr
 from convexdp.baseline_relu import MLP
 from convexdp.convex_dual import DualModel
 from convexdp.errors import DomainError, NumericError
-from convexdp.optimizers import TrainTrace, _check_finite, _digest
+from convexdp.optimizers import TrainTrace, _check_finite
 
 
 @dataclasses.dataclass(frozen=True)
@@ -331,10 +331,10 @@ def mlp_per_sample_grad(net: MLP, x: np.ndarray, label, loss: str = "mse") -> np
 # ---------------------------------------------------------------------------
 
 
-def sequential_noisy_minibatch_loop(objective, params0, X, y, cfg, next_batch, rngs):
+def sequential_noisy_minibatch_loop(objective, params0, X, y, cfg, next_batch,
+                                    noise_rng):
     """``optimizers._noisy_minibatch_loop`` without an eval_fn, drawing each
-    step's noise after its gradient."""
-    noise_rng = rngs[1]
+    step's noise from ``noise_rng`` after its gradient."""
     y = np.asarray(y)
     params = np.array(params0, dtype=float, copy=True)
     trace = TrainTrace()
@@ -357,7 +357,6 @@ def sequential_noisy_minibatch_loop(objective, params0, X, y, cfg, next_batch, r
             train_loss=objective.data_loss(params, X, y)
             + 0.5 * objective.lam * float(params @ params),
             test_accuracy=None,
-            rng_state_digest=_digest(*(r.bit_generator.state for r in rngs)),
         )
     return params, trace
 
@@ -378,7 +377,7 @@ def sequential_dpgd(objective, params0, X, y, cfg, project, noise_rng):
     params = accum / cfg.epochs
     trace = TrainTrace()
     trace.append(epoch=cfg.epochs, train_loss=objective.data_loss(params, X, y),
-                 test_accuracy=None, rng_state_digest=_digest(noise_rng.bit_generator.state))
+                 test_accuracy=None)
     return params, trace
 
 

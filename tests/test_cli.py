@@ -469,11 +469,28 @@ def test_set_one_key_of_an_object_field_the_config_leaves_out(tmp_path, monkeypa
                               "--emit-config"], monkeypatch, tmp_path, capsys)
     assert code == 0, err
     assert json.loads(out)["seeds"] == dict(DEFAULT_SEEDS, noise=7)
+    # The default constraint {"kind": "none"} takes no radius, so setting one
+    # alone is refused when the config loads; with the kind it is a ball.
     cfg = write_config(tmp_path, method="dpgd", lam=0.0)
-    code, out, err = run_cli(["run", "--config", cfg, "--set", "dpgd_constraint.radius=0.5",
-                              "--emit-config"], monkeypatch, tmp_path, capsys)
+    radius = ["--set", "dpgd_constraint.radius=0.5", "--emit-config"]
+    code, out, err = run_cli(["run", "--config", cfg, *radius], monkeypatch, tmp_path,
+                             capsys)
+    assert code == 2 and "constraint set 'none'" in err and not out
+    code, out, err = run_cli(["run", "--config", cfg, "--set", "dpgd_constraint.kind=ball",
+                              *radius], monkeypatch, tmp_path, capsys)
     assert code == 0, err
-    assert json.loads(out)["dpgd_constraint"] == {"kind": "none", "radius": 0.5}
+    assert json.loads(out)["dpgd_constraint"] == {"kind": "ball", "radius": 0.5}
+
+
+def test_sweep_refuses_a_bad_constraint_before_any_run(tmp_path, monkeypatch, capsys):
+    cfg = method_config("dpgd", lam=0.0, dpgd_constraint={"kind": "ball"},
+                        grids={"dpgd_constraint.radius": [0.5, -1.0]})
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(["sweep", "--config", str(path)],
+                           monkeypatch, tmp_path, capsys)
+    assert code == 2 and "radius: must be positive" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_grid_key_into_an_object_field_the_config_leaves_out(tmp_path, monkeypatch,
@@ -664,6 +681,19 @@ def test_biased_dataset_pair_is_the_pair_plus_a_bias_column(tmp_path):
                                  cli.load_dataset_pair(spec, bias=True)):
             assert np.array_equal(biased.X, data.add_bias_column(plain.X))
             assert np.array_equal(biased.labels, plain.labels)
+
+
+def test_negative_class_labels_exit_2(tmp_path, monkeypatch, capsys):
+    # Labels {-1, 1} would one-hot -1 onto the last class, which 1 also is.
+    rng = np.random.default_rng(0)
+    table = np.column_stack([rng.standard_normal((40, 3)), rng.choice([-1, 1], 40)])
+    (tmp_path / "table.csv").write_text(
+        "a,b,c,y\n" + "\n".join(",".join(map(repr, row)) for row in table.tolist()))
+    cfg = write_config(tmp_path, dataset={"kind": "csv", "path": str(tmp_path / "table.csv"),
+                                          "n_test": 10})
+    code, _, err = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
+    assert code == 2 and "class labels must be non-negative" in err
+    assert not (tmp_path / "out").exists()
 
 
 MODEL_MODULES = {"dual": cd, "relu": br}

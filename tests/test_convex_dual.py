@@ -409,10 +409,19 @@ def test_forward_shape_validation():
         oracles.forward(model, np.zeros(5), np.zeros(3))
 
 
-def test_objective_refuses_negative_lambda():
-    # Refused at construction, not first by to_model's DualModel after training.
+def test_objective_refuses_negative_lambda(tmp_path):
+    # Refused at construction, not first by to_model's DualModel after
+    # training; the model refuses it too, also from a checkpoint.
     arr = cd.sample_arrangement(3, 4, seed=0)
+    path = tmp_path / "model.json"
+    cd.save_checkpoint(make_model(P=4, d=3), str(path))
+    payload = json.loads(path.read_text())
     for lam in (-1e-3, math.nan):
         with pytest.raises(DomainError, match="non-negative"):
             cd.DualObjective(arr, k=2, lam=lam, loss="ce")
+        with pytest.raises(DomainError, match="non-negative"):
+            make_model(lam=lam)
+        path.write_text(json.dumps(dict(payload, **{"lambda": lam})))
+        with pytest.raises(DomainError, match="non-negative"):
+            cd.load_checkpoint(str(path))
     assert cd.DualObjective(arr, k=2, lam=0.0, loss="ce").lam == 0.0
