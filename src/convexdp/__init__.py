@@ -10,8 +10,7 @@ Subpackages:
   checkpoints.
 * ``losses`` -- the MSE / softmax cross-entropy head (residuals, mean
   loss, accuracy) shared by the dual model and the MLP baseline.
-* ``optimizers`` -- one noisy mini-batch loop behind DP-SGD and NoisyCGD,
-  projected DP-GD and its projection operators.
+* ``optimizers`` -- one noisy mini-batch loop behind DP-SGD and NoisyCGD.
 * ``baseline_relu`` -- one-hidden-layer ReLU network baseline.
 * ``data`` -- IDX/CSV loading, synthetic data, subsets and splits.
 * ``cli`` -- the experiment harness.

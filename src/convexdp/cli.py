@@ -28,22 +28,16 @@ from .errors import ConfigError, FormatError, NumericError
 
 # Each method's model ("dual" gated-linear or "relu" MLP), training loop (a
 # function name in `optimizers`, looked up at each run) and accountant query.
-# DP-GD is accounted as DP-SGD with full batches.
 METHODS = {
     "dual-dpsgd": ("dual", "dpsgd_run", "dpsgd"),
     "dual-noisycgd": ("dual", "noisycgd_run", "noisycgd"),
     "relu-dpsgd": ("relu", "dpsgd_run", "dpsgd"),
-    "dpgd": ("dual", "dpgd_run", "dpsgd"),
 }
-# The config fields only some models, loops or accountant queries read; every
-# other field applies to every method. DP-GD's batch is the training set, and
-# its loop adds no ridge gradient.
+# The config fields only some models or accountant queries read; every other
+# field applies to every method.
 FIELDS_READ_BY = {
     "dual": {"P"},
     "relu": {"hidden_m"},
-    "dpsgd_run": {"b", "account_every_epoch", "lam"},
-    "noisycgd_run": {"b", "account_every_epoch", "lam"},
-    "dpgd_run": {"dpgd_constraint"},
     "dpsgd": set(),
     "noisycgd": {"beta"},
 }
@@ -94,7 +88,6 @@ class RunConfig:
     out_dir: str = "runs"
     name: str = "run"
     account_every_epoch: bool = False
-    dpgd_constraint: dict = dataclasses.field(default_factory=lambda: {"kind": "none"})
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -110,7 +103,7 @@ class RunConfig:
         if self.method not in METHODS:
             raise ConfigError(f"method: unknown method {self.method!r}; "
                               f"expected one of {tuple(METHODS)}")
-        model, loop, accountant = METHODS[self.method]
+        model, _, accountant = METHODS[self.method]
         for field in ("epochs", "C", "b", "eta", "P", "hidden_m", "beta"):
             if (value := getattr(self, field)) is not None and value <= 0:
                 raise ConfigError(f"{field}: must be positive, got {value!r}")
@@ -129,17 +122,15 @@ class RunConfig:
                 raise ConfigError(f"seeds.{key}: must be a non-negative integer, "
                                   f"got {seed!r}")
         _check_dataset_spec(self.dataset)
-        optimizers.check_constraint(**self.dpgd_constraint)
         if self.lam is None:
             # NoisyCGD's experimental default: eta * lambda = 2e-4
             self.lam = 2e-4 / self.eta if accountant == "noisycgd" else 0.0
         if accountant == "noisycgd" and self.lam <= 0:
             raise ConfigError("lam: NoisyCGD accounting requires lambda > 0")
-        # A field left at its default is silent, so --emit-config output loads;
-        # it prints an unset lam as 0.0, what lam resolves to where it is unread.
-        defaults = dict(_field_defaults(), lam=0.0)
+        # A field left at its default is silent, so --emit-config output loads.
+        defaults = _field_defaults()
         unread = set().union(*FIELDS_READ_BY.values()).difference(
-            FIELDS_READ_BY[model], FIELDS_READ_BY[loop], FIELDS_READ_BY[accountant])
+            FIELDS_READ_BY[model], FIELDS_READ_BY[accountant])
         unread = sorted(f for f in unread if getattr(self, f) != defaults[f])
         if unread:
             raise ConfigError(f"{', '.join(unread)}: not read by method "
@@ -262,21 +253,18 @@ def load_dataset_pair(spec: dict, bias: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def _opt_config(cfg: RunConfig, n: int) -> optimizers.DPSGDConfig:
-    """The training-loop config of a run on n training rows; DP-GD's batch is
-    all n of them."""
+def _opt_config(cfg: RunConfig) -> optimizers.DPSGDConfig:
+    """The training-loop config of a run."""
     return optimizers.DPSGDConfig(
-        C=cfg.C, sigma=cfg.sigma, b=n if METHODS[cfg.method][1] == "dpgd_run" else cfg.b,
-        eta=cfg.eta, epochs=cfg.epochs, seed=cfg.seeds["batches"],
-        noise_seed=cfg.seeds["noise"],
+        C=cfg.C, sigma=cfg.sigma, b=cfg.b, eta=cfg.eta, epochs=cfg.epochs,
+        seed=cfg.seeds["batches"], noise_seed=cfg.seeds["noise"],
     )
 
 
 def accountant_inputs_for_run(cfg: RunConfig, X: np.ndarray) -> dict:
     """The exact accountant query of a run config on the training rows X."""
     accountant = METHODS[cfg.method][2]
-    opt_cfg = _opt_config(cfg, len(X))
-    n, b = len(X), opt_cfg.b
+    n, b = len(X), cfg.b
     if accountant == "dpsgd":
         return {"method": "dpsgd", "sigma": cfg.sigma, "q": b / n,
                 "T": cfg.epochs * (n // b), "delta": cfg.delta}
@@ -289,7 +277,7 @@ def accountant_inputs_for_run(cfg: RunConfig, X: np.ndarray) -> dict:
         "L": 2.0 * cfg.C,
         "b": b,
         # noise std in update-equation units, on the mean
-        "sigma": opt_cfg.noise_std,
+        "sigma": _opt_config(cfg).noise_std,
         "eta": cfg.eta,
         "lambda": cfg.lam,
         "beta": beta,
@@ -374,13 +362,10 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
         eps_text = _eps_repr
         _privacy_curves(inputs)
 
-    # DP-GD's loop also takes the projection onto its constraint set.
-    extra = ({"project": optimizers.make_projection(objective.dim, **cfg.dpgd_constraint)}
-             if loop == "dpgd_run" else {})
     eval_fn = lambda params: objective.accuracy(params, test.X, test.labels)
     run = getattr(optimizers, loop)  # at call time: probes patch the module
     params, trace = run(objective, params0, train.X, train.labels,
-                        _opt_config(cfg, len(train.X)), eval_fn=eval_fn, **extra)
+                        _opt_config(cfg), eval_fn=eval_fn)
 
     # Per-epoch accounting gives each epoch's record its epsilon; otherwise
     # the last record gets the run's.

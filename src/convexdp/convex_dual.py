@@ -140,9 +140,9 @@ class DualObjective:
     gradient tensor is never built.
 
     Rows pass through the kernel ``ROW_BLOCK`` at a time. Full-dataset
-    evaluation and full-batch DP-GD hand it every row, and unblocked, the
-    rows x P bits and rows x P*k responses would grow with n; blocked, they
-    stay one block in size, and only the n x k logits cover all rows.
+    evaluation hands it every row, and unblocked, the rows x P bits and
+    rows x P*k responses would grow with n; blocked, they stay one block in
+    size, and only the n x k logits cover all rows.
     """
 
     def __init__(

@@ -102,7 +102,7 @@ def load_csv(path: str) -> Dataset:
     except ValueError as exc:
         raise FormatError(f"non-numeric CSV entry: {exc}") from None
     labels = data[:, -1]
-    if np.allclose(labels, np.round(labels)):
+    if np.array_equal(labels, np.round(labels)):
         labels = labels.astype(np.int64)
     return Dataset(X=data[:, :-1], labels=labels)
 

@@ -1,5 +1,5 @@
-"""DP optimizers: subsampled DP-SGD, noisy cyclic mini-batch GD, projected
-full-batch DP-GD, plus the projection operators of DP-GD's constraint sets.
+"""DP optimizers: subsampled DP-SGD and noisy cyclic mini-batch GD, two
+batch schedules of one noisy mini-batch loop.
 
 Privacy unit: exactly the per-example data-term gradient is clipped; the
 ridge gradient lam * theta is added after averaging, unclipped, so the
@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericError
+from .errors import ConfigError, NumericError
 
 
 # ---------------------------------------------------------------------------
@@ -95,88 +95,6 @@ def _check_finite(params: np.ndarray, where: str) -> None:
     if not np.all(np.isfinite(params)):
         bad = int(np.count_nonzero(~np.isfinite(params)))
         raise NumericError(f"{bad} non-finite parameters after {where}; aborting run")
-
-
-# ---------------------------------------------------------------------------
-# Projections
-# ---------------------------------------------------------------------------
-
-
-def project_halfspace(v: np.ndarray, a: np.ndarray, bnd: float) -> np.ndarray:
-    """Orthogonal projection onto {x : a . x <= bnd}."""
-    a = np.asarray(a, dtype=float)
-    nrm2 = float(a @ a)
-    if nrm2 == 0.0:
-        raise DomainError("half-space normal must be nonzero")
-    v = np.asarray(v, dtype=float)
-    val = float(a @ v)
-    # tolerate dot-product roundoff so that re-projecting a point produced by
-    # this function is an exact no-op (idempotence in floating point)
-    tol = 64.0 * np.finfo(float).eps * (abs(bnd) + float(np.abs(a) @ np.abs(v)))
-    if val <= bnd + tol:
-        return v
-    return v + (bnd - val) * a / nrm2
-
-
-def project_band(v: np.ndarray, a: np.ndarray, y: float, C: float) -> np.ndarray:
-    """Projection onto {x : |a . x - y| <= C}.
-
-    The two half-spaces have parallel boundaries, so applying the two
-    half-space projections in sequence is the exact Euclidean projection.
-    """
-    if C <= 0:
-        raise DomainError("band half-width must be positive")
-    out = project_halfspace(v, a, y + C)
-    return project_halfspace(out, -np.asarray(a, dtype=float), C - y)
-
-
-def check_constraint(kind: Optional[str] = None, **kw) -> dict:
-    """The keys of a DP-GD constraint set as numpy arrays.
-
-    ``kind`` is "none", "ball" or "band", and ``kw`` exactly its keys, all
-    finite numbers: a ``radius`` > 0, or a list ``a`` (the normal), an
-    offset ``y`` and a half-width ``C`` > 0. Anything else raises
-    ConfigError.
-    """
-    needs = {"none": [], "ball": ["radius"], "band": ["C", "a", "y"]}
-    if not isinstance(kind, str) or needs.get(kind) != sorted(kw):
-        raise ConfigError(f"constraint set {kind!r} with keys {sorted(kw)}; "
-                          f"expected one of {needs}")
-    for key, value in kw.items():
-        try:
-            kw[key] = arr = np.asarray(value)
-        except ValueError:  # ragged nested lists
-            arr = np.asarray(None)
-        if (arr.ndim != (key == "a") or arr.dtype.kind not in "iuf"
-                or not np.all(np.isfinite(arr))):
-            raise ConfigError(f"constraint {key}: expected finite number"
-                              f"{'s' if key == 'a' else ''}, got {value!r:.40}")
-        if key in ("radius", "C") and arr <= 0:
-            raise ConfigError(f"constraint {key}: must be positive")
-    return kw
-
-
-def make_projection(dim: int, /, kind: Optional[str] = None,
-                    **kw) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-    """Projection operator factory for the DP-GD constraint set in R^dim,
-    one that ``check_constraint`` accepts and whose normal ``a`` has ``dim``
-    entries."""
-    kw = check_constraint(kind, **kw)
-    if kind == "band" and kw["a"].shape != (dim,):
-        raise ConfigError(f"dpgd_constraint.a: needs one entry per model "
-                          f"parameter, {dim}; got shape {kw['a'].shape}")
-    if kind == "ball":
-        radius = float(kw["radius"])
-
-        def ball(v):
-            norm = float(np.linalg.norm(v))
-            return v if norm <= radius else v * (radius / norm)
-
-        return ball
-    if kind == "band":
-        a = kw["a"].astype(float)
-        return lambda v: project_band(v, a, float(kw["y"]), float(kw["C"]))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -311,48 +229,3 @@ def noisycgd_run(
     return _noisy_minibatch_loop(objective, params0, X, y, cfg, eval_fn,
                                  lambda it: batches[it % len(batches)], noise_rng)
 
-
-def dpgd_run(
-    objective,
-    params0: np.ndarray,
-    X: np.ndarray,
-    y,
-    cfg: DPSGDConfig,
-    eval_fn: Optional[Callable[[np.ndarray], float]] = None,
-    project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-):
-    """Full-batch projected DP gradient descent, releasing the iterate average.
-
-    From theta_0 = ``params0``, each of ``cfg.epochs`` steps adds
-    N(0, cfg.noise_std^2 I) to the full-batch mean of per-sample gradients
-    clipped to C, takes a step and projects it; the average (1/T) * sum of
-    theta_1..theta_T is released with one trace record, at epoch T. The
-    batch is the training set, so ``cfg.b`` must be n. It stays apart from
-    the noisy mini-batch loop: no ridge term, a projection and an iterate
-    average.
-    """
-    n = len(X)
-    if cfg.b != n:
-        raise ConfigError(f"DP-GD's batch is the training set: b={cfg.b}, n={n}")
-    y = np.asarray(y)
-    params = np.array(params0, dtype=float, copy=True)
-    accum = np.zeros(len(params))
-    with _noise_rows(_streams(cfg.seed, cfg.noise_seed)[1], len(params),
-                     cfg.epochs) as noise:
-        for z in noise:
-            g = objective.clipped_grad_mean(params, X, y, cfg.C)
-            z *= cfg.noise_std
-            z += g
-            params = params - cfg.eta * z
-            if project is not None:
-                params = project(params)
-            _check_finite(params, "DP-GD step")
-            accum += params
-    params = accum / cfg.epochs
-    trace = TrainTrace()
-    trace.append(
-        epoch=cfg.epochs,
-        train_loss=objective.data_loss(params, X, y),
-        test_accuracy=None if eval_fn is None else eval_fn(params),
-    )
-    return params, trace

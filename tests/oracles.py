@@ -5,9 +5,9 @@ constant, tiny-scale arrangement enumeration, the ReLU-to-dual embedding
 and the Young rescaling check, and per-example forward and backprop for
 the MLP baseline. The package computes the same quantities batched (or
 not at all); these loop over single rows so that the tests can check it.
-The private optimizers' loops are kept here as they were before their noise
-moved to a worker thread: one ``standard_normal(dim)`` draw per step, on
-the calling thread. The accountant's two Gaussian hockey-stick
+The noisy mini-batch loop is kept here as it was before its noise moved to
+a worker thread: one ``standard_normal(dim)`` draw per step, on the calling
+thread. The accountant's two Gaussian hockey-stick
 implementations are kept as they were before ``gaussian_delta`` replaced
 both.
 """
@@ -360,30 +360,6 @@ def sequential_noisy_minibatch_loop(objective, params0, X, y, cfg, next_batch,
         )
     return params, trace
 
-
-def sequential_dpgd(objective, params0, X, y, cfg, project, noise_rng):
-    """``optimizers.dpgd_run`` without an eval_fn, drawing each step's noise
-    from ``noise_rng`` after its gradient."""
-    params = np.array(params0, dtype=float, copy=True)
-    accum = np.zeros(len(params))
-    for _ in range(cfg.epochs):
-        g = objective.clipped_grad_mean(params, X, np.asarray(y), cfg.C)
-        g = g + noise_rng.standard_normal(len(params)) * (cfg.C * cfg.sigma / cfg.b)
-        params = params - cfg.eta * g
-        if project is not None:
-            params = project(params)
-        _check_finite(params, "DP-GD step")
-        accum += params
-    params = accum / cfg.epochs
-    trace = TrainTrace()
-    trace.append(epoch=cfg.epochs, train_loss=objective.data_loss(params, X, y),
-                 test_accuracy=None)
-    return params, trace
-
-
-# ---------------------------------------------------------------------------
-# Gaussian hockey stick, the two former implementations
-# ---------------------------------------------------------------------------
 
 
 def hockey_stick_gaussian(alpha, mu: float):

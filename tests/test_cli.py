@@ -44,14 +44,11 @@ BASE_CONFIG = {
 
 def method_config(method=BASE_CONFIG["method"], **extra):
     """BASE_CONFIG with only the fields ``method`` reads: the ReLU baseline
-    gets hidden_m=8 in place of P, and dpgd, whose batch is the whole
-    training set, no b."""
+    gets hidden_m=8 in place of P."""
     cfg = dict(BASE_CONFIG, method=method, dataset=dict(BASE_CONFIG["dataset"]))
     if cli.METHODS.get(method, ("dual",))[0] == "relu":
         del cfg["P"]
         cfg["hidden_m"] = 8
-    if method == "dpgd":
-        del cfg["b"]
     cfg.update(extra)
     return cfg
 
@@ -469,27 +466,16 @@ def test_set_one_key_of_an_object_field_the_config_leaves_out(tmp_path, monkeypa
                               "--emit-config"], monkeypatch, tmp_path, capsys)
     assert code == 0, err
     assert json.loads(out)["seeds"] == dict(DEFAULT_SEEDS, noise=7)
-    # The default constraint {"kind": "none"} takes no radius, so setting one
-    # alone is refused when the config loads; with the kind it is a ball.
-    cfg = write_config(tmp_path, method="dpgd", lam=0.0)
-    radius = ["--set", "dpgd_constraint.radius=0.5", "--emit-config"]
-    code, out, err = run_cli(["run", "--config", cfg, *radius], monkeypatch, tmp_path,
-                             capsys)
-    assert code == 2 and "constraint set 'none'" in err and not out
-    code, out, err = run_cli(["run", "--config", cfg, "--set", "dpgd_constraint.kind=ball",
-                              *radius], monkeypatch, tmp_path, capsys)
-    assert code == 0, err
-    assert json.loads(out)["dpgd_constraint"] == {"kind": "ball", "radius": 0.5}
 
 
-def test_sweep_refuses_a_bad_constraint_before_any_run(tmp_path, monkeypatch, capsys):
-    cfg = method_config("dpgd", lam=0.0, dpgd_constraint={"kind": "ball"},
-                        grids={"dpgd_constraint.radius": [0.5, -1.0]})
+def test_sweep_refuses_a_bad_grid_value_before_any_run(tmp_path, monkeypatch, capsys):
+    # The grid's first point is valid; its second is refused before either runs.
+    cfg = method_config(grids={"seeds.noise": [7, -1]})
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(cfg))
     code, _, err = run_cli(["sweep", "--config", str(path)],
                            monkeypatch, tmp_path, capsys)
-    assert code == 2 and "radius: must be positive" in err
+    assert code == 2 and "seeds.noise: must be a non-negative integer" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -516,31 +502,10 @@ def test_sweep_rejects_unknown_grid_key(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()  # refused before any run
 
 
-def test_accountant_inputs_for_dpgd():
-    cfg = cli.RunConfig(**method_config("dpgd", lam=0.0))
-    inputs = cli.accountant_inputs_for_run(cfg, np.ones((120, 6)))
-    assert inputs == {"method": "dpsgd", "sigma": cfg.sigma, "q": 1.0,
-                      "T": cfg.epochs, "delta": cfg.delta}
-
-
-def test_dpgd_rejects_account_every_epoch(tmp_path, monkeypatch, capsys):
-    # dpgd keeps one final trace record, so per-epoch accounting cannot apply.
-    with pytest.raises(ConfigError, match="account_every_epoch"):
-        cli.RunConfig(**method_config("dpgd", lam=0.0, account_every_epoch=True))
-    cfg = write_config(tmp_path, method="dpgd", lam=0.0, account_every_epoch=True)
-    code, _, err = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
-    assert code == 2 and "account_every_epoch" in err
-
-
-BALL = {"kind": "ball", "radius": 1.0}
 UNREAD_FIELDS = [
-    ("relu-dpsgd", "beta", 5.0), ("dual-dpsgd", "beta", 5.0), ("dpgd", "beta", 5.0),
+    ("relu-dpsgd", "beta", 5.0), ("dual-dpsgd", "beta", 5.0),
     ("relu-dpsgd", "P", 64),
     ("dual-dpsgd", "hidden_m", 50), ("dual-noisycgd", "hidden_m", 50),
-    ("dpgd", "hidden_m", 50),
-    ("dual-dpsgd", "dpgd_constraint", BALL), ("dual-noisycgd", "dpgd_constraint", BALL),
-    ("relu-dpsgd", "dpgd_constraint", BALL),
-    ("dpgd", "b", 50), ("dpgd", "lam", 0.5),
 ]
 
 
@@ -552,6 +517,26 @@ def test_field_the_method_does_not_read_exits_2(method, field, value, tmp_path,
     cfg = write_config(tmp_path, method=method, **{field: value})
     code, _, err = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
     assert code == 2 and "config error" in err and field in err
+
+
+# Configs of the retired full-batch DP-GD method: one of the method itself, and
+# one that carries its constraint field, as every emitted config once did.
+RETIRED_DPGD_CONFIGS = {
+    "method-dpgd": (method_config("dpgd"), "unknown method 'dpgd'"),
+    "dpgd_constraint-on-dual-dpsgd": (
+        method_config("dual-dpsgd", dpgd_constraint={"kind": "none"}),
+        "unknown config fields: ['dpgd_constraint']"),
+}
+
+
+@pytest.mark.parametrize("cfg, message", RETIRED_DPGD_CONFIGS.values(),
+                         ids=RETIRED_DPGD_CONFIGS)
+def test_retired_dpgd_config_exits_2(cfg, message, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(["run", "--config", str(path)], monkeypatch, tmp_path, capsys)
+    assert code == 2 and message in err
+    assert not (tmp_path / "out").exists()
 
 
 BAD_SETTINGS = [
@@ -628,34 +613,6 @@ def test_emitted_config_loads(method, tmp_path, monkeypatch, capsys):
     assert code == 0 and again == first
 
 
-MALFORMED_CONSTRAINTS = [
-    {"kind": "ball"},
-    {"radius": 1},
-    {"kind": "band", "a": [1, 2]},
-    # a band normal needs one entry per model parameter (P * (d + 1) * k = 96)
-    {"kind": "band", "a": [1, 2], "y": 0, "C": 1},
-    ["ball"],
-    {"kind": "ball", "radius": "x"},
-    {"kind": "band", "a": "abc", "y": 0, "C": 1},
-    {"kind": "ball", "radius": 1, "extra": 5},
-    {"kind": "ball", "radius": math.nan},
-]
-
-
-@pytest.mark.parametrize("constraint", MALFORMED_CONSTRAINTS, ids=[
-    "ball-without-radius", "without-kind", "band-without-y", "band-a-wrong-length",
-    "not-an-object", "radius-not-a-number", "band-a-not-numbers", "unknown-key",
-    "radius-nan"])
-def test_malformed_dpgd_constraint_exits_2(constraint, tmp_path, monkeypatch, capsys):
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained with a malformed constraint")
-
-    monkeypatch.setattr(cli.optimizers, "dpgd_run", no_training)
-    cfg = write_config(tmp_path, method="dpgd", lam=0.0, dpgd_constraint=constraint)
-    code, _, err = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
-    assert code == 2 and "config error" in err
-
-
 def test_biased_dataset_pair_is_the_pair_plus_a_bias_column(tmp_path):
     # Every dataset kind: the biased splits are built without an unbiased
     # copy, and must equal the plain splits with a constant-1 column. The
@@ -702,9 +659,7 @@ MODEL_MODULES = {"dual": cd, "relu": br}
 @pytest.mark.parametrize("method", sorted(cli.METHODS))
 def test_every_method_checkpoint_reproduces_report(method, tmp_path, monkeypatch,
                                                    capsys):
-    ball = {"kind": "ball", "radius": 0.5}
-    extra = {"dpgd_constraint": ball, "lam": 0.0} if method == "dpgd" else {}
-    cfg = write_config(tmp_path, method=method, **extra)
+    cfg = write_config(tmp_path, method=method)
     code, out, _ = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
     assert code == 0
     report = json.loads(out)
@@ -712,7 +667,7 @@ def test_every_method_checkpoint_reproduces_report(method, tmp_path, monkeypatch
     model = MODEL_MODULES[model_kind].load_checkpoint(report["outputs"]["model"])
 
     # Test accuracy of the reloaded model, one row at a time.
-    train, test = cli.load_dataset_pair(BASE_CONFIG["dataset"])
+    _, test = cli.load_dataset_pair(BASE_CONFIG["dataset"])
     if model_kind == "dual":
         logits = [oracles.forward(model, x, model.arrangement.U @ x >= 0)
                   for x in data.add_bias_column(test.X)]
@@ -721,36 +676,21 @@ def test_every_method_checkpoint_reproduces_report(method, tmp_path, monkeypatch
     accuracy = float(np.mean(np.argmax(logits, axis=1) == test.labels))
     assert accuracy == report["final_test_accuracy"]
 
-    if method == "dpgd":
-        X = data.add_bias_column(train.X)
-        seeds = report["config"]["seeds"]
-        objective = cd.DualObjective(
-            cd.sample_arrangement(X.shape[1], BASE_CONFIG["P"], seeds["gates"]),
-            k=2, lam=0.0, loss=BASE_CONFIG["loss"],
-        )
-        cfg = opt.DPSGDConfig(C=BASE_CONFIG["C"], sigma=BASE_CONFIG["sigma"], b=len(X),
-                              eta=BASE_CONFIG["eta"], epochs=BASE_CONFIG["epochs"],
-                              seed=seeds["batches"], noise_seed=seeds["noise"])
-        direct, _ = opt.dpgd_run(objective, np.zeros(objective.dim), X, train.labels,
-                                 cfg, project=opt.make_projection(objective.dim, **ball))
-        np.testing.assert_array_equal(model.V.ravel(), direct)
-
 
 def test_training_loops_looked_up_at_call_time(monkeypatch):
     # Probes (perfbench) replace the loops on the optimizers module; a run
     # must call whatever the module holds when it starts.
     calls = []
-    for name in ("dpsgd_run", "noisycgd_run", "dpgd_run"):
+    for name in ("dpsgd_run", "noisycgd_run"):
         def spy(*args, _name=name, _real=getattr(opt, name), **kwargs):
             calls.append(_name)
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(cli.optimizers, name, spy)
     for method, loop in (("dual-dpsgd", "dpsgd_run"), ("relu-dpsgd", "dpsgd_run"),
-                         ("dual-noisycgd", "noisycgd_run"), ("dpgd", "dpgd_run")):
+                         ("dual-noisycgd", "noisycgd_run")):
         calls.clear()
-        extra = {"lam": 0.0} if method == "dpgd" else {}
-        cli.execute_run(cli.RunConfig(**method_config(method, **extra)), write_outputs=False)
+        cli.execute_run(cli.RunConfig(**method_config(method)), write_outputs=False)
         assert calls == [loop]
 
 
@@ -842,19 +782,16 @@ class ZeroGradObjective:
         return 0.0
 
 
-@pytest.mark.parametrize("method", ["dual-dpsgd", "dual-noisycgd", "dpgd"])
+@pytest.mark.parametrize("method", ["dual-dpsgd", "dual-noisycgd"])
 def test_injected_noise_is_the_noise_the_epsilon_assumes(method):
     # With n = b one epoch is one step, which leaves params = -(eta * z) for
-    # the run's noise draw z (DP-GD releases the average of that one step).
+    # the run's noise draw z.
     # Its std must be the one the accountant query reads: NoisyCGD's sigma
     # (with L = 2C), or C/b times DP-SGD's noise multiplier at q = b/n.
     C, sigma, b, eta, lam, dim = 1.5, 2.0, 30, 0.02, 0.1, 500
     seeds = {"gates": 0, "init": 1, "batches": 2, "noise": 3}
     fields = dict(BASE_CONFIG, method=method, C=C, sigma=sigma, b=b, eta=eta, lam=lam,
                   epochs=1, seeds=seeds)
-    if method == "dpgd":  # its batch is the training set, and it has no ridge term
-        del fields["b"]
-        fields["lam"] = 0.0
     cfg = cli.RunConfig(**fields)
     X, labels = np.ones((b, 6)), np.zeros(b, dtype=int)
     inputs = cli.accountant_inputs_for_run(cfg, X)
@@ -867,7 +804,7 @@ def test_injected_noise_is_the_noise_the_epsilon_assumes(method):
     assert std == C * sigma / b
 
     loop = getattr(opt, cli.METHODS[method][1])
-    opt_cfg = cli._opt_config(cfg, len(X))  # the config execute_run trains with
+    opt_cfg = cli._opt_config(cfg)  # the config execute_run trains with
     params, _ = loop(ZeroGradObjective(dim, lam), np.zeros(dim), X, labels, opt_cfg)
     z = np.random.default_rng(np.random.SeedSequence(seeds["noise"])).standard_normal(dim)
     assert np.array_equal(params, -(eta * (z * std)))

@@ -78,12 +78,16 @@ def test_load_csv(tmp_path):
 
 
 def test_load_csv_real_targets(tmp_path):
+    # Integrality is exact: targets within 1e-5 of an integer stay real.
     path = tmp_path / "t.csv"
-    path.write_text("a,y\n1.0,0.5\n2.0,1.5\n")
-    ds = data.load_csv(str(path))
-    assert ds.labels.dtype == float
-    with pytest.raises(DomainError):
-        _ = ds.num_classes
+    for rows, targets in (("1.0,0.5\n2.0,1.5\n", [0.5, 1.5]),
+                          ("1.0,100.0004\n2.0,250.0009\n3.0,7.00001\n",
+                           [100.0004, 250.0009, 7.00001])):
+        path.write_text("a,y\n" + rows)
+        ds = data.load_csv(str(path))
+        assert ds.labels.dtype == float and ds.labels.tolist() == targets
+        with pytest.raises(DomainError):
+            _ = ds.num_classes
 
 
 def test_load_csv_errors(tmp_path):

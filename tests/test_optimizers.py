@@ -1,7 +1,7 @@
-"""Optimizer tests: projection against brute-force QP oracles,
-one-step analytic oracles, determinism, noise-stream independence, the
-DP-SGD / NoisyCGD harness equivalence under a shared batch schedule, and
-the prefetched noise against one sequential draw per step."""
+"""Optimizer tests: one-step analytic oracles, determinism, noise-stream
+independence, the DP-SGD / NoisyCGD harness equivalence under a shared
+batch schedule, and the prefetched noise against one sequential draw per
+step."""
 import concurrent.futures
 import contextlib
 import math
@@ -27,69 +27,6 @@ def quadratic_objective(dim=4, lam=0.5, seed=0):
 def tiny_data(n=12, d=4, seed=0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, d)), rng.integers(0, 2, size=n)
-
-
-# ---------------------------------------------------------------------------
-# Projections
-# ---------------------------------------------------------------------------
-
-
-def band_qp_oracle(v, a, y, C):
-    """Brute-force QP: min ||x - v||^2 s.t. y - C <= a.x <= y + C.
-
-    Enumerates the active sets (none, upper plane, lower plane); each
-    equality-constrained subproblem is solved exactly by its Lagrange
-    system x = v - nu * a, nu = (a.v - bnd) / ||a||^2. The feasible
-    candidate with the smallest objective is the global optimum.
-    """
-    candidates = []
-    if abs(a @ v - y) <= C:
-        candidates.append(np.asarray(v, dtype=float))
-    for bnd in (y - C, y + C):
-        x = v - ((a @ v - bnd) / (a @ a)) * a
-        if abs(a @ x - y) <= C + 1e-12:
-            candidates.append(x)
-    assert candidates
-    return min(candidates, key=lambda x: float(np.sum((x - v) ** 2)))
-
-
-def test_project_band_matches_qp_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        dim = rng.integers(2, 6)
-        v = 3.0 * rng.standard_normal(dim)
-        a = rng.standard_normal(dim)
-        while np.linalg.norm(a) < 1e-3:
-            a = rng.standard_normal(dim)
-        y = float(rng.standard_normal())
-        C = float(rng.uniform(0.05, 1.0))
-        got = opt.project_band(v, a, y, C)
-        want = band_qp_oracle(v, a, y, C)
-        np.testing.assert_allclose(got, want, atol=1e-8)
-        # result is feasible and idempotence is exact
-        assert abs(a @ got - y) <= C + 1e-10
-        np.testing.assert_array_equal(opt.project_band(got, a, y, C), got)
-
-
-def test_project_halfspace_basics():
-    a = np.array([1.0, 0.0])
-    np.testing.assert_allclose(
-        opt.project_halfspace(np.array([2.0, 3.0]), a, 1.0), [1.0, 3.0]
-    )
-    v = np.array([0.5, -1.0])  # already feasible: untouched
-    np.testing.assert_array_equal(opt.project_halfspace(v, a, 1.0), v)
-
-
-def test_make_projection_kinds():
-    assert opt.make_projection(2, "none") is None
-    ball = opt.make_projection(2, "ball", radius=1.0)
-    assert np.linalg.norm(ball(np.array([3.0, 4.0]))) == pytest.approx(1.0)
-    with pytest.raises(ConfigError):
-        opt.make_projection(2, "polytope")
-    band = opt.make_projection(2, "band", a=[1.0, 0.0], y=0.0, C=1.0)
-    np.testing.assert_array_equal(band(np.array([3.0, 4.0])), [1.0, 4.0])
-    with pytest.raises(ConfigError, match="one entry per model parameter, 3"):
-        opt.make_projection(3, "band", a=[1.0, 0.0], y=0.0, C=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -287,24 +224,24 @@ def test_dpsgd_equals_noisycgd_under_shared_schedule():
 # Noise drawn a block ahead on a worker thread
 # ---------------------------------------------------------------------------
 
-STEPS = 10  # steps per epoch (n / b), and DP-GD's T
+STEPS = 10  # steps per epoch (n / b)
 
 
-def blocked_objective(rows, lam=0.3):
+def blocked_objective(rows):
     """A dual objective on 4 features whose noise comes in blocks of
     ``rows`` rows (fewer if the run has fewer steps), as NOISE_BLOCK_BYTES
     sizes them."""
     P = opt.NOISE_BLOCK_BYTES // (8 * rows * 4 * 2)  # 4 features x 2 classes per gate
-    obj = cd.DualObjective(cd.sample_arrangement(4, P, 0), k=2, lam=lam, loss="mse")
+    obj = cd.DualObjective(cd.sample_arrangement(4, P, 0), k=2, lam=0.3, loss="mse")
     assert opt.NOISE_BLOCK_BYTES // (8 * obj.dim) == rows
     return obj
 
 
 BLOCK_ROWS = [
     pytest.param(1, id="one-row-blocks"),
-    # blocks of 3 cross the epoch ends at steps 10 and 20; DP-GD's 10 steps
-    # end in a block of 1
-    pytest.param(3, id="ragged-last-block"),
+    # 3 epochs of 10 steps in blocks of 7: blocks cross the epoch ends at
+    # steps 10 and 20, and the last block has 2 rows
+    pytest.param(7, id="ragged-last-block"),
     pytest.param(STEPS, id="one-block-per-epoch"),
 ]
 
@@ -347,7 +284,7 @@ class AlwaysAheadWorker(NeverScheduledWorker):
 @pytest.mark.parametrize("worker", [None, NeverScheduledWorker, AlwaysAheadWorker],
                          ids=["thread", "never-scheduled", "always-ahead"])
 @pytest.mark.parametrize("rows", BLOCK_ROWS)
-@pytest.mark.parametrize("method", ["dpsgd", "noisycgd", "dpgd"])
+@pytest.mark.parametrize("method", ["dpsgd", "noisycgd"])
 def test_prefetched_noise_matches_sequential_draws(method, rows, worker, monkeypatch,
                                                    frequent_thread_switches):
     # Blocked draws give the bits of one standard_normal(dim) per step, also
@@ -355,18 +292,8 @@ def test_prefetched_noise_matches_sequential_draws(method, rows, worker, monkeyp
     # draws a block makes no difference.
     if worker is not None:
         monkeypatch.setattr(opt, "ThreadPoolExecutor", worker)
-    obj = blocked_objective(rows, lam=0.0 if method == "dpgd" else 0.3)
+    obj = blocked_objective(rows)
     X, y = tiny_data(n=4 * STEPS)
-    if method == "dpgd":
-        cfg = opt.DPSGDConfig(C=0.8, sigma=1.3, b=len(X), eta=0.3, epochs=STEPS,
-                              seed=3, noise_seed=5)
-        ball = opt.make_projection(obj.dim, "ball", radius=2.0)
-        params, trace = opt.dpgd_run(obj, np.zeros(obj.dim), X, y, cfg, project=ball)
-        want, want_trace = oracles.sequential_dpgd(obj, np.zeros(obj.dim), X, y, cfg, ball,
-                                                   opt._streams(3, 5)[1])
-        np.testing.assert_array_equal(params, want)
-        assert trace.records == want_trace.records
-        return
     cfg = opt.DPSGDConfig(C=0.9, sigma=1.3, b=4, eta=0.05, epochs=3, seed=3,
                           noise_seed=11)
     rngs = opt._streams(3, 11)
@@ -436,50 +363,6 @@ def test_no_thread_outlives_a_loop_call(run, eta):
     assert max(obj.seen) == threads + 1
     assert len(obj.seen) < STEPS if eta > 1 else len(obj.seen) == 2 * STEPS
     assert threading.active_count() == threads
-
-
-# ---------------------------------------------------------------------------
-# Projected full-batch DP-GD
-# ---------------------------------------------------------------------------
-
-
-def test_dpgd_quadratic_average_oracle():
-    # sigma = 0, no projection, C huge: plain GD on the mean loss from 0;
-    # the released point is the average of the iterates.
-    obj = quadratic_objective(lam=0.0)
-    X, y = tiny_data()
-    T, eta = 5, 0.02
-    cfg = opt.DPSGDConfig(C=1e9, sigma=0.0, b=len(X), eta=eta, epochs=T)
-    released, trace = opt.dpgd_run(obj, np.zeros(obj.dim), X, y, cfg)
-    theta = np.zeros(obj.dim)
-    acc = np.zeros(obj.dim)
-    for _ in range(T):
-        theta = theta - eta * obj.clipped_grad_mean(theta, X, y, math.inf)
-        acc += theta
-    np.testing.assert_allclose(released, acc / T, atol=1e-12)
-    # one trace record, of the released average
-    [record] = trace.records
-    assert record["epoch"] == T and record["test_accuracy"] is None
-    assert record["train_loss"] == obj.data_loss(released, X, y)
-
-
-def test_dpgd_projection_applied_each_step():
-    obj = quadratic_objective(lam=0.0)
-    X, y = tiny_data()
-    ball = opt.make_projection(obj.dim, "ball", radius=1e-3)
-    cfg = opt.DPSGDConfig(C=10.0, sigma=1.0, b=len(X), eta=1.0, epochs=4)
-    released, _ = opt.dpgd_run(obj, np.zeros(obj.dim), X, y, cfg, project=ball)
-    # every iterate lies in the ball, hence so does the average
-    assert np.linalg.norm(released) <= 1e-3 + 1e-12
-
-
-@pytest.mark.parametrize("b", [4, 13])
-def test_dpgd_refuses_a_batch_other_than_the_training_set(b):
-    obj = quadratic_objective(lam=0.0)
-    X, y = tiny_data()
-    cfg = opt.DPSGDConfig(C=1.0, sigma=1.0, b=b, eta=0.1, epochs=2)
-    with pytest.raises(ConfigError, match="batch is the training set"):
-        opt.dpgd_run(obj, np.zeros(obj.dim), X, y, cfg)
 
 
 # ---------------------------------------------------------------------------
