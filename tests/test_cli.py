@@ -468,8 +468,9 @@ def test_set_one_key_of_an_object_field_the_config_leaves_out(tmp_path, monkeypa
     assert json.loads(out)["seeds"] == dict(DEFAULT_SEEDS, noise=7)
 
 
-def test_sweep_refuses_a_bad_grid_value_before_any_run(tmp_path, monkeypatch, capsys):
-    # The grid's first point is valid; its second is refused before either runs.
+def test_sweep_refuses_a_bad_constraint_before_any_run(tmp_path, monkeypatch, capsys):
+    # The grid's first point is valid; its second breaks the field's
+    # constraint and is refused before either runs.
     cfg = method_config(grids={"seeds.noise": [7, -1]})
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(cfg))
@@ -502,10 +503,15 @@ def test_sweep_rejects_unknown_grid_key(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()  # refused before any run
 
 
+BALL = {"kind": "ball", "radius": 1.0}
 UNREAD_FIELDS = [
     ("relu-dpsgd", "beta", 5.0), ("dual-dpsgd", "beta", 5.0),
     ("relu-dpsgd", "P", 64),
     ("dual-dpsgd", "hidden_m", 50), ("dual-noisycgd", "hidden_m", 50),
+    # No method reads the retired DP-GD constraint; a config carrying it is
+    # refused as an unknown field.
+    ("dual-dpsgd", "dpgd_constraint", BALL), ("dual-noisycgd", "dpgd_constraint", BALL),
+    ("relu-dpsgd", "dpgd_constraint", BALL),
 ]
 
 

@@ -284,7 +284,9 @@ class AlwaysAheadWorker(NeverScheduledWorker):
 @pytest.mark.parametrize("worker", [None, NeverScheduledWorker, AlwaysAheadWorker],
                          ids=["thread", "never-scheduled", "always-ahead"])
 @pytest.mark.parametrize("rows", BLOCK_ROWS)
-@pytest.mark.parametrize("method", ["dpsgd", "noisycgd"])
+# "dpgd" is full-batch DP-SGD, the schedule of the retired DP-GD method:
+# b = n makes every epoch one step, so each noise block spans several epochs.
+@pytest.mark.parametrize("method", ["dpsgd", "noisycgd", "dpgd"])
 def test_prefetched_noise_matches_sequential_draws(method, rows, worker, monkeypatch,
                                                    frequent_thread_switches):
     # Blocked draws give the bits of one standard_normal(dim) per step, also
@@ -294,10 +296,11 @@ def test_prefetched_noise_matches_sequential_draws(method, rows, worker, monkeyp
         monkeypatch.setattr(opt, "ThreadPoolExecutor", worker)
     obj = blocked_objective(rows)
     X, y = tiny_data(n=4 * STEPS)
-    cfg = opt.DPSGDConfig(C=0.9, sigma=1.3, b=4, eta=0.05, epochs=3, seed=3,
+    b, epochs = (len(X), STEPS) if method == "dpgd" else (4, 3)
+    cfg = opt.DPSGDConfig(C=0.9, sigma=1.3, b=b, eta=0.05, epochs=epochs, seed=3,
                           noise_seed=11)
     rngs = opt._streams(3, 11)
-    if method == "dpsgd":
+    if method in ("dpsgd", "dpgd"):
         params, trace = opt.dpsgd_run(obj, np.zeros(obj.dim), X, y, cfg)
         next_batch = lambda it: rngs[0].choice(len(X), cfg.b, replace=False)
     else:
