@@ -46,8 +46,8 @@ OUTDIR_ENV = "CONVEXDP_OUTDIR"
 # and a bool is only a bool.
 JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "dict": dict}
 # Each dataset kind's required and optional spec keys, besides "kind". The
-# counts are integers; "rule" is a rule name or a target list, and every
-# other key a file path.
+# counts are integers; "rule" is a rule name or a list of class labels, and
+# every other key a file path.
 DATASET_KEYS = {
     "synthetic": ({"n", "d"}, {"n_test", "rule", "seed", "num_classes"}),
     "idx": ({"train_images", "train_labels", "test_images", "test_labels"},
@@ -55,6 +55,7 @@ DATASET_KEYS = {
     "csv": ({"path"}, {"n_test", "seed"}),
 }
 COUNT_KEYS = {"n", "d", "n_test", "seed", "num_classes", "subset_n", "subset_seed"}
+SEED_KEYS = {"gates", "init", "batches", "noise"}
 
 
 def _is_count(value) -> bool:
@@ -114,9 +115,10 @@ class RunConfig:
             raise ConfigError(f"delta: must be in (0, 1), got {self.delta!r}")
         if self.loss not in ("mse", "ce"):
             raise ConfigError(f"loss: unknown loss {self.loss!r}")
-        missing = {"gates", "init", "batches", "noise"} - set(self.seeds)
-        if missing:
-            raise ConfigError(f"seeds: missing {sorted(missing)}")
+        for problem, keys in (("missing", SEED_KEYS - set(self.seeds)),
+                              ("unknown keys", set(self.seeds) - SEED_KEYS)):
+            if keys:
+                raise ConfigError(f"seeds: {problem} {sorted(keys)}")
         for key, seed in self.seeds.items():
             if not _is_count(seed):
                 raise ConfigError(f"seeds.{key}: must be a non-negative integer, "
@@ -199,9 +201,15 @@ def load_run_config(path: str, overrides) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+def _n_test(spec: dict, n: int) -> int:
+    """Held-out rows: ``n_test``, else a quarter of n training rows or CSV rows."""
+    return spec.get("n_test", max(1, n // 4))
+
+
 def _check_dataset_spec(spec) -> None:
     """Refuse a dataset spec that is not an object of its kind's keys, with
-    non-negative integer counts and string paths."""
+    non-negative integer counts, string paths, and a known rule name or a
+    list of n + n_test class labels."""
     if not isinstance(spec, dict):
         raise ConfigError(f"dataset: expected an object, got {spec!r}")
     kind = spec.get("kind")
@@ -217,26 +225,32 @@ def _check_dataset_spec(spec) -> None:
         if key in COUNT_KEYS and not _is_count(value):
             raise ConfigError(f"dataset.{key}: must be a non-negative integer, "
                               f"got {value!r}")
-        if key == "rule" and not isinstance(value, (str, list)):
-            raise ConfigError(f"dataset.rule: expected a rule name or a target "
-                              f"list, got {value!r}")
         if key not in COUNT_KEYS | {"rule"} and not isinstance(value, str):
             raise ConfigError(f"dataset.{key}: expected a string, got {value!r}")
+    rule = spec.get("rule", "norm_threshold")
+    if isinstance(rule, list):
+        rows = spec["n"] + _n_test(spec, spec["n"])
+        if len(rule) != rows:
+            raise ConfigError(f"dataset.rule: {len(rule)} labels for "
+                              f"n + n_test = {rows} rows")
+        if not all(map(_is_count, rule)):
+            raise ConfigError("dataset.rule: class labels must be non-negative integers")
+    elif rule not in data.RULES:
+        raise ConfigError(f"dataset.rule: unknown rule {rule!r}; expected one of "
+                          f"{data.RULES} or a list of class labels")
 
 
 def load_dataset_pair(spec: dict, bias: bool = False):
     """Resolve a dataset spec into (train, test) datasets; with ``bias`` their
     features end in a constant-1 column and no unbiased copy is kept."""
     _check_dataset_spec(spec)
-    # n_test defaults to a quarter of n: synthetic training rows, or CSV rows
-    n_test = lambda n: spec.get("n_test", max(1, n // 4))
     if spec["kind"] == "synthetic":
         n, seed = spec["n"], spec.get("seed", 0)
         full = data.synthetic_gaussian(
-            n + n_test(n), spec["d"], rule=spec.get("rule", "norm_threshold"),
+            n + _n_test(spec, n), spec["d"], rule=spec.get("rule", "norm_threshold"),
             seed=seed, num_classes=spec.get("num_classes", 2),
         )
-        return data.train_test_split(full, n_test(n), seed=seed + 1, bias=bias)
+        return data.train_test_split(full, _n_test(spec, n), seed=seed + 1, bias=bias)
     if spec["kind"] == "idx":
         train = data.load_idx(spec["train_images"], spec["train_labels"])
         test = data.load_idx(spec["test_images"], spec["test_labels"])
@@ -244,7 +258,7 @@ def load_dataset_pair(spec: dict, bias: bool = False):
                             spec.get("subset_seed", 0), bias),
                 data.subset(test, test.n, 0, bias))
     full = data.load_csv(spec["path"])
-    return data.train_test_split(full, n_test(full.n), seed=spec.get("seed", 0),
+    return data.train_test_split(full, _n_test(spec, full.n), seed=spec.get("seed", 0),
                                  bias=bias)
 
 
@@ -321,6 +335,14 @@ def epsilon_from_inputs(inputs: dict, epochs: int = 1) -> list[float]:
                     itertools.repeat(inputs["delta"])))
 
 
+def _trace_csv(records: list, eps_text) -> str:
+    """The per-epoch records as CSV; ``eps_text`` renders the epsilon column."""
+    cell = lambda value, text=repr: "" if value is None else text(value)
+    return "epoch,train_loss,test_acc,epsilon\n" + "".join(
+        f"{r['epoch']},{r['train_loss']!r},{cell(r['test_accuracy'])},"
+        f"{cell(r.get('epsilon_at_delta'), eps_text)}\n" for r in records)
+
+
 def _eps_repr(eps: float) -> str:
     """Printed epsilon of a noisy mechanism; "> EPS_MAX" when the search
     cannot bound it (``find_epsilon`` returns inf beyond ``EPS_MAX``)."""
@@ -364,23 +386,23 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
 
     eval_fn = lambda params: objective.accuracy(params, test.X, test.labels)
     run = getattr(optimizers, loop)  # at call time: probes patch the module
-    params, trace = run(objective, params0, train.X, train.labels,
-                        _opt_config(cfg), eval_fn=eval_fn)
+    params, records = run(objective, params0, train.X, train.labels,
+                          _opt_config(cfg), eval_fn=eval_fn)
 
     # Per-epoch accounting gives each epoch's record its epsilon; otherwise
     # the last record gets the run's.
     epochs = cfg.epochs if cfg.account_every_epoch else 1
-    for record, eps in zip(trace.records[-epochs:], epsilon_from_inputs(inputs, epochs)):
+    for record, eps in zip(records[-epochs:], epsilon_from_inputs(inputs, epochs)):
         record["epsilon_at_delta"] = eps
-    epsilon = trace.records[-1]["epsilon_at_delta"]
+    epsilon = records[-1]["epsilon_at_delta"]
 
     report = {
         "config": cfg.resolved(),
         "accountant_inputs": inputs,
         "epsilon": eps_text(epsilon),
         "delta": cfg.delta,
-        "final_train_loss": trace.records[-1]["train_loss"],
-        "final_test_accuracy": trace.records[-1]["test_accuracy"],
+        "final_train_loss": records[-1]["train_loss"],
+        "final_test_accuracy": records[-1]["test_accuracy"],
         "n_train": len(train.X),
     }
     if write_outputs:
@@ -390,12 +412,12 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
         paths = {"csv": base + ".csv", "json": base + ".json",
                  "model": base + ".model.json"}
         with open(paths["csv"], "w") as fh:
-            fh.write(trace.to_csv(eps_text))
+            fh.write(_trace_csv(records, eps_text))
         with open(paths["json"], "w") as fh:
             json.dump(report, fh, indent=2)
         module.save_checkpoint(objective.to_model(params), paths["model"])
         report["outputs"] = paths
-    report["trace"] = trace.records
+    report["trace"] = records
     return report
 
 
@@ -440,13 +462,13 @@ def execute_sweep(path: str, overrides) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# account / inspect-pld
+# account
 # ---------------------------------------------------------------------------
 
 
 def _account_dpsgd_cmd(args) -> dict:
     pld = acc.account_dpsgd(args.sigma, args.q, args.T, grid_step=args.grid_step)
-    eps = acc.find_epsilon(pld, args.delta)
+    eps, losses = acc.find_epsilon(pld, args.delta), pld.losses
     out = {
         "method": "dpsgd",
         "sigma": args.sigma,
@@ -458,9 +480,11 @@ def _account_dpsgd_cmd(args) -> dict:
         "eps_max": acc.EPS_MAX,
         "pld": {
             "support_min": pld.loss_grid_origin,
-            "support_max": pld.losses[-1],
+            "support_max": losses[-1],
             "points": len(pld.masses),
             "truncation_mass": pld.infinity_mass,
+            "finite_mass": float(pld.masses.sum()),
+            "mean_loss": float(losses @ pld.masses),
         },
     }
     if args.eps:
@@ -489,22 +513,6 @@ def _account_convert_rdp_cmd(args) -> dict:
         "delta_at_eps": {
             repr(e): acc.rdp_to_dp(args.alpha, args.eps_rdp, e) for e in eps_values
         },
-    }
-
-
-def _inspect_pld_cmd(args) -> dict:
-    pld = acc.account_dpsgd(args.sigma, args.q, args.T, grid_step=args.grid_step)
-    losses = pld.losses
-    mean = float(losses @ pld.masses)
-    return {
-        "sigma": args.sigma, "q": args.q, "T": args.T,
-        "grid_step": pld.loss_grid_step,
-        "support": [float(losses[0]), float(losses[-1])],
-        "points": len(pld.masses),
-        "infinity_mass": pld.infinity_mass,
-        "finite_mass": float(pld.masses.sum()),
-        "mean_loss": mean,
-        "eps_max": acc.EPS_MAX,
     }
 
 
@@ -541,14 +549,11 @@ def build_parser() -> argparse.ArgumentParser:
     account_p = sub.add_parser("account", help="standalone accounting queries")
     acc_sub = account_p.add_subparsers(dest="accountant", required=True)
 
-    # `account dpsgd` and `inspect-pld` take the same DP-SGD query.
     dpsgd_p = acc_sub.add_parser("dpsgd")
-    pld_p = sub.add_parser("inspect-pld", help="metadata of a composed PLD")
-    for p in (dpsgd_p, pld_p):
-        p.add_argument("--sigma", type=finite_float, required=True)
-        p.add_argument("--q", type=finite_float, required=True)
-        p.add_argument("--T", type=int, required=True)
-        p.add_argument("--grid-step", type=finite_float, default=acc.DEFAULT_GRID_STEP)
+    dpsgd_p.add_argument("--sigma", type=finite_float, required=True)
+    dpsgd_p.add_argument("--q", type=finite_float, required=True)
+    dpsgd_p.add_argument("--T", type=int, required=True)
+    dpsgd_p.add_argument("--grid-step", type=finite_float, default=acc.DEFAULT_GRID_STEP)
     dpsgd_p.add_argument("--delta", type=finite_float, default=1e-5)
     dpsgd_p.add_argument("--eps", type=finite_float, nargs="*")
 
@@ -593,8 +598,6 @@ def main(argv=None) -> int:
                 "convert-rdp": _account_convert_rdp_cmd,
             }[args.accountant]
             print(json.dumps(handler(args), indent=2))
-        elif args.command == "inspect-pld":
-            print(json.dumps(_inspect_pld_cmd(args), indent=2))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -24,12 +24,14 @@ IDX_LABELS_MAGIC = 0x00000801
 # so the slices' texts join into the whole array's text, with no padding
 ARRAY_SLICE = 3 * 512
 ROWS_SLICE = 256  # rows per gather in a biased split
+# The named target rules of ``synthetic_gaussian``.
+RULES = ("random_labels", "linear_teacher", "norm_threshold")
 
 
 @dataclasses.dataclass(frozen=True)
 class Dataset:
     X: np.ndarray  # (n, d) float64
-    labels: np.ndarray  # int class indices, or float targets for regression
+    labels: np.ndarray  # (n,) non-negative integer class indices
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -41,7 +43,7 @@ class Dataset:
             raise DomainError("labels length does not match X")
         if not np.all(np.isfinite(X)):
             raise DomainError("features must be finite")
-        if np.issubdtype(self.labels.dtype, np.integer) and np.any(self.labels < 0):
+        if not np.issubdtype(self.labels.dtype, np.integer) or np.any(self.labels < 0):
             raise DomainError("class labels must be non-negative integers")
 
     @property
@@ -50,8 +52,6 @@ class Dataset:
 
     @property
     def num_classes(self) -> int:
-        if not np.issubdtype(self.labels.dtype, np.integer):
-            raise DomainError("dataset has real-valued targets, not classes")
         return int(self.labels.max()) + 1 if len(self.labels) else 0
 
 
@@ -87,39 +87,48 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
 
 
 def load_csv(path: str) -> Dataset:
-    """Header row, float feature columns, final label column."""
+    """Header row, float feature columns, final class-label column; errors
+    name the data row, counted from 1 without blank lines."""
     with open(path, newline="") as fh:
         reader = _csv.reader(fh)
         try:
-            next(reader)  # header
+            width = len(next(reader))
         except StopIteration:
             raise FormatError("empty CSV file") from None
         rows = [row for row in reader if row]
     if not rows:
         raise FormatError("CSV has a header but no data rows")
+    for i, row in enumerate(rows, 1):
+        if len(row) != width:
+            raise FormatError(f"CSV row {i} has {len(row)} fields; "
+                              f"the header has {width}")
     try:
         data = np.asarray(rows, dtype=float)
     except ValueError as exc:
         raise FormatError(f"non-numeric CSV entry: {exc}") from None
     labels = data[:, -1]
-    if np.array_equal(labels, np.round(labels)):
-        labels = labels.astype(np.int64)
-    return Dataset(X=data[:, :-1], labels=labels)
+    # whole numbers in int64's range, checked before the cast, which warns on nan
+    bad = ~((labels >= 0) & (labels < 2.0**63) & (labels == np.floor(labels)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"CSV row {i + 1}: label {rows[i][-1]!r}; "
+                          "class labels must be non-negative integers")
+    return Dataset(X=data[:, :-1], labels=labels.astype(np.int64))
 
 
 def synthetic_gaussian(
     n: int,
     d: int,
-    rule: Union[str, np.ndarray, Sequence[float]] = "random_labels",
+    rule: Union[str, np.ndarray, Sequence[int]] = "random_labels",
     seed: int = 0,
     num_classes: int = 2,
 ) -> Dataset:
-    """i.i.d. N(0, 1) features with targets from the given rule.
+    """i.i.d. N(0, 1) features with class labels from the given rule.
 
-    Rules: 'random_labels' (uniform classes), 'linear_teacher' (argmax of a
-    planted linear map), 'norm_threshold' (class 1 iff ||x||^2 > d; a
-    nonlinear boundary no linear model can express), or an explicit target
-    vector.
+    Rules (``RULES``): 'random_labels' (uniform classes), 'linear_teacher'
+    (argmax of a planted linear map), 'norm_threshold' (class 1 iff
+    ||x||^2 > d; a nonlinear boundary no linear model can express), or an
+    explicit label vector.
     """
     if n < 1 or d < 1:
         raise DomainError("n and d must be >= 1")
@@ -135,16 +144,16 @@ def synthetic_gaussian(
         elif rule == "norm_threshold":
             labels = (np.sum(X**2, axis=1) > d).astype(np.int64)
         else:
-            raise ConfigError(f"unknown target rule {rule!r}")
+            raise ConfigError(f"unknown target rule {rule!r}; expected one of {RULES}")
     else:
         labels = np.asarray(rule)
         if len(labels) != n:
-            raise ConfigError("explicit target vector length != n")
+            raise ConfigError("explicit label vector length != n")
     return Dataset(X=X, labels=labels)
 
 
 def subset(dataset: Dataset, n_sub: int, seed: int, bias: bool = False) -> Dataset:
-    """Uniform WOR subset; class-stratified for categorical labels. With
+    """Class-stratified uniform WOR subset. With
     ``bias`` its features end in a constant-1 column, as in
     ``train_test_split``; without, a subset of every row is ``dataset`` itself.
 
@@ -158,7 +167,7 @@ def subset(dataset: Dataset, n_sub: int, seed: int, bias: bool = False) -> Datas
         if not bias:
             return dataset
         idx = np.arange(n_sub)
-    elif np.issubdtype(dataset.labels.dtype, np.integer):
+    else:
         classes, counts = np.unique(dataset.labels, return_counts=True)
         exact = counts * (n_sub / dataset.n)
         take = np.floor(exact).astype(int)
@@ -171,8 +180,6 @@ def subset(dataset: Dataset, n_sub: int, seed: int, bias: bool = False) -> Datas
             pool = np.flatnonzero(dataset.labels == cls)
             chosen.append(rng.permutation(pool)[:cnt])
         idx = np.sort(np.concatenate(chosen))
-    else:
-        idx = np.sort(rng.permutation(dataset.n)[:n_sub])
     return Dataset(X=_rows(dataset.X, idx, bias), labels=dataset.labels[idx])
 
 

@@ -27,7 +27,7 @@ from .errors import ConfigError, NumericError
 
 
 # ---------------------------------------------------------------------------
-# Configs and traces
+# Config
 # ---------------------------------------------------------------------------
 
 
@@ -54,29 +54,6 @@ class DPSGDConfig:
     def noise_std(self) -> float:
         """Std of the noise added to the mean of b clipped gradients: C * sigma / b."""
         return self.C * self.sigma / self.b
-
-
-@dataclasses.dataclass
-class TrainTrace:
-    """Append-only per-epoch records, reproducible given the seeds."""
-
-    records: list = dataclasses.field(default_factory=list)
-
-    def append(self, **record) -> None:
-        self.records.append(record)
-
-    def to_csv(self, eps_text: Callable[[float], str] = repr) -> str:
-        """The records as CSV; ``eps_text`` renders the epsilon column."""
-        lines = ["epoch,train_loss,test_acc,epsilon"]
-        for r in self.records:
-            eps = r.get("epsilon_at_delta")
-            eps_txt = "" if eps is None else eps_text(float(eps))
-            lines.append(
-                f"{r['epoch']},{r['train_loss']!r},"
-                f"{'' if r.get('test_accuracy') is None else repr(r['test_accuracy'])},"
-                f"{eps_txt}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def _streams(seed: int, noise_seed: Optional[int]):
@@ -153,11 +130,12 @@ def _noisy_minibatch_loop(objective, params0, X, y, cfg: DPSGDConfig, eval_fn,
     ``next_batch(it)`` to C, averages them, adds N(0, C^2 sigma^2 / b^2 I)
     noise and the unclipped ridge gradient, and applies the learning-rate
     step; an epoch is floor(n/b) steps. ``noise_rng`` gives one noise row
-    per step, in step order across the whole run.
+    per step, in step order across the whole run. Returns the parameters
+    and one record per epoch: epoch, train_loss and test_accuracy.
     """
     y = np.asarray(y)
     params = np.array(params0, dtype=float, copy=True)
-    trace = TrainTrace()
+    records = []
     noise_scale = cfg.noise_std
     eta = float(cfg.eta)
     it = 0
@@ -175,13 +153,13 @@ def _noisy_minibatch_loop(objective, params0, X, y, cfg: DPSGDConfig, eval_fn,
                 params -= z
                 _check_finite(params, f"iteration {it}")
                 it += 1
-            trace.append(
+            records.append(dict(
                 epoch=epoch,
                 train_loss=objective.data_loss(params, X, y)
                 + 0.5 * objective.lam * float(params @ params),
                 test_accuracy=None if eval_fn is None else eval_fn(params),
-            )
-    return params, trace
+            ))
+    return params, records
 
 
 def dpsgd_run(

@@ -24,7 +24,7 @@ from convexdp.accountant import log_ndtr, ndtr
 from convexdp.baseline_relu import MLP
 from convexdp.convex_dual import DualModel
 from convexdp.errors import DomainError, NumericError
-from convexdp.optimizers import TrainTrace, _check_finite
+from convexdp.optimizers import _check_finite
 
 
 @dataclasses.dataclass(frozen=True)
@@ -337,7 +337,7 @@ def sequential_noisy_minibatch_loop(objective, params0, X, y, cfg, next_batch,
     step's noise from ``noise_rng`` after its gradient."""
     y = np.asarray(y)
     params = np.array(params0, dtype=float, copy=True)
-    trace = TrainTrace()
+    records = []
     noise_scale = cfg.C * cfg.sigma / cfg.b
     it = 0
     for epoch in range(1, cfg.epochs + 1):
@@ -352,13 +352,13 @@ def sequential_noisy_minibatch_loop(objective, params0, X, y, cfg, next_batch,
             params -= z
             _check_finite(params, f"iteration {it}")
             it += 1
-        trace.append(
+        records.append(dict(
             epoch=epoch,
             train_loss=objective.data_loss(params, X, y)
             + 0.5 * objective.lam * float(params @ params),
             test_accuracy=None,
-        )
-    return params, trace
+        ))
+    return params, records
 
 
 

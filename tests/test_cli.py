@@ -369,20 +369,37 @@ def test_account_convert_rdp(tmp_path, monkeypatch, capsys):
     assert json.loads(out)["delta_at_eps"]["1.0"] == pytest.approx(0.25)
 
 
-def test_inspect_pld(tmp_path, monkeypatch, capsys):
+def test_account_dpsgd_pld_block(tmp_path, monkeypatch, capsys):
     code, out, _ = run_cli(
-        ["inspect-pld", "--sigma", "5", "--q", "0.02", "--T", "10"],
+        ["account", "dpsgd", "--sigma", "5", "--q", "0.02", "--T", "10"],
         monkeypatch, tmp_path, capsys,
     )
     assert code == 0
-    report = json.loads(out)
-    assert report["finite_mass"] + report["infinity_mass"] == pytest.approx(1.0)
-    assert report["support"][0] < 0 < report["support"][1]
+    pld = json.loads(out)["pld"]
+    assert pld["finite_mass"] + pld["truncation_mass"] == pytest.approx(1.0)
+    assert pld["support_min"] < 0 < pld["support_max"]
     # composed privacy loss has positive KL (mean of the loss under P)
-    assert report["mean_loss"] > 0
+    assert pld["mean_loss"] > 0
 
 
-DPSGD_QUERIES = (["account", "dpsgd"], ["inspect-pld"])
+def test_removed_inspect_pld_command_exits_2(capsys):
+    # `account dpsgd` prints the PLD's metadata; the separate command is gone.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["inspect-pld", "--sigma", "2", "--q", "0.02", "--T", "10"])
+    assert exc.value.code == 2 and "invalid choice: 'inspect-pld'" in capsys.readouterr().err
+
+
+def test_trace_csv_format():
+    records = [dict(epoch=1, train_loss=0.5, test_accuracy=0.75, epsilon_at_delta=1.25),
+               dict(epoch=2, train_loss=0.25, test_accuracy=None,
+                    epsilon_at_delta=math.inf),
+               dict(epoch=3, train_loss=0.125, test_accuracy=0.5)]
+    lines = cli._trace_csv(records, repr).splitlines()
+    assert lines == ["epoch,train_loss,test_acc,epsilon", "1,0.5,0.75,1.25",
+                     "2,0.25,,inf", "3,0.125,0.5,"]
+
+
+DPSGD_QUERIES = (["account", "dpsgd"],)
 DPSGD_ARGS = ["--sigma", "2", "--q", "0.016666666666666666", "--T", "1200"]
 
 
@@ -480,6 +497,16 @@ def test_sweep_refuses_a_bad_constraint_before_any_run(tmp_path, monkeypatch, ca
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_refuses_an_unknown_rule_before_any_run(tmp_path, monkeypatch, capsys):
+    cfg = method_config(grids={"dataset.rule": ["norm_threshold", "moons"]})
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(["sweep", "--config", str(path)],
+                           monkeypatch, tmp_path, capsys)
+    assert code == 2 and "dataset.rule: unknown rule 'moons'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_grid_key_into_an_object_field_the_config_leaves_out(tmp_path, monkeypatch,
                                                                    capsys):
     cfg = dict(BASE_CONFIG, epochs=1, grids={"seeds.noise": [7, 8]})
@@ -554,6 +581,7 @@ BAD_SETTINGS = [
     ("relu-dpsgd", "account_every_epoch=no"),
     *[("dual-noisycgd", 'seeds={"gates": %s, "init": 1, "batches": 2, "noise": 3}' % gates)
       for gates in ("-1", "0.5")],
+    ("dual-noisycgd", 'seeds={"gates":0,"init":1,"batches":2,"noise":3,"nosie":9}'),
     ("relu-dpsgd", "lam=-5"), ("dual-dpsgd", "lam=-1"),
     ("dual-noisycgd", "grids.sigma=2"),
 ]
@@ -591,6 +619,10 @@ BAD_SPECS = {
     "non-integer-count": dict(BASE_CONFIG["dataset"], n="abc"),
     "unknown-key": dict(BASE_CONFIG["dataset"], n_tset=10),
     "unknown-kind": {"kind": "parquet", "path": "x"},
+    "unknown-rule": dict(BASE_CONFIG["dataset"], rule="moons"),
+    "label-list-of-wrong-length": dict(BASE_CONFIG["dataset"], rule=[0, 1] * 59),
+    "real-label-list": dict(BASE_CONFIG["dataset"], rule=[0.5] * 160),
+    "negative-label-list": dict(BASE_CONFIG["dataset"], rule=[-1, 1] * 80),
 }
 
 
@@ -739,7 +771,7 @@ def test_readme_library_example_runs():
     scope = {}
     exec(readme_python_blocks()[0], scope)
     assert math.isfinite(scope["eps"]) and scope["mu"] > 0
-    assert len(scope["trace"].records) == 20
+    assert len(scope["records"]) == 20
 
 
 def test_readme_checkpoint_snippet_reads_v(tmp_path, monkeypatch):

@@ -77,17 +77,16 @@ def test_load_csv(tmp_path):
     assert ds.num_classes == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_load_csv_real_targets(tmp_path):
-    # Integrality is exact: targets within 1e-5 of an integer stay real.
+    # A label that is not a whole number in int64's range is refused, naming
+    # its row, before any cast to integers could warn or wrap.
     path = tmp_path / "t.csv"
-    for rows, targets in (("1.0,0.5\n2.0,1.5\n", [0.5, 1.5]),
-                          ("1.0,100.0004\n2.0,250.0009\n3.0,7.00001\n",
-                           [100.0004, 250.0009, 7.00001])):
-        path.write_text("a,y\n" + rows)
-        ds = data.load_csv(str(path))
-        assert ds.labels.dtype == float and ds.labels.tolist() == targets
-        with pytest.raises(DomainError):
-            _ = ds.num_classes
+    for label in ("0.5", "100.0004", "-1", "nan", "inf", "1e300"):
+        path.write_text(f"a,y\n1.0,0\n2.0,{label}\n3.0,1\n")
+        with pytest.raises(DomainError, match=f"row 2: label '{label}'; class "
+                                              "labels must be non-negative integers"):
+            data.load_csv(str(path))
 
 
 def test_load_csv_errors(tmp_path):
@@ -99,6 +98,10 @@ def test_load_csv_errors(tmp_path):
     bad.write_text("a,y\n1.0,zebra\n")
     with pytest.raises(FormatError):
         data.load_csv(str(bad))
+    ragged = tmp_path / "r.csv"
+    ragged.write_text("a,b,y\n1.0,2.0,0\n\n3.0,1\n")
+    with pytest.raises(FormatError, match="CSV row 2 has 2 fields; the header has 3"):
+        data.load_csv(str(ragged))
 
 
 def test_synthetic_rules():

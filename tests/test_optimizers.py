@@ -41,12 +41,12 @@ def test_dpsgd_one_step_analytic():
     X, y = tiny_data()
     params0 = np.full(obj.dim, 0.3)
     cfg = opt.DPSGDConfig(C=0.7, sigma=0.0, b=len(X), eta=0.25, epochs=1, seed=5)
-    params, trace = opt.dpsgd_run(obj, params0, X, y, cfg)
+    params, records = opt.dpsgd_run(obj, params0, X, y, cfg)
     g = obj.clipped_grad_mean(params0, X, y, 0.7)
     np.testing.assert_allclose(params, params0 - 0.25 * (g + obj.lam * params0),
                                atol=1e-14)
-    assert len(trace.records) == 1
-    assert trace.records[0]["epoch"] == 1
+    assert len(records) == 1
+    assert records[0]["epoch"] == 1
 
 
 def test_dpsgd_ridge_only_step():
@@ -67,7 +67,7 @@ def test_dpsgd_deterministic_trace():
     out1 = opt.dpsgd_run(obj, np.zeros(obj.dim), X, y, cfg)
     out2 = opt.dpsgd_run(obj, np.zeros(obj.dim), X, y, cfg)
     np.testing.assert_array_equal(out1[0], out2[0])
-    assert out1[1].to_csv() == out2[1].to_csv()
+    assert out1[1] == out2[1]
 
 
 def test_dpsgd_noise_stream_independent_of_batches():
@@ -301,16 +301,16 @@ def test_prefetched_noise_matches_sequential_draws(method, rows, worker, monkeyp
                           noise_seed=11)
     rngs = opt._streams(3, 11)
     if method in ("dpsgd", "dpgd"):
-        params, trace = opt.dpsgd_run(obj, np.zeros(obj.dim), X, y, cfg)
+        params, records = opt.dpsgd_run(obj, np.zeros(obj.dim), X, y, cfg)
         next_batch = lambda it: rngs[0].choice(len(X), cfg.b, replace=False)
     else:
-        params, trace = opt.noisycgd_run(obj, np.zeros(obj.dim), X, y, cfg)
+        params, records = opt.noisycgd_run(obj, np.zeros(obj.dim), X, y, cfg)
         batches = rngs[0].permutation(len(X)).reshape(STEPS, cfg.b)
         next_batch = lambda it: batches[it % STEPS]
-    want, want_trace = oracles.sequential_noisy_minibatch_loop(
+    want, want_records = oracles.sequential_noisy_minibatch_loop(
         obj, np.zeros(obj.dim), X, y, cfg, next_batch, rngs[1])
     np.testing.assert_array_equal(params, want)
-    assert trace.records == want_trace.records
+    assert records == want_records
 
 
 class RecordingWorker(AlwaysAheadWorker):
@@ -366,23 +366,6 @@ def test_no_thread_outlives_a_loop_call(run, eta):
     assert max(obj.seen) == threads + 1
     assert len(obj.seen) < STEPS if eta > 1 else len(obj.seen) == 2 * STEPS
     assert threading.active_count() == threads
-
-
-# ---------------------------------------------------------------------------
-# Trace format
-# ---------------------------------------------------------------------------
-
-
-def test_trace_csv_format():
-    trace = opt.TrainTrace()
-    trace.append(epoch=1, train_loss=0.5, test_accuracy=0.75,
-                 epsilon_at_delta=1.25)
-    trace.append(epoch=2, train_loss=0.25, test_accuracy=None,
-                 epsilon_at_delta=math.inf)
-    lines = trace.to_csv().splitlines()
-    assert lines[0] == "epoch,train_loss,test_acc,epsilon"
-    assert lines[1] == "1,0.5,0.75,1.25"
-    assert lines[2] == "2,0.25,,inf"
 
 
 def test_config_validation():
