@@ -127,21 +127,33 @@ def load_checkpoint(path: str) -> DualModel:
 # Batch-level objective used by the optimizers
 # ---------------------------------------------------------------------------
 
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a @ b`` into ``out`` in two calls, cut at the last multiple of 8
+    columns: OpenBLAS rounds the columns past it by a path that depends on
+    its thread split, and each side alone is bit-identical at any count."""
+    cut = b.shape[1] - b.shape[1] % 8
+    np.matmul(a, b[:, :cut], out=out[:, :cut])
+    np.matmul(a, b[:, cut:], out=out[:, cut:])
+    return out
+
+
 class DualObjective:
     """Flat-parameter view of the dual model for the training loops.
 
-    The kernel is gate-factored (gated ReLU as masked linear maps). The
-    linear responses of a block of rows to all P gates come from one GEMM,
-    ``Z = X @ V'`` with ``V'`` the (d, P*k) gate-major view of V, and the
-    logits are the mask reduction ``sum_i bits_i * Z_i``. Per-sample
-    data-term gradients are rank-one outer products bits (x) x (x) residual,
-    so clip factors come from their norms, and the clipped sum is one more
-    GEMM over all gates, ``(X (x) r)^T @ (scale * bits)``. The per-sample
-    gradient tensor is never built.
+    The kernel is gates first (gated ReLU as masked linear maps): both GEMMs
+    read or write V in its own (P, d, k) order, through the free (P, d*k)
+    view ``V2`` of the flat parameters. A block's gate bits select per-row
+    (d, k) maps ``H = bits @ V2``, and each row's logits are ``x @ H_x``.
+    Per-sample data-term gradients are rank-one outer products bits (x) x (x)
+    residual, so clip factors come from their norms; folded into the
+    residuals, they leave the clipped sum as one GEMM ``bits^T @ (x (x) r)``
+    in the parameter order. Neither the per-sample gradients nor a copy of V
+    in another layout is ever built.
 
     Rows pass through the kernel ``ROW_BLOCK`` at a time. Full-dataset
     evaluation hands it every row, and unblocked, the rows x P bits and
-    rows x P*k responses would grow with n; blocked, they stay one block in
+    rows x d*k maps would grow with n; blocked, they stay one block in
     size, and only the n x k logits cover all rows.
     """
 
@@ -170,23 +182,18 @@ class DualObjective:
     def _tensor(self, params: np.ndarray) -> np.ndarray:
         return params.reshape(self.arrangement.P, self.arrangement.d, self.k)
 
-    def _gate_major(self, params: np.ndarray) -> np.ndarray:
-        """V as one (d, P*k) matrix: column block i holds gate i's V[i]."""
-        return self._tensor(params).transpose(1, 0, 2).reshape(
-            self.arrangement.d, self.arrangement.P * self.k
-        )
-
-    def _forward(self, Vg: np.ndarray, X: np.ndarray):
+    def _forward(self, params: np.ndarray, X: np.ndarray):
         """Gate bits and logits of at most ``ROW_BLOCK`` rows of X."""
+        P, d, k = self.arrangement.P, self.arrangement.d, self.k
         bits = (X @ self.arrangement.U.T >= 0).astype(float)
-        Z = (X @ Vg).reshape(len(X), self.arrangement.P, self.k)
-        return bits, np.matmul(bits[:, None, :], Z)[:, 0, :]
+        H = _matmul(bits, params.reshape(P, d * k), np.empty((len(X), d * k)))
+        H = H.reshape(len(X), d, k)
+        return bits, np.matmul(X[:, None, :], H)[:, 0, :]
 
     def _logits(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
-        Vg = self._gate_major(params)
         logits = np.empty((len(X), self.k))
         for s in range(0, len(X), ROW_BLOCK):
-            logits[s : s + ROW_BLOCK] = self._forward(Vg, X[s : s + ROW_BLOCK])[1]
+            logits[s : s + ROW_BLOCK] = self._forward(params, X[s : s + ROW_BLOCK])[1]
         return logits
 
     # -- optimizer interface ----------------------------------------------
@@ -203,11 +210,10 @@ class DualObjective:
     ) -> np.ndarray:
         """Mean of per-sample data-term gradients, each clipped to norm C."""
         P, d, k = self.arrangement.P, self.arrangement.d, self.k
-        Vg = self._gate_major(params)
-        total = np.zeros((k * d, P))
+        grad, block = np.zeros((P, d * k)), np.empty((P, d * k))
         for s in range(0, len(X), ROW_BLOCK):
             Xb = X[s : s + ROW_BLOCK]
-            bits, logits = self._forward(Vg, Xb)
+            bits, logits = self._forward(params, Xb)
             r = losses.residuals(logits, y[s : s + ROW_BLOCK], self.loss_kind)
             # ||g_b||^2 = (#active gates) * ||x_b||^2 * ||r_b||^2 (rank-one form)
             norms = np.sqrt(
@@ -215,9 +221,10 @@ class DualObjective:
             )
             scale = np.ones_like(norms)
             np.divide(C, norms, out=scale, where=norms > C)
-            Xr = (r[:, :, None] * Xb[:, None, :]).reshape(len(Xb), k * d)
-            total += Xr.T @ (scale[:, None] * bits)
-        grad = total.reshape(k, d, P).transpose(2, 1, 0) / len(X)
+            r *= scale[:, None]
+            Xr = (Xb[:, :, None] * r[:, None, :]).reshape(len(Xb), d * k)
+            grad += _matmul(bits.T, Xr, block)
+        grad /= len(X)
         return grad.ravel()
 
     def accuracy(self, params: np.ndarray, X: np.ndarray, labels) -> float:

@@ -107,12 +107,13 @@ def load_csv(path: str) -> Dataset:
     except ValueError as exc:
         raise FormatError(f"non-numeric CSV entry: {exc}") from None
     labels = data[:, -1]
-    # whole numbers in int64's range, checked before the cast, which warns on nan
-    bad = ~((labels >= 0) & (labels < 2.0**63) & (labels == np.floor(labels)))
+    # whole numbers below the row count, so no class count outgrows the file;
+    # checked before the cast, which warns on nan
+    bad = ~((labels >= 0) & (labels < len(rows)) & (labels == np.floor(labels)))
     if bad.any():
         i = int(np.argmax(bad))
-        raise DomainError(f"CSV row {i + 1}: label {rows[i][-1]!r}; "
-                          "class labels must be non-negative integers")
+        raise DomainError(f"CSV row {i + 1}: label {rows[i][-1]!r}; class labels must "
+                          f"be non-negative integers below the {len(rows)} data rows")
     return Dataset(X=data[:, :-1], labels=labels.astype(np.int64))
 
 

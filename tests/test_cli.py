@@ -691,6 +691,20 @@ def test_negative_class_labels_exit_2(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_csv_label_past_the_row_count_exits_2(tmp_path, monkeypatch, capsys):
+    # 40 rows cannot hold 250001 classes; the run stops before it builds a model.
+    rng = np.random.default_rng(0)
+    table = np.column_stack([rng.standard_normal((40, 3)), rng.integers(0, 2, 40)])
+    table[5, -1] = 250000
+    (tmp_path / "table.csv").write_text(
+        "a,b,c,y\n" + "\n".join(",".join(map(repr, row)) for row in table.tolist()))
+    cfg = write_config(tmp_path, dataset={"kind": "csv", "path": str(tmp_path / "table.csv"),
+                                          "n_test": 10})
+    code, _, err = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
+    assert code == 2 and "CSV row 6: label '250000.0'" in err
+    assert not (tmp_path / "out").exists()
+
+
 MODEL_MODULES = {"dual": cd, "relu": br}
 
 

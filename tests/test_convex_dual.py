@@ -5,9 +5,11 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from convexdp import convex_dual as cd
 from convexdp.errors import DomainError, FormatError
@@ -149,7 +151,7 @@ def test_blocked_kernel_matches_per_sample_oracle(kind, P, d):
 
     block_rows = []
     forward = obj._forward
-    obj._forward = lambda Vg, Xb: block_rows.append(len(Xb)) or forward(Vg, Xb)
+    obj._forward = lambda p, Xb: block_rows.append(len(Xb)) or forward(p, Xb)
 
     grads = np.array([reference_data_grad(obj, params, X[j], y[j]) for j in range(n)])
     norms = np.linalg.norm(grads, axis=1)
@@ -172,6 +174,77 @@ def test_blocked_kernel_matches_per_sample_oracle(kind, P, d):
     assert obj.accuracy(params, X, y) == np.mean(np.argmax(logits, axis=1) == y)
     # every call above went through the kernel one bounded block at a time
     assert block_rows == 3 * [cd.ROW_BLOCK, cd.ROW_BLOCK, 37]
+
+
+@given(
+    P=st.integers(1, 10),
+    d=st.integers(1, 10),
+    k=st.integers(1, 4),
+    kind=st.sampled_from(["mse", "ce"]),
+    n=st.one_of(st.integers(1, 40), st.sampled_from(
+        [cd.ROW_BLOCK - 1, cd.ROW_BLOCK, cd.ROW_BLOCK + 1, 2 * cd.ROW_BLOCK + 37])),
+    binding=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(P=3, d=9, k=3, kind="ce", n=cd.ROW_BLOCK + 1, binding=True, seed=0)  # d > P
+@example(P=9, d=3, k=3, kind="mse", n=cd.ROW_BLOCK - 1, binding=True, seed=1)  # P > d
+@example(P=5, d=4, k=1, kind="mse", n=2 * cd.ROW_BLOCK + 37, binding=False, seed=2)
+@example(P=5, d=4, k=1, kind="mse", n=cd.ROW_BLOCK, binding=True, seed=3)
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_per_sample_oracles_property(P, d, k, kind, n, binding, seed):
+    # Gradient, loss and accuracy of the blocked kernel against the per-row
+    # oracles, with C either at the median non-zero per-sample norm (some
+    # rows clip, some do not) or above every norm (no row clips).
+    if kind == "ce" and k < 2:
+        k = 2
+    arr = cd.sample_arrangement(d, P, seed)
+    obj = cd.DualObjective(arr, k=k, lam=0.1, loss=kind)
+    rng = np.random.default_rng(seed)
+    params = 0.5 * rng.standard_normal(obj.dim)
+    X = rng.standard_normal((n, d))
+    y = rng.integers(0, k, size=n)
+
+    grads = np.array([reference_data_grad(obj, params, X[j], y[j]) for j in range(n)])
+    norms = np.linalg.norm(grads, axis=1)
+    positive = norms[norms > 0]  # a row with no open gate has a zero gradient
+    if binding and positive.size:
+        C = float(np.median(positive))
+        assert np.ptp(positive) == 0 or np.any(norms > C)
+    else:
+        C = 2.0 * float(norms.max()) + 1.0
+    clipped = grads * (C / np.maximum(norms, C))[:, None]
+    np.testing.assert_allclose(obj.clipped_grad_mean(params, X, y, C),
+                               clipped.mean(axis=0), atol=1e-12)
+
+    model = dataclasses.replace(obj.to_model(params), lam=0.0)
+    bits = X @ arr.U.T >= 0
+    targets = np.eye(k)[y] if kind == "mse" else y
+    sample_loss = oracles.sample_loss_mse if kind == "mse" else oracles.sample_loss_ce
+    rows = [sample_loss(model, x, t, b).loss for x, t, b in zip(X, targets, bits)]
+    np.testing.assert_allclose(obj.data_loss(params, X, y), np.mean(rows), atol=1e-12)
+    logits = np.array([oracles.forward(model, X[j], bits[j]) for j in range(n)])
+    assert obj.accuracy(params, X, y) == np.mean(np.argmax(logits, axis=1) == y)
+
+
+@pytest.mark.parametrize("kind", ["mse", "ce"])
+def test_clipped_grad_mean_makes_no_layout_copy(kind):
+    # With P*d*k far above rows*d*k, the gradient and the one GEMM result
+    # added into it are the only parameter-sized arrays a call needs. A copy
+    # of V or of the gradient in another layout would add a third.
+    d, P, k, b = 20, 1024, 5, 32
+    obj = cd.DualObjective(cd.sample_arrangement(d, P, 0), k=k, lam=0.1, loss=kind)
+    rng = np.random.default_rng(0)
+    params = rng.standard_normal(obj.dim)
+    X = rng.standard_normal((b, d))
+    y = rng.integers(0, k, size=b)
+    obj.clipped_grad_mean(params, X, y, 1.0)
+    tracemalloc.start()
+    try:
+        obj.clipped_grad_mean(params, X, y, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * obj.dim * 8
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +317,7 @@ def test_mask_tie_convention():
     np.testing.assert_array_equal(compute_masks(X, arr), [[True, False]])
     # the batch kernel's gate bits follow the same convention
     obj = cd.DualObjective(arr, k=1, lam=0.0)
-    bits, _ = obj._forward(obj._gate_major(np.zeros(obj.dim)), X)
+    bits, _ = obj._forward(np.zeros(obj.dim), X)
     np.testing.assert_array_equal(bits, [[1.0, 0.0]])
 
 

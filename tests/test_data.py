@@ -89,6 +89,21 @@ def test_load_csv_real_targets(tmp_path):
             data.load_csv(str(path))
 
 
+def test_load_csv_refuses_labels_past_the_row_count(tmp_path):
+    # A class index no row count can fill would size the model's k from it:
+    # labels 250000 and 1 would mean 250001 classes of weights.
+    path = tmp_path / "t.csv"
+    path.write_text("a,y\n1.0,250000\n2.0,1\n")
+    with pytest.raises(DomainError, match="row 1: label '250000'; class labels must "
+                                          "be non-negative integers below the 2 data rows"):
+        data.load_csv(str(path))
+    path.write_text("a,y\n1.0,0\n2.0,3\n3.0,1\n")
+    with pytest.raises(DomainError, match="row 2: label '3'"):
+        data.load_csv(str(path))
+    path.write_text("a,y\n1.0,0\n2.0,2\n3.0,1\n")
+    assert data.load_csv(str(path)).num_classes == 3
+
+
 def test_load_csv_errors(tmp_path):
     empty = tmp_path / "e.csv"
     empty.write_text("")
