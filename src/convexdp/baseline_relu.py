@@ -5,7 +5,6 @@ pre-activation is strictly positive), which keeps gradients deterministic.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import numpy as np
@@ -16,70 +15,9 @@ from .errors import DomainError
 from .losses import ROW_BLOCK
 
 
-@dataclasses.dataclass
-class MLP:
-    """Hidden weights U (m x d), output weights A (m x k)."""
-
-    U: np.ndarray
-    A: np.ndarray
-
-    def __post_init__(self):
-        self.U = np.asarray(self.U, dtype=float)
-        self.A = np.asarray(self.A, dtype=float)
-        if self.U.ndim != 2 or self.A.ndim != 2 or self.U.shape[0] != self.A.shape[0]:
-            raise DomainError(
-                f"inconsistent shapes U {self.U.shape}, A {self.A.shape}"
-            )
-        if not (np.all(np.isfinite(self.U)) and np.all(np.isfinite(self.A))):
-            raise DomainError("weights must be finite")
-
-    @property
-    def m(self) -> int:
-        return self.U.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.U.shape[1]
-
-    @property
-    def k(self) -> int:
-        return self.A.shape[1]
-
-
-def init_mlp(d: int, k: int, m: int = 200, seed: int = 0) -> MLP:
-    """N(0, 1/d) hidden and N(0, 1/m) output init from a fixed stream."""
-    if m < 1:
-        raise DomainError("hidden width must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    U = rng.standard_normal((m, d)) / np.sqrt(d)
-    A = rng.standard_normal((m, k)) / np.sqrt(m)
-    return MLP(U=U, A=A)
-
-
-def save_checkpoint(net: MLP, path: str) -> None:
-    """U (m, d) and A (m, k) as ``data.write_json`` encodes arrays."""
-    payload = {
-        "m": net.m,
-        "d": net.d,
-        "k": net.k,
-        "U": net.U,
-        "A": net.A,
-    }
-    write_json(path, payload)
-
-
-def load_checkpoint(path: str) -> MLP:
-    with open(path) as fh:
-        payload = json.load(fh)
-    m, d, k = payload["m"], payload["d"], payload["k"]
-    return MLP(
-        U=read_array(payload, "U", (m, d)),
-        A=read_array(payload, "A", (m, k)),
-    )
-
-
 class MLPObjective:
-    """Flat-parameter view of the MLP for the shared training loops.
+    """The MLP over flat parameters [U (m x d), A (m x k)]: the shared
+    training loops' objective, and the writer of its checkpoint.
 
     Per-sample gradients decompose into two rank-one blocks, outer(G_b, x_b)
     for U and outer(h_b, r_b) for A, with G_b = (A r_b) * 1(pre_b > 0) the
@@ -99,12 +37,9 @@ class MLPObjective:
 
     def __init__(self, d: int, k: int, m: int = 200, loss: str = "mse",
                  lam: float = 0.0):
-        if loss not in ("mse", "ce"):
-            raise DomainError(f"unknown loss kind {loss!r}")
-        if loss == "ce" and k < 2:
-            raise DomainError("cross-entropy requires k >= 2")
-        if not lam >= 0:  # nan too
-            raise DomainError(f"lambda must be non-negative, got {lam!r}")
+        losses.check_head(loss, k, lam)
+        if m < 1:
+            raise DomainError("hidden width must be >= 1")
         self.d, self.k, self.m = d, k, m
         self.loss_kind = loss
         self.lam = lam
@@ -116,8 +51,11 @@ class MLPObjective:
         return U, A
 
     def init_params(self, seed: int) -> np.ndarray:
-        net = init_mlp(self.d, self.k, self.m, seed)
-        return np.concatenate([net.U.ravel(), net.A.ravel()])
+        """N(0, 1/d) hidden and N(0, 1/m) output init from a fixed stream."""
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        U = rng.standard_normal((self.m, self.d)) / np.sqrt(self.d)
+        A = rng.standard_normal((self.m, self.k)) / np.sqrt(self.m)
+        return np.concatenate([U.ravel(), A.ravel()])
 
     def _forward(self, params, X):
         """Active-unit mask, activations and logits of at most ``ROW_BLOCK`` rows."""
@@ -163,5 +101,18 @@ class MLPObjective:
     def accuracy(self, params, X, labels) -> float:
         return losses.accuracy(self._logits(params, X), labels)
 
-    def to_model(self, params) -> MLP:
-        return MLP(*self._unflatten(params))
+    def save_checkpoint(self, params, path: str) -> None:
+        """U (m, d) and A (m, k) as ``data.write_json`` encodes arrays."""
+        U, A = self._unflatten(params)
+        write_json(path, {"m": self.m, "d": self.d, "k": self.k, "U": U, "A": A})
+
+
+def load_checkpoint(path: str, loss: str):
+    """``(objective, params)`` as ``MLPObjective.save_checkpoint`` wrote them
+    to ``path``; ``loss``, which the file does not hold, picks the head. The
+    file holds no ridge weight either, so the objective's ``lam`` is 0."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    m, d, k = payload["m"], payload["d"], payload["k"]
+    U, A = read_array(payload, "U", (m, d)), read_array(payload, "A", (m, k))
+    return MLPObjective(d, k, m=m, loss=loss), np.concatenate([U.ravel(), A.ravel()])

@@ -208,8 +208,8 @@ def _n_test(spec: dict, n: int) -> int:
 
 def _check_dataset_spec(spec) -> None:
     """Refuse a dataset spec that is not an object of its kind's keys, with
-    non-negative integer counts, string paths, and a known rule name or a
-    list of n + n_test class labels."""
+    non-negative integer counts, at least one class, string paths, and a
+    known rule name or a list of n + n_test class labels."""
     if not isinstance(spec, dict):
         raise ConfigError(f"dataset: expected an object, got {spec!r}")
     kind = spec.get("kind")
@@ -227,6 +227,9 @@ def _check_dataset_spec(spec) -> None:
                               f"got {value!r}")
         if key not in COUNT_KEYS | {"rule"} and not isinstance(value, str):
             raise ConfigError(f"dataset.{key}: expected a string, got {value!r}")
+    if spec.get("num_classes", 1) < 1:
+        raise ConfigError(f"dataset.num_classes: must be at least 1, got "
+                          f"{spec['num_classes']!r}")
     rule = spec.get("rule", "norm_threshold")
     if isinstance(rule, list):
         rows = spec["n"] + _n_test(spec, spec["n"])
@@ -362,13 +365,11 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
 
     model, loop, _ = METHODS[cfg.method]
     if model == "dual":
-        module = convex_dual
         arrangement = convex_dual.sample_arrangement(d, cfg.P, cfg.seeds["gates"])
         objective = convex_dual.DualObjective(
             arrangement, k=k, lam=float(cfg.lam), loss=cfg.loss, bias=cfg.bias
         )
     else:
-        module = baseline_relu
         objective = baseline_relu.MLPObjective(
             d, k, m=cfg.hidden_m, loss=cfg.loss, lam=float(cfg.lam)
         )
@@ -415,7 +416,7 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
             fh.write(_trace_csv(records, eps_text))
         with open(paths["json"], "w") as fh:
             json.dump(report, fh, indent=2)
-        module.save_checkpoint(objective.to_model(params), paths["model"])
+        objective.save_checkpoint(params, paths["model"])
         report["outputs"] = paths
     report["trace"] = records
     return report

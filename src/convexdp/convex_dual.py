@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Optional
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .errors import DomainError
 from .losses import ROW_BLOCK
 
 # ---------------------------------------------------------------------------
-# Domain types
+# Arrangements
 # ---------------------------------------------------------------------------
 
 
@@ -42,85 +41,12 @@ class Arrangement:
             raise DomainError(f"gate matrix shape {U.shape} != ({self.P}, {self.d})")
 
 
-@dataclasses.dataclass
-class DualModel:
-    """Parameters V (P x d x k) tied to an arrangement, plus ridge weight."""
-
-    arrangement: Arrangement
-    V: np.ndarray
-    lam: float = 0.0
-    bias: bool = True  # whether inputs were bias-augmented before gates/model
-
-    def __post_init__(self):
-        self.V = np.asarray(self.V, dtype=float)
-        if self.V.ndim != 3 or self.V.shape[:2] != (
-            self.arrangement.P,
-            self.arrangement.d,
-        ):
-            raise DomainError(
-                f"V shape {self.V.shape} inconsistent with arrangement "
-                f"({self.arrangement.P}, {self.arrangement.d}, k)"
-            )
-        if not np.all(np.isfinite(self.V)):
-            raise DomainError("V must be finite")
-        if not self.lam >= 0:  # nan too
-            raise DomainError("lambda must be non-negative")
-
-    @property
-    def k(self) -> int:
-        return self.V.shape[2]
-
-
-# ---------------------------------------------------------------------------
-# Arrangements
-# ---------------------------------------------------------------------------
-
-
 def sample_arrangement(d: int, P: int, seed: int) -> Arrangement:
     """Sample P i.i.d. N(0, I_d) gate vectors from a dedicated RNG stream."""
     if d < 1 or P < 1:
         raise DomainError("d and P must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return Arrangement(U=rng.standard_normal((P, d)), P=P, d=d, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# Checkpointing
-# ---------------------------------------------------------------------------
-
-
-def save_checkpoint(model: DualModel, path: str) -> None:
-    """JSON container with everything needed to reload without re-deriving;
-    U (P, d) and V (P, d, k) as ``data.write_json`` encodes arrays."""
-    payload = {
-        "d": model.arrangement.d,
-        "P": model.arrangement.P,
-        "k": model.k,
-        "seed": model.arrangement.seed,
-        "lambda": model.lam,
-        "bias_flag": model.bias,
-        "U": model.arrangement.U,
-        "V": model.V,
-    }
-    write_json(path, payload)
-
-
-def load_checkpoint(path: str) -> DualModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    d, P, k = payload["d"], payload["P"], payload["k"]
-    arr = Arrangement(
-        U=read_array(payload, "U", (P, d)),
-        P=P,
-        d=d,
-        seed=payload["seed"],
-    )
-    return DualModel(
-        arrangement=arr,
-        V=read_array(payload, "V", (P, d, k)),
-        lam=payload["lambda"],
-        bias=payload["bias_flag"],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +65,8 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class DualObjective:
-    """Flat-parameter view of the dual model for the training loops.
+    """The dual model over flat parameters: the training loops' objective,
+    and the writer of its checkpoint (``load_checkpoint`` reads it back).
 
     The kernel is gates first (gated ReLU as masked linear maps): both GEMMs
     read or write V in its own (P, d, k) order, through the free (P, d*k)
@@ -165,12 +92,7 @@ class DualObjective:
         loss: str = "mse",
         bias: bool = True,
     ):
-        if loss not in ("mse", "ce"):
-            raise DomainError(f"unknown loss kind {loss!r}")
-        if loss == "ce" and k < 2:
-            raise DomainError("cross-entropy requires k >= 2")
-        if not lam >= 0:  # nan too
-            raise DomainError(f"lambda must be non-negative, got {lam!r}")
+        losses.check_head(loss, k, lam)
         self.arrangement = arrangement
         self.k = k
         self.lam = lam
@@ -179,9 +101,6 @@ class DualObjective:
         self.dim = arrangement.P * arrangement.d * k
 
     # -- helpers ----------------------------------------------------------
-    def _tensor(self, params: np.ndarray) -> np.ndarray:
-        return params.reshape(self.arrangement.P, self.arrangement.d, self.k)
-
     def _forward(self, params: np.ndarray, X: np.ndarray):
         """Gate bits and logits of at most ``ROW_BLOCK`` rows of X."""
         P, d, k = self.arrangement.P, self.arrangement.d, self.k
@@ -230,10 +149,24 @@ class DualObjective:
     def accuracy(self, params: np.ndarray, X: np.ndarray, labels) -> float:
         return losses.accuracy(self._logits(params, X), labels)
 
-    def to_model(self, params: np.ndarray) -> DualModel:
-        return DualModel(
-            arrangement=self.arrangement,
-            V=self._tensor(params).copy(),
-            lam=self.lam,
-            bias=self.bias,
-        )
+    def save_checkpoint(self, params: np.ndarray, path: str) -> None:
+        """JSON container with everything needed to reload without re-deriving;
+        U (P, d) and V (P, d, k) as ``data.write_json`` encodes arrays."""
+        arr = self.arrangement
+        write_json(path, {
+            "d": arr.d, "P": arr.P, "k": self.k, "seed": arr.seed, "lambda": self.lam,
+            "bias_flag": self.bias, "U": arr.U, "V": params.reshape(arr.P, arr.d, self.k),
+        })
+
+
+def load_checkpoint(path: str, loss: str):
+    """``(objective, params)`` as ``DualObjective.save_checkpoint`` wrote them
+    to ``path``; ``loss``, which the file does not hold, picks the head."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    d, P, k = payload["d"], payload["P"], payload["k"]
+    arrangement = Arrangement(U=read_array(payload, "U", (P, d)), P=P, d=d,
+                              seed=payload["seed"])
+    objective = DualObjective(arrangement, k=k, lam=payload["lambda"], loss=loss,
+                              bias=payload["bias_flag"])
+    return objective, read_array(payload, "V", (P, d, k)).ravel()

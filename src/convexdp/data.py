@@ -11,6 +11,7 @@ import csv as _csv
 import dataclasses
 import json
 import math
+import os
 import struct
 from typing import Optional, Sequence, Union
 
@@ -56,10 +57,13 @@ class Dataset:
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise FormatError(f"truncated IDX file while reading {what}")
-    return buf
+    """The next ``count`` bytes of ``fh``; a count the rest of the file cannot
+    hold (a header's claim, say) is refused before anything is read."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if count > left:
+        raise FormatError(f"truncated IDX file while reading {what}: "
+                          f"{count} bytes claimed, {left} left")
+    return fh.read(count)
 
 
 def load_idx(images_path: str, labels_path: str) -> Dataset:
@@ -254,11 +258,12 @@ def write_json(path: str, payload: dict) -> None:
 def read_array(payload: dict, key: str, shape: tuple) -> np.ndarray:
     """The float64 array of ``shape`` that ``write_json`` wrote under ``key``.
 
-    The result is native-endian and writable. A value that is not base64
-    text of exactly ``8 * prod(shape)`` bytes raises DomainError; a list is
-    a checkpoint of an older version, which wrote decimal text. The text is
-    decoded ``ARRAY_SLICE`` floats at a time into the result, so besides the
-    text the reader holds one slice's bytes, not the whole array's.
+    The result is native-endian, finite and writable. A value that is not
+    base64 text of exactly ``8 * prod(shape)`` finite floats raises
+    DomainError; a list is a checkpoint of an older version, which wrote
+    decimal text. The text is decoded and checked ``ARRAY_SLICE`` floats at
+    a time into the result, so besides the text the reader holds one slice's
+    bytes, not the whole array's.
     """
     text, size = payload[key], 8 * math.prod(shape)
     if isinstance(text, list):
@@ -272,10 +277,14 @@ def read_array(payload: dict, key: str, shape: tuple) -> np.ndarray:
                           f"shape {tuple(shape)} needs {size}")
     out = np.empty(size // 8)
     chars = 8 * ARRAY_SLICE // 3 * 4  # base64 characters per slice
-    try:
-        for i, s in enumerate(range(0, out.size, ARRAY_SLICE)):
+    for i, s in enumerate(range(0, out.size, ARRAY_SLICE)):
+        part = out[s : s + ARRAY_SLICE]
+        try:
             raw = base64.b64decode(text[i * chars : (i + 1) * chars], validate=True)
-            out[s : s + ARRAY_SLICE] = np.frombuffer(raw, dtype="<f8")
-    except ValueError as exc:
-        raise DomainError(f"checkpoint field {key!r} is not base64 text: {exc}") from None
+            part[:] = np.frombuffer(raw, dtype="<f8")
+        except ValueError as exc:
+            raise DomainError(f"checkpoint field {key!r} is not base64 text: "
+                              f"{exc}") from None
+        if not np.isfinite(part).all():
+            raise DomainError(f"checkpoint field {key!r} holds a non-finite value")
     return out.reshape(shape)

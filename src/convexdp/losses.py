@@ -10,11 +10,23 @@ from __future__ import annotations
 import numpy as np
 
 from .data import one_hot
+from .errors import DomainError
 
 #: Rows per pass through an objective's forward kernel. Both objectives
 #: evaluate and differentiate ``ROW_BLOCK`` rows at a time, so their
 #: rows x (gates or hidden units) temporaries stay one block in size.
 ROW_BLOCK = 256
+
+
+def check_head(loss: str, k: int, lam: float) -> None:
+    """Refuse an unknown loss kind, cross-entropy over fewer than two
+    classes, and a ridge weight that is negative or nan."""
+    if loss not in ("mse", "ce"):
+        raise DomainError(f"unknown loss kind {loss!r}")
+    if loss == "ce" and k < 2:
+        raise DomainError("cross-entropy requires k >= 2")
+    if not lam >= 0:  # nan too
+        raise DomainError(f"lambda must be non-negative, got {lam!r}")
 
 
 def residuals(logits: np.ndarray, y, kind: str) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Reference oracles that only the tests use.
 
-Per-sample dual-model losses and gradients, the per-gate-block smoothness
+Weight records of both models (the package keeps them as flat parameters),
+per-sample dual-model losses and gradients, the per-gate-block smoothness
 constant, tiny-scale arrangement enumeration, the ReLU-to-dual embedding
 and the Young rescaling check, and per-example forward and backprop for
 the MLP baseline. The package computes the same quantities batched (or
@@ -21,10 +22,46 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from convexdp.accountant import log_ndtr, ndtr
-from convexdp.baseline_relu import MLP
-from convexdp.convex_dual import DualModel
+from convexdp.convex_dual import Arrangement
 from convexdp.errors import DomainError, NumericError
 from convexdp.optimizers import _check_finite
+
+
+@dataclasses.dataclass(frozen=True)
+class DualModel:
+    """Gated linear model weights: V (P x d x k) over an arrangement's gates,
+    with the ridge weight the per-sample losses add."""
+
+    arrangement: Arrangement
+    V: np.ndarray
+    lam: float = 0.0
+
+    @property
+    def k(self) -> int:
+        return self.V.shape[2]
+
+
+@dataclasses.dataclass(frozen=True)
+class MLP:
+    """One-hidden-layer ReLU net weights: hidden U (m x d), output A (m x k)."""
+
+    U: np.ndarray
+    A: np.ndarray
+
+    @property
+    def k(self) -> int:
+        return self.A.shape[1]
+
+
+def dual_model(objective, params, lam: float = 0.0) -> DualModel:
+    """The weights of a ``DualObjective``'s flat parameters."""
+    arr = objective.arrangement
+    return DualModel(arr, params.reshape(arr.P, arr.d, objective.k), lam)
+
+
+def mlp(objective, params) -> MLP:
+    """The weights of an ``MLPObjective``'s flat parameters."""
+    return MLP(*objective._unflatten(params))
 
 
 @dataclasses.dataclass(frozen=True)

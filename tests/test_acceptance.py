@@ -20,7 +20,7 @@ from convexdp import optimizers as opt
 
 import oracles
 from test_accountant import phi
-from test_baseline_relu import br
+from test_baseline_relu import init_mlp
 from test_convex_dual import compute_masks, loss_of, with_V, make_model
 
 
@@ -122,7 +122,7 @@ def test_criterion_05_gradient_correctness(capsys):
     trial = 0
     while checked < 100:
         trial += 1
-        net = br.init_mlp(4, 2, m=5, seed=trial)
+        net = init_mlp(4, 2, m=5, seed=trial)
         x = rng.standard_normal(4)
         if np.min(np.abs(net.U @ x)) < 1e-3:  # stay away from relu kinks
             continue
@@ -134,7 +134,7 @@ def test_criterion_05_gradient_correctness(capsys):
         dU, dA = direction[:20].reshape(5, 4), direction[20:].reshape(5, 2)
 
         def ce(t):
-            out = oracles.mlp_forward(br.MLP(U=net.U + t * dU, A=net.A + t * dA), x)
+            out = oracles.mlp_forward(oracles.MLP(U=net.U + t * dU, A=net.A + t * dA), x)
             s = out - out.max()
             return float(np.log(np.exp(s).sum()) - s[y])
 
@@ -163,7 +163,7 @@ def test_criterion_06_convexity_smoothness(capsys):
         V1, V2 = rng.standard_normal((2, 2, 3, 2))
         t = rng.uniform(0.0, 1.0)
         f = lambda V: loss_of(
-            cd.DualModel(arrangement=arr, V=V, lam=lam), x, y, bits, kind
+            oracles.DualModel(arrangement=arr, V=V, lam=lam), x, y, bits, kind
         )
         gap = 0.5 * lam * t * (1 - t) * float(np.sum((V1 - V2) ** 2))
         worst_sc = max(worst_sc,
@@ -180,7 +180,7 @@ def test_criterion_06_convexity_smoothness(capsys):
         i = rng.integers(0, 2)
         V2[i] = rng.standard_normal((3, 2))  # perturb a single gate block
         mk = lambda V: oracles.sample_loss_mse(
-            cd.DualModel(arrangement=arr, V=V, lam=lam), x, y, bits
+            oracles.DualModel(arrangement=arr, V=V, lam=lam), x, y, bits
         ).gradient
         lhs = float(np.linalg.norm((mk(V1) - mk(V2))[i].ravel()))
         rhs = oracles.lipschitz_beta(x, lam) * float(np.linalg.norm((V1 - V2).ravel()))

@@ -3,6 +3,7 @@ away from kinks, the rank-one clipping path against explicit per-sample
 clipping, the row-blocked kernel, and checkpoint round-trips."""
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,20 +14,26 @@ from convexdp.errors import DomainError
 import oracles
 
 
+def init_mlp(d, k, m, seed):
+    """The weights ``MLPObjective(d, k, m).init_params(seed)`` starts from."""
+    obj = br.MLPObjective(d, k, m=m)
+    return oracles.mlp(obj, obj.init_params(seed))
+
+
 def test_forward_by_hand():
     # U = [[1, -1], [0, 2]], A = [[1, 0], [1, 1]], x = (1, 2):
     # pre = (-1, 4), relu = (0, 4), out = (0*1 + 4*1, 0*0 + 4*1) = (4, 4)
-    net = br.MLP(U=np.array([[1.0, -1.0], [0.0, 2.0]]),
+    net = oracles.MLP(U=np.array([[1.0, -1.0], [0.0, 2.0]]),
                  A=np.array([[1.0, 0.0], [1.0, 1.0]]))
     np.testing.assert_allclose(oracles.mlp_forward(net, np.array([1.0, 2.0])), [4.0, 4.0])
 
 
 def test_init_shapes_and_determinism():
-    a = br.init_mlp(5, 3, m=7, seed=2)
-    b = br.init_mlp(5, 3, m=7, seed=2)
+    a = init_mlp(5, 3, m=7, seed=2)
+    b = init_mlp(5, 3, m=7, seed=2)
     assert a.U.shape == (7, 5) and a.A.shape == (7, 3)
     np.testing.assert_array_equal(a.U, b.U)
-    assert not np.array_equal(a.U, br.init_mlp(5, 3, m=7, seed=3).U)
+    assert not np.array_equal(a.U, init_mlp(5, 3, m=7, seed=3).U)
 
 
 @pytest.mark.parametrize("loss", ["mse", "ce"])
@@ -36,7 +43,7 @@ def test_per_sample_gradient_finite_difference(loss):
     worst = 0.0
     checked = 0
     for trial in range(150):
-        net = br.init_mlp(4, 2, m=5, seed=trial)
+        net = init_mlp(4, 2, m=5, seed=trial)
         x = rng.standard_normal(4)
         # keep a safety margin from relu kinks so central differences are valid
         if np.min(np.abs(net.U @ x)) < 1e-3:
@@ -50,7 +57,7 @@ def test_per_sample_gradient_finite_difference(loss):
         dA = direction[20:].reshape(5, 2)
 
         def loss_at(t):
-            m = br.MLP(U=net.U + t * dU, A=net.A + t * dA)
+            m = oracles.MLP(U=net.U + t * dU, A=net.A + t * dA)
             out = oracles.mlp_forward(m, x)
             if loss == "mse":
                 r = out - np.asarray(y, dtype=float)
@@ -69,7 +76,7 @@ def test_per_sample_gradient_finite_difference(loss):
 def test_kink_subgradient_is_zero():
     # pre-activation exactly 0: activation derivative must be 0, so the
     # hidden-weight gradient row vanishes while the output row sees h = 0.
-    net = br.MLP(U=np.array([[1.0, -1.0]]), A=np.array([[2.0]]))
+    net = oracles.MLP(U=np.array([[1.0, -1.0]]), A=np.array([[2.0]]))
     g = oracles.mlp_per_sample_grad(net, np.array([1.0, 1.0]), np.array([1.0]), "mse")
     np.testing.assert_array_equal(g, np.zeros(3))
 
@@ -82,8 +89,7 @@ def test_objective_clipped_grad_matches_explicit():
         X = 2.0 * rng.standard_normal((10, 4))
         y = rng.integers(0, 2, size=10)
         C = 0.3
-        U, A = obj._unflatten(params)
-        net = br.MLP(U=U, A=A)
+        net = oracles.mlp(obj, params)
         explicit = []
         for i in range(10):
             target = np.eye(2)[y[i]] if loss == "mse" else int(y[i])
@@ -104,8 +110,7 @@ def test_objective_loss_matches_reference():
     params = obj.init_params(1)
     X = rng.standard_normal((6, 3))
     y = rng.integers(0, 2, size=6)
-    U, A = obj._unflatten(params)
-    net = br.MLP(U=U, A=A)
+    net = oracles.mlp(obj, params)
     ref = []
     for i in range(6):
         out = oracles.mlp_forward(net, X[i])
@@ -128,7 +133,7 @@ def test_blocked_kernel_matches_per_sample_oracle(loss):
     forward = obj._forward
     obj._forward = lambda p, Xb: block_rows.append(len(Xb)) or forward(p, Xb)
 
-    net = br.MLP(*obj._unflatten(params))
+    net = oracles.mlp(obj, params)
     targets = np.eye(k)[y] if loss == "mse" else y
     grads = np.array([oracles.mlp_per_sample_grad(net, X[j], targets[j], loss)
                       for j in range(n)])
@@ -155,7 +160,8 @@ def test_blocked_kernel_matches_per_sample_oracle(loss):
 def test_checkpoint_bytes_match_json_dump(tmp_path):
     # The checkpoint is exactly what json.dump of its payload writes.
     path = tmp_path / "mlp.json"
-    br.save_checkpoint(br.init_mlp(4, 3, m=6, seed=9), str(path))
+    obj = br.MLPObjective(4, 3, m=6)
+    obj.save_checkpoint(obj.init_params(9), str(path))
     text = path.read_text()
     expected = io.StringIO()
     json.dump(json.loads(text), expected)
@@ -163,21 +169,35 @@ def test_checkpoint_bytes_match_json_dump(tmp_path):
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    net = br.init_mlp(4, 3, m=6, seed=9)
+    # The file holds no ridge weight, so the reloaded objective's is 0.
+    obj = br.MLPObjective(4, 3, m=6, loss="ce", lam=0.5)
+    params = obj.init_params(9)
     path = str(tmp_path / "mlp.json")
-    br.save_checkpoint(net, path)
-    loaded = br.load_checkpoint(path)
-    np.testing.assert_array_equal(loaded.U, net.U)
-    np.testing.assert_array_equal(loaded.A, net.A)
+    obj.save_checkpoint(params, path)
+    loaded, loaded_params = br.load_checkpoint(path, "ce")
+    np.testing.assert_array_equal(loaded_params, params)
+    assert (loaded.d, loaded.k, loaded.m, loaded.dim) == (4, 3, 6, obj.dim)
+    assert (loaded.loss_kind, loaded.lam) == ("ce", 0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_checkpoint_with_non_finite_weights_is_refused(value, tmp_path):
+    obj = br.MLPObjective(4, 3, m=6)
+    params = obj.init_params(9)
+    params[-1] = value  # the last output weight
+    path = str(tmp_path / "mlp.json")
+    obj.save_checkpoint(params, path)
+    with pytest.raises(DomainError, match="'A' holds a non-finite value"):
+        br.load_checkpoint(path, "mse")
 
 
 def test_validation():
     with pytest.raises(DomainError):
-        br.MLP(U=np.zeros((2, 3)), A=np.zeros((3, 1)))  # width mismatch
-    with pytest.raises(DomainError):
-        oracles.mlp_per_sample_grad(br.init_mlp(2, 2, m=2), np.zeros(2), 5, "ce")
+        oracles.mlp_per_sample_grad(init_mlp(2, 2, m=2, seed=0), np.zeros(2), 5, "ce")
     with pytest.raises(DomainError):
         br.MLPObjective(2, 2, loss="hinge")
+    with pytest.raises(DomainError, match="hidden width"):
+        br.MLPObjective(2, 2, m=0)
 
 
 def test_objective_refuses_negative_lambda_and_single_class_ce():

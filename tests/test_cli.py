@@ -311,6 +311,19 @@ def test_exit_code_io_error(tmp_path, monkeypatch, capsys):
     assert code == 4 and "I/O error" in err
 
 
+def test_idx_header_past_the_file_size_exits_4(tmp_path, monkeypatch, capsys):
+    # 0xFFFFFFFF x 255 x 255 pixels would be a 2.8e14-byte read.
+    images, labels = tmp_path / "images", tmp_path / "labels"
+    images.write_bytes(struct.pack(">IIII", 0x803, 0xFFFFFFFF, 255, 255) + bytes(4))
+    labels.write_bytes(struct.pack(">II", 0x801, 1) + bytes(1))
+    spec = {"kind": "idx", "train_images": str(images), "train_labels": str(labels),
+            "test_images": str(images), "test_labels": str(labels)}
+    cfg = write_config(tmp_path, dataset=spec)
+    code, _, err = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
+    assert code == 4 and "bytes claimed, 4 left" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_account_dpsgd_matches_library(tmp_path, monkeypatch, capsys):
     code, out, _ = run_cli(
         ["account", "dpsgd", "--sigma", "2", "--q", "0.05", "--T", "50",
@@ -623,6 +636,10 @@ BAD_SPECS = {
     "label-list-of-wrong-length": dict(BASE_CONFIG["dataset"], rule=[0, 1] * 59),
     "real-label-list": dict(BASE_CONFIG["dataset"], rule=[0.5] * 160),
     "negative-label-list": dict(BASE_CONFIG["dataset"], rule=[-1, 1] * 80),
+    "no-classes-random-labels": dict(BASE_CONFIG["dataset"], rule="random_labels",
+                                     num_classes=0),
+    "no-classes-linear-teacher": dict(BASE_CONFIG["dataset"], rule="linear_teacher",
+                                      num_classes=0),
 }
 
 
@@ -716,14 +733,17 @@ def test_every_method_checkpoint_reproduces_report(method, tmp_path, monkeypatch
     assert code == 0
     report = json.loads(out)
     model_kind = cli.METHODS[method][0]
-    model = MODEL_MODULES[model_kind].load_checkpoint(report["outputs"]["model"])
+    objective, params = MODEL_MODULES[model_kind].load_checkpoint(
+        report["outputs"]["model"], report["config"]["loss"])
 
     # Test accuracy of the reloaded model, one row at a time.
     _, test = cli.load_dataset_pair(BASE_CONFIG["dataset"])
     if model_kind == "dual":
+        model = oracles.dual_model(objective, params)
         logits = [oracles.forward(model, x, model.arrangement.U @ x >= 0)
                   for x in data.add_bias_column(test.X)]
     else:
+        model = oracles.mlp(objective, params)
         logits = [oracles.mlp_forward(model, x) for x in data.add_bias_column(test.X)]
     accuracy = float(np.mean(np.argmax(logits, axis=1) == test.labels))
     assert accuracy == report["final_test_accuracy"]
@@ -781,24 +801,30 @@ def readme_python_blocks():
     return library, checkpoint
 
 
-def test_readme_library_example_runs():
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     scope = {}
     exec(readme_python_blocks()[0], scope)
     assert math.isfinite(scope["eps"]) and scope["mu"] > 0
     assert len(scope["records"]) == 20
+    # the checkpoint round trip gives back the trained model
+    assert scope["restored_params"].tobytes() == scope["params"].tobytes()
+    restored, objective = scope["restored"], scope["objective"]
+    assert (restored.k, restored.lam, restored.loss_kind) == (2, 1e-3, "ce")
+    assert restored.arrangement.U.tobytes() == objective.arrangement.U.tobytes()
 
 
 def test_readme_checkpoint_snippet_reads_v(tmp_path, monkeypatch):
     # The documented encoding, read with numpy alone, is the saved V.
-    model = cd.DualModel(cd.sample_arrangement(4, 3, 0),
-                         np.random.default_rng(1).standard_normal((3, 4, 2)))
+    objective = cd.DualObjective(cd.sample_arrangement(4, 3, 0), k=2, lam=0.0)
+    params = np.random.default_rng(1).standard_normal(objective.dim)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "runs").mkdir()
-    cd.save_checkpoint(model, "runs/demo.model.json")
+    objective.save_checkpoint(params, "runs/demo.model.json")
     scope = {}
     exec(readme_python_blocks()[1], scope)
-    assert scope["V"].tobytes() == model.V.tobytes()
-    assert scope["V"].shape == model.V.shape
+    assert scope["V"].tobytes() == params.tobytes()
+    assert scope["V"].shape == (3, 4, 2)
 
 
 def test_readme_config_loads():

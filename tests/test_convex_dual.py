@@ -1,7 +1,6 @@
 """Dual-model tests: finite-difference gradient oracles, convexity and
 smoothness properties, brute-force pattern enumeration, duality embedding
 and checkpoint round-trips."""
-import dataclasses
 import io
 import json
 import math
@@ -21,7 +20,7 @@ def make_model(P=3, d=4, k=2, lam=0.1, seed=0):
     arr = cd.sample_arrangement(d, P, seed)
     rng = np.random.default_rng(seed + 1)
     V = rng.standard_normal((P, d, k))
-    return cd.DualModel(arrangement=arr, V=V, lam=lam)
+    return oracles.DualModel(arrangement=arr, V=V, lam=lam)
 
 
 def loss_of(model, x, y, bits, kind):
@@ -31,7 +30,7 @@ def loss_of(model, x, y, bits, kind):
 
 
 def with_V(model, V):
-    return cd.DualModel(arrangement=model.arrangement, V=V, lam=model.lam)
+    return oracles.DualModel(arrangement=model.arrangement, V=V, lam=model.lam)
 
 
 def compute_masks(X, arr):
@@ -91,7 +90,7 @@ def reference_data_grad(obj, params, x, label):
     """Flat data-term gradient of one example from the per-sample losses,
     which the finite-difference test above checks; it shares no code with
     DualObjective's batch path."""
-    model = obj.to_model(params)
+    model = oracles.dual_model(obj, params)
     bits = obj.arrangement.U @ x >= 0
     if obj.loss_kind == "mse":
         res = oracles.sample_loss_mse(model, x, np.eye(obj.k)[label], bits)
@@ -161,7 +160,7 @@ def test_blocked_kernel_matches_per_sample_oracle(kind, P, d):
     np.testing.assert_allclose(obj.clipped_grad_mean(params, X, y, C),
                                clipped.mean(axis=0), atol=1e-12)
 
-    model = dataclasses.replace(obj.to_model(params), lam=0.0)
+    model = oracles.dual_model(obj, params)
     bits = X @ arr.U.T >= 0
     if kind == "mse":
         rows = [oracles.sample_loss_mse(model, x, np.eye(k)[c], b)
@@ -216,7 +215,7 @@ def test_kernel_matches_per_sample_oracles_property(P, d, k, kind, n, binding, s
     np.testing.assert_allclose(obj.clipped_grad_mean(params, X, y, C),
                                clipped.mean(axis=0), atol=1e-12)
 
-    model = dataclasses.replace(obj.to_model(params), lam=0.0)
+    model = oracles.dual_model(obj, params)
     bits = X @ arr.U.T >= 0
     targets = np.eye(k)[y] if kind == "mse" else y
     sample_loss = oracles.sample_loss_mse if kind == "mse" else oracles.sample_loss_ce
@@ -266,7 +265,7 @@ def test_strong_convexity_segment_inequality(kind):
         V2 = rng.standard_normal((2, 3, 2))
         t = rng.uniform(0.0, 1.0)
         f = lambda V: loss_of(
-            cd.DualModel(arrangement=arr, V=V, lam=lam), x, y, bits, kind
+            oracles.DualModel(arrangement=arr, V=V, lam=lam), x, y, bits, kind
         )
         lhs = f(t * V1 + (1 - t) * V2)
         gap = 0.5 * lam * t * (1 - t) * float(np.sum((V1 - V2) ** 2))
@@ -294,10 +293,10 @@ def test_gradient_lipschitz_bound_blockwise():
         i = rng.integers(0, 2)
         V2[i] = rng.standard_normal((3, 2))
         g1 = oracles.sample_loss_mse(
-            cd.DualModel(arrangement=arr, V=V1, lam=lam), x, y, bits
+            oracles.DualModel(arrangement=arr, V=V1, lam=lam), x, y, bits
         ).gradient
         g2 = oracles.sample_loss_mse(
-            cd.DualModel(arrangement=arr, V=V2, lam=lam), x, y, bits
+            oracles.DualModel(arrangement=arr, V=V2, lam=lam), x, y, bits
         ).gradient
         lhs = float(np.linalg.norm((g1 - g2)[i].ravel()))
         rhs = oracles.lipschitz_beta(x, lam) * float(np.linalg.norm((V1 - V2).ravel()))
@@ -454,26 +453,45 @@ def test_interpolation_when_stacked_features_full_rank():
 # ---------------------------------------------------------------------------
 
 
+def make_objective(P=3, d=4, k=2, lam=0.25, seed=0):
+    """A DualObjective and random flat parameters for it."""
+    obj = cd.DualObjective(cd.sample_arrangement(d, P, seed), k=k, lam=lam,
+                           loss="ce", bias=False)
+    return obj, np.random.default_rng(seed + 1).standard_normal(obj.dim)
+
+
 def test_checkpoint_roundtrip(tmp_path):
-    model = make_model(lam=0.25)
+    obj, params = make_objective()
     path = str(tmp_path / "model.json")
-    cd.save_checkpoint(model, path)
-    loaded = cd.load_checkpoint(path)
-    np.testing.assert_array_equal(loaded.V, model.V)
-    np.testing.assert_array_equal(loaded.arrangement.U, model.arrangement.U)
-    assert loaded.lam == model.lam
-    assert loaded.bias == model.bias
-    assert loaded.arrangement.seed == model.arrangement.seed
+    obj.save_checkpoint(params, path)
+    loaded, loaded_params = cd.load_checkpoint(path, "ce")
+    np.testing.assert_array_equal(loaded_params, params)
+    np.testing.assert_array_equal(loaded.arrangement.U, obj.arrangement.U)
+    assert (loaded.k, loaded.dim, loaded.loss_kind) == (obj.k, obj.dim, "ce")
+    assert loaded.lam == obj.lam
+    assert loaded.bias == obj.bias
+    assert loaded.arrangement.seed == obj.arrangement.seed
 
 
 def test_checkpoint_bytes_match_json_dump(tmp_path):
     # The checkpoint is exactly what json.dump of its payload writes.
     path = tmp_path / "model.json"
-    cd.save_checkpoint(make_model(lam=0.25), str(path))
+    obj, params = make_objective()
+    obj.save_checkpoint(params, str(path))
     text = path.read_text()
     expected = io.StringIO()
     json.dump(json.loads(text), expected)
     assert text == expected.getvalue()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_checkpoint_with_non_finite_weights_is_refused(value, tmp_path):
+    obj, params = make_objective()
+    params[-1] = value
+    path = str(tmp_path / "model.json")
+    obj.save_checkpoint(params, path)
+    with pytest.raises(DomainError, match="'V' holds a non-finite value"):
+        cd.load_checkpoint(path, "ce")
 
 
 def test_forward_shape_validation():
@@ -483,18 +501,16 @@ def test_forward_shape_validation():
 
 
 def test_objective_refuses_negative_lambda(tmp_path):
-    # Refused at construction, not first by to_model's DualModel after
-    # training; the model refuses it too, also from a checkpoint.
+    # Refused at construction, not first after training; also from a checkpoint.
     arr = cd.sample_arrangement(3, 4, seed=0)
     path = tmp_path / "model.json"
-    cd.save_checkpoint(make_model(P=4, d=3), str(path))
+    obj, params = make_objective(P=4, d=3)
+    obj.save_checkpoint(params, str(path))
     payload = json.loads(path.read_text())
     for lam in (-1e-3, math.nan):
         with pytest.raises(DomainError, match="non-negative"):
             cd.DualObjective(arr, k=2, lam=lam, loss="ce")
-        with pytest.raises(DomainError, match="non-negative"):
-            make_model(lam=lam)
         path.write_text(json.dumps(dict(payload, **{"lambda": lam})))
         with pytest.raises(DomainError, match="non-negative"):
-            cd.load_checkpoint(str(path))
+            cd.load_checkpoint(str(path), "ce")
     assert cd.DualObjective(arr, k=2, lam=0.0, loss="ce").lam == 0.0

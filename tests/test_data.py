@@ -67,6 +67,22 @@ def test_load_idx_truncated(tmp_path):
         data.load_idx(img, lab)
 
 
+def test_load_idx_refuses_pixels_past_the_file_size(tmp_path):
+    # 0xFFFFFFFF x 255 x 255 pixels: refused against the file's size, not
+    # first by a read of 2.8e14 bytes.
+    img, lab = write_idx_pair(tmp_path, np.zeros((1, 2, 2)), [0])
+    Path(img).write_bytes(struct.pack(">IIII", 0x803, 0xFFFFFFFF, 255, 255) + bytes(4))
+    with pytest.raises(FormatError, match=f"pixels: {0xFFFFFFFF * 255 * 255} bytes "
+                                          "claimed, 4 left"):
+        data.load_idx(img, lab)
+
+
+def test_load_idx_refuses_labels_past_the_file_size(tmp_path):
+    img, lab = write_idx_pair(tmp_path, np.zeros((1, 2, 2)), [0], label_count=0xFFFFFFFF)
+    with pytest.raises(FormatError, match="labels: 4294967295 bytes claimed, 1 left"):
+        data.load_idx(img, lab)
+
+
 def test_load_csv(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b,label\n1.5,2.0,0\n-0.5,3.25,1\n")
@@ -261,6 +277,16 @@ def test_read_array_refuses_text_that_is_not_base64():
             data.read_array({"V": bad}, "V", (3, data.ARRAY_SLICE))
     with pytest.raises(DomainError, match="base64"):
         data.read_array({"V": 5}, "V", (1,))
+
+
+def test_read_array_refuses_non_finite_values():
+    # Every slice is checked, the last of a ragged number too.
+    for value in (np.nan, np.inf, -np.inf):
+        array = np.arange(2.0 * data.ARRAY_SLICE + 3)
+        array[-1] = value
+        text = base64.b64encode(array.tobytes()).decode()
+        with pytest.raises(DomainError, match="'V' holds a non-finite value"):
+            data.read_array({"V": text}, "V", array.shape)
 
 
 def test_read_array_holds_one_copy_of_the_array():
