@@ -10,7 +10,7 @@ import json
 import numpy as np
 
 from . import losses
-from .data import read_array, write_json
+from .data import read_array, read_number, write_json
 from .errors import DomainError
 from .losses import ROW_BLOCK
 
@@ -113,6 +113,6 @@ def load_checkpoint(path: str, loss: str):
     file holds no ridge weight either, so the objective's ``lam`` is 0."""
     with open(path) as fh:
         payload = json.load(fh)
-    m, d, k = payload["m"], payload["d"], payload["k"]
+    m, d, k = (read_number(payload, key) for key in ("m", "d", "k"))
     U, A = read_array(payload, "U", (m, d)), read_array(payload, "A", (m, k))
     return MLPObjective(d, k, m=m, loss=loss), np.concatenate([U.ravel(), A.ravel()])

@@ -33,21 +33,15 @@ METHODS = {
     "dual-noisycgd": ("dual", "noisycgd_run", "noisycgd"),
     "relu-dpsgd": ("relu", "dpsgd_run", "dpsgd"),
 }
-# The config fields only some models or accountant queries read; every other
-# field applies to every method.
-FIELDS_READ_BY = {
-    "dual": {"P"},
-    "relu": {"hidden_m"},
-    "dpsgd": set(),
-    "noisycgd": {"beta"},
-}
+# The one config field each model alone reads; every other field applies to
+# every method.
+FIELDS_READ_BY = {"dual": "P", "relu": "hidden_m"}
 OUTDIR_ENV = "CONVEXDP_OUTDIR"
 # The values each RunConfig annotation takes: a JSON integer is a float too,
 # and a bool is only a bool.
 JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "dict": dict}
 # Each dataset kind's required and optional spec keys, besides "kind". The
-# counts are integers; "rule" is a rule name or a list of class labels, and
-# every other key a file path.
+# counts are integers; every other key, a rule name or a file path, is a string.
 DATASET_KEYS = {
     "synthetic": ({"n", "d"}, {"n_test", "rule", "seed", "num_classes"}),
     "idx": ({"train_images", "train_labels", "test_images", "test_labels"},
@@ -80,9 +74,7 @@ class RunConfig:
     P: int = 128
     hidden_m: int = 200
     loss: str = "ce"
-    bias: bool = True
     delta: float = 1e-5
-    beta: Optional[float] = None  # smoothness override for GDP accounting
     seeds: dict = dataclasses.field(
         default_factory=lambda: {"gates": 0, "init": 1, "batches": 2, "noise": 3}
     )
@@ -105,8 +97,8 @@ class RunConfig:
             raise ConfigError(f"method: unknown method {self.method!r}; "
                               f"expected one of {tuple(METHODS)}")
         model, _, accountant = METHODS[self.method]
-        for field in ("epochs", "C", "b", "eta", "P", "hidden_m", "beta"):
-            if (value := getattr(self, field)) is not None and value <= 0:
+        for field in ("epochs", "C", "b", "eta", "P", "hidden_m"):
+            if (value := getattr(self, field)) <= 0:
                 raise ConfigError(f"{field}: must be positive, got {value!r}")
         for field in ("sigma", "lam"):
             if (value := getattr(self, field)) is not None and value < 0:
@@ -130,13 +122,10 @@ class RunConfig:
         if accountant == "noisycgd" and self.lam <= 0:
             raise ConfigError("lam: NoisyCGD accounting requires lambda > 0")
         # A field left at its default is silent, so --emit-config output loads.
-        defaults = _field_defaults()
-        unread = set().union(*FIELDS_READ_BY.values()).difference(
-            FIELDS_READ_BY[model], FIELDS_READ_BY[accountant])
-        unread = sorted(f for f in unread if getattr(self, f) != defaults[f])
-        if unread:
-            raise ConfigError(f"{', '.join(unread)}: not read by method "
-                              f"{self.method!r}; remove from the config")
+        for other, field in FIELDS_READ_BY.items():
+            if other != model and getattr(self, field) != _field_defaults()[field]:
+                raise ConfigError(f"{field}: not read by method {self.method!r}; "
+                                  "remove from the config")
 
     def resolved(self) -> dict:
         return dataclasses.asdict(self)
@@ -209,7 +198,7 @@ def _n_test(spec: dict, n: int) -> int:
 def _check_dataset_spec(spec) -> None:
     """Refuse a dataset spec that is not an object of its kind's keys, with
     non-negative integer counts, at least one class, string paths, and a
-    known rule name or a list of n + n_test class labels."""
+    known rule name."""
     if not isinstance(spec, dict):
         raise ConfigError(f"dataset: expected an object, got {spec!r}")
     kind = spec.get("kind")
@@ -225,27 +214,19 @@ def _check_dataset_spec(spec) -> None:
         if key in COUNT_KEYS and not _is_count(value):
             raise ConfigError(f"dataset.{key}: must be a non-negative integer, "
                               f"got {value!r}")
-        if key not in COUNT_KEYS | {"rule"} and not isinstance(value, str):
+        if key not in COUNT_KEYS and not isinstance(value, str):
             raise ConfigError(f"dataset.{key}: expected a string, got {value!r}")
     if spec.get("num_classes", 1) < 1:
         raise ConfigError(f"dataset.num_classes: must be at least 1, got "
                           f"{spec['num_classes']!r}")
-    rule = spec.get("rule", "norm_threshold")
-    if isinstance(rule, list):
-        rows = spec["n"] + _n_test(spec, spec["n"])
-        if len(rule) != rows:
-            raise ConfigError(f"dataset.rule: {len(rule)} labels for "
-                              f"n + n_test = {rows} rows")
-        if not all(map(_is_count, rule)):
-            raise ConfigError("dataset.rule: class labels must be non-negative integers")
-    elif rule not in data.RULES:
+    if (rule := spec.get("rule", "norm_threshold")) not in data.RULES:
         raise ConfigError(f"dataset.rule: unknown rule {rule!r}; expected one of "
-                          f"{data.RULES} or a list of class labels")
+                          f"{data.RULES}")
 
 
-def load_dataset_pair(spec: dict, bias: bool = False):
-    """Resolve a dataset spec into (train, test) datasets; with ``bias`` their
-    features end in a constant-1 column and no unbiased copy is kept."""
+def load_dataset_pair(spec: dict):
+    """Resolve a dataset spec into (train, test) datasets, whose features end
+    in a constant-1 column; an empty split is refused."""
     _check_dataset_spec(spec)
     if spec["kind"] == "synthetic":
         n, seed = spec["n"], spec.get("seed", 0)
@@ -253,16 +234,20 @@ def load_dataset_pair(spec: dict, bias: bool = False):
             n + _n_test(spec, n), spec["d"], rule=spec.get("rule", "norm_threshold"),
             seed=seed, num_classes=spec.get("num_classes", 2),
         )
-        return data.train_test_split(full, _n_test(spec, n), seed=seed + 1, bias=bias)
-    if spec["kind"] == "idx":
+        pair = data.train_test_split(full, _n_test(spec, n), seed=seed + 1)
+    elif spec["kind"] == "idx":
         train = data.load_idx(spec["train_images"], spec["train_labels"])
         test = data.load_idx(spec["test_images"], spec["test_labels"])
-        return (data.subset(train, spec.get("subset_n", train.n),
-                            spec.get("subset_seed", 0), bias),
-                data.subset(test, test.n, 0, bias))
-    full = data.load_csv(spec["path"])
-    return data.train_test_split(full, _n_test(spec, full.n), seed=spec.get("seed", 0),
-                                 bias=bias)
+        pair = (data.subset(train, spec.get("subset_n", train.n),
+                            spec.get("subset_seed", 0)),
+                data.subset(test, test.n, 0))
+    else:
+        full = data.load_csv(spec["path"])
+        pair = data.train_test_split(full, _n_test(spec, full.n), seed=spec.get("seed", 0))
+    for name, split in zip(("train", "test"), pair):
+        if split.n == 0:
+            raise ConfigError(f"dataset: the {name} split has no rows")
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +271,8 @@ def accountant_inputs_for_run(cfg: RunConfig, X: np.ndarray) -> dict:
         return {"method": "dpsgd", "sigma": cfg.sigma, "q": b / n,
                 "T": cfg.epochs * (n // b), "delta": cfg.delta}
     # beta, a statistic of the private rows, is computed for the one bound
-    # that reads it: max_j ||x_j||^2 + lam, unless overridden.
-    beta = (cfg.beta if cfg.beta is not None
-            else float(np.max(np.sum(X**2, axis=1))) + float(cfg.lam))
+    # that reads it: max_j ||x_j||^2 + lam.
+    beta = float(np.max(np.sum(X**2, axis=1))) + float(cfg.lam)
     return {
         "method": "noisycgd",
         "L": 2.0 * cfg.C,
@@ -360,14 +344,14 @@ def _eps_repr(eps: float) -> str:
 
 
 def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
-    train, test = load_dataset_pair(cfg.dataset, bias=cfg.bias)
+    train, test = load_dataset_pair(cfg.dataset)
     d, k = train.X.shape[1], max(train.num_classes, test.num_classes)
 
     model, loop, _ = METHODS[cfg.method]
     if model == "dual":
         arrangement = convex_dual.sample_arrangement(d, cfg.P, cfg.seeds["gates"])
         objective = convex_dual.DualObjective(
-            arrangement, k=k, lam=float(cfg.lam), loss=cfg.loss, bias=cfg.bias
+            arrangement, k=k, lam=float(cfg.lam), loss=cfg.loss
         )
     else:
         objective = baseline_relu.MLPObjective(

@@ -16,7 +16,7 @@ import json
 import numpy as np
 
 from . import losses
-from .data import read_array, write_json
+from .data import read_array, read_number, write_json
 from .errors import DomainError
 from .losses import ROW_BLOCK
 
@@ -84,20 +84,12 @@ class DualObjective:
     size, and only the n x k logits cover all rows.
     """
 
-    def __init__(
-        self,
-        arrangement: Arrangement,
-        k: int,
-        lam: float,
-        loss: str = "mse",
-        bias: bool = True,
-    ):
+    def __init__(self, arrangement: Arrangement, k: int, lam: float, loss: str = "mse"):
         losses.check_head(loss, k, lam)
         self.arrangement = arrangement
         self.k = k
         self.lam = lam
         self.loss_kind = loss
-        self.bias = bias
         self.dim = arrangement.P * arrangement.d * k
 
     # -- helpers ----------------------------------------------------------
@@ -155,18 +147,22 @@ class DualObjective:
         arr = self.arrangement
         write_json(path, {
             "d": arr.d, "P": arr.P, "k": self.k, "seed": arr.seed, "lambda": self.lam,
-            "bias_flag": self.bias, "U": arr.U, "V": params.reshape(arr.P, arr.d, self.k),
+            "U": arr.U, "V": params.reshape(arr.P, arr.d, self.k),
         })
 
 
 def load_checkpoint(path: str, loss: str):
     """``(objective, params)`` as ``DualObjective.save_checkpoint`` wrote them
-    to ``path``; ``loss``, which the file does not hold, picks the head."""
+    to ``path``; ``loss``, which the file does not hold, picks the head. The
+    last of the ``d`` features is the constant-1 bias column."""
     with open(path) as fh:
         payload = json.load(fh)
-    d, P, k = payload["d"], payload["P"], payload["k"]
-    arrangement = Arrangement(U=read_array(payload, "U", (P, d)), P=P, d=d,
-                              seed=payload["seed"])
-    objective = DualObjective(arrangement, k=k, lam=payload["lambda"], loss=loss,
-                              bias=payload["bias_flag"])
+    if (flag := payload.get("bias_flag", True)) is not True:
+        raise DomainError(f"checkpoint field 'bias_flag' is {json.dumps(flag)}: a "
+                          "checkpoint of an older convexdp, trained without the bias "
+                          "column; load it with that version")
+    d, P, k, seed = (read_number(payload, key) for key in ("d", "P", "k", "seed"))
+    lam = read_number(payload, "lambda", count=False)
+    arrangement = Arrangement(U=read_array(payload, "U", (P, d)), P=P, d=d, seed=seed)
+    objective = DualObjective(arrangement, k=k, lam=lam, loss=loss)
     return objective, read_array(payload, "V", (P, d, k)).ravel()

@@ -1,6 +1,7 @@
-"""Dataset ingestion and synthesis: IDX images, CSV tables, synthetic
-Gaussian features, and subsets, splits and the bias column, all gathered by
-``_rows``; and the JSON writer and array decoder of the model checkpoints.
+"""Dataset ingestion and synthesis: IDX images, CSV tables and synthetic
+Gaussian features, loaded without a bias column; subsets and splits, whose
+rows ``_rows`` gathers with a constant-1 bias column appended; and the JSON
+writer and decoders of the model checkpoints.
 
 Datasets are immutable after load; all randomness is seeded.
 """
@@ -13,7 +14,7 @@ import json
 import math
 import os
 import struct
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -24,7 +25,7 @@ IDX_LABELS_MAGIC = 0x00000801
 # floats per base64 call in write_json: 8 * 1536 bytes is a multiple of 3,
 # so the slices' texts join into the whole array's text, with no padding
 ARRAY_SLICE = 3 * 512
-ROWS_SLICE = 256  # rows per gather in a biased split
+ROWS_SLICE = 256  # rows per gather in a split or subset
 # The named target rules of ``synthetic_gaussian``.
 RULES = ("random_labels", "linear_teacher", "norm_threshold")
 
@@ -124,7 +125,7 @@ def load_csv(path: str) -> Dataset:
 def synthetic_gaussian(
     n: int,
     d: int,
-    rule: Union[str, np.ndarray, Sequence[int]] = "random_labels",
+    rule: str = "random_labels",
     seed: int = 0,
     num_classes: int = 2,
 ) -> Dataset:
@@ -132,35 +133,28 @@ def synthetic_gaussian(
 
     Rules (``RULES``): 'random_labels' (uniform classes), 'linear_teacher'
     (argmax of a planted linear map), 'norm_threshold' (class 1 iff
-    ||x||^2 > d; a nonlinear boundary no linear model can express), or an
-    explicit label vector.
+    ||x||^2 > d; a nonlinear boundary no linear model can express).
     """
     if n < 1 or d < 1:
         raise DomainError("n and d must be >= 1")
     ss = np.random.SeedSequence(seed)
     feat_rng, target_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     X = feat_rng.standard_normal((n, d))
-    if isinstance(rule, str):
-        if rule == "random_labels":
-            labels = target_rng.integers(0, num_classes, size=n)
-        elif rule == "linear_teacher":
-            W = target_rng.standard_normal((d, num_classes))
-            labels = np.argmax(X @ W, axis=1)
-        elif rule == "norm_threshold":
-            labels = (np.sum(X**2, axis=1) > d).astype(np.int64)
-        else:
-            raise ConfigError(f"unknown target rule {rule!r}; expected one of {RULES}")
+    if rule == "random_labels":
+        labels = target_rng.integers(0, num_classes, size=n)
+    elif rule == "linear_teacher":
+        W = target_rng.standard_normal((d, num_classes))
+        labels = np.argmax(X @ W, axis=1)
+    elif rule == "norm_threshold":
+        labels = (np.sum(X**2, axis=1) > d).astype(np.int64)
     else:
-        labels = np.asarray(rule)
-        if len(labels) != n:
-            raise ConfigError("explicit label vector length != n")
+        raise ConfigError(f"unknown target rule {rule!r}; expected one of {RULES}")
     return Dataset(X=X, labels=labels)
 
 
-def subset(dataset: Dataset, n_sub: int, seed: int, bias: bool = False) -> Dataset:
-    """Class-stratified uniform WOR subset. With
-    ``bias`` its features end in a constant-1 column, as in
-    ``train_test_split``; without, a subset of every row is ``dataset`` itself.
+def subset(dataset: Dataset, n_sub: int, seed: int) -> Dataset:
+    """Class-stratified uniform WOR subset, whose features end in a constant-1
+    column, as in ``train_test_split``.
 
     Stratification uses largest-remainder allocation, so per-class counts
     differ by at most 1 from proportionality.
@@ -169,8 +163,6 @@ def subset(dataset: Dataset, n_sub: int, seed: int, bias: bool = False) -> Datas
         raise ConfigError(f"n_sub={n_sub} exceeds dataset size {dataset.n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if n_sub == dataset.n:
-        if not bias:
-            return dataset
         idx = np.arange(n_sub)
     else:
         classes, counts = np.unique(dataset.labels, return_counts=True)
@@ -185,7 +177,7 @@ def subset(dataset: Dataset, n_sub: int, seed: int, bias: bool = False) -> Datas
             pool = np.flatnonzero(dataset.labels == cls)
             chosen.append(rng.permutation(pool)[:cnt])
         idx = np.sort(np.concatenate(chosen))
-    return Dataset(X=_rows(dataset.X, idx, bias), labels=dataset.labels[idx])
+    return Dataset(X=_rows(dataset.X, idx), labels=dataset.labels[idx])
 
 
 def one_hot(labels: np.ndarray, k: Optional[int] = None) -> np.ndarray:
@@ -194,14 +186,13 @@ def one_hot(labels: np.ndarray, k: Optional[int] = None) -> np.ndarray:
     return np.eye(k)[labels]
 
 
-def _rows(X: np.ndarray, idx: np.ndarray, bias: bool) -> np.ndarray:
-    """``X[idx]``, followed by a constant-1 column when ``bias``, in one array.
+def _rows(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``X[idx]`` followed by a constant-1 column (affine gates and model), in
+    one array.
 
     The rows are gathered ``ROWS_SLICE`` at a time, so no full-size
     temporary is allocated (and page-faulted) besides the result.
     """
-    if not bias:
-        return X[idx]
     out = np.empty((len(idx), X.shape[1] + 1))
     for s in range(0, len(idx), ROWS_SLICE):
         out[s : s + ROWS_SLICE, :-1] = X[idx[s : s + ROWS_SLICE]]
@@ -209,25 +200,18 @@ def _rows(X: np.ndarray, idx: np.ndarray, bias: bool) -> np.ndarray:
     return out
 
 
-def add_bias_column(X: np.ndarray) -> np.ndarray:
-    """X followed by a constant-1 feature (affine gates and model)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return _rows(X, np.arange(len(X)), bias=True)
-
-
-def train_test_split(dataset: Dataset, n_test: int, seed: int, bias: bool = False):
+def train_test_split(dataset: Dataset, n_test: int, seed: int):
     """Seeded split into (train, test) with n_test held-out rows.
 
-    With ``bias`` each split's features end in a constant-1 column (affine
-    gates and model), written with the split itself, so no copy of the rows
-    without it outlives the split.
+    Each split's features end in a constant-1 column, written with the split
+    itself, so no copy of the rows without it outlives the split.
     """
     if not (0 < n_test < dataset.n):
         raise ConfigError("n_test must be in (0, n)")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     perm = rng.permutation(dataset.n)
     test_idx, train_idx = np.sort(perm[:n_test]), np.sort(perm[n_test:])
-    mk = lambda idx: Dataset(X=_rows(dataset.X, idx, bias), labels=dataset.labels[idx])
+    mk = lambda idx: Dataset(X=_rows(dataset.X, idx), labels=dataset.labels[idx])
     return mk(train_idx), mk(test_idx)
 
 
@@ -253,6 +237,19 @@ def write_json(path: str, payload: dict) -> None:
                 fh.write(base64.b64encode(chunk.tobytes()).decode("ascii"))
             fh.write('"')
         fh.write("}")
+
+
+def read_number(payload: dict, key: str, count: bool = True):
+    """The number ``write_json`` wrote under ``key``: a non-negative integer,
+    or with ``count=False`` a non-negative finite number. A bool is no
+    number; any other value raises DomainError."""
+    value = payload[key]
+    ok = isinstance(value, int) if count else (
+        isinstance(value, (int, float)) and math.isfinite(value))
+    if isinstance(value, bool) or not ok or value < 0:
+        what = "integer" if count else "finite number"
+        raise DomainError(f"checkpoint field {key!r} is {value!r}, not a non-negative {what}")
+    return value
 
 
 def read_array(payload: dict, key: str, shape: tuple) -> np.ndarray:

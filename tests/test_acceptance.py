@@ -269,8 +269,7 @@ def _desk_scale_data():
 
 def test_criterion_11_end_to_end_self_consistency(capsys):
     train, test = _desk_scale_data()
-    Xtr = data.add_bias_column(train.X)
-    Xte = data.add_bias_column(test.X)
+    Xtr, Xte = train.X, test.X
     lam, d = 1e-3, Xtr.shape[1]
 
     # (a) non-private SGD: convexified model vs lambda-matched linear model

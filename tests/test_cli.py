@@ -219,10 +219,9 @@ def test_run_noisycgd_lambda_default_rule(tmp_path, monkeypatch, capsys):
 
 
 def test_noisycgd_warns_when_eta_beta_reaches_two(monkeypatch):
-    # The check uses the beta the accountant receives: the default
-    # max ||x||^2 + lam puts eta * beta far above 2 at eta = 0.5, and the run
-    # is refused before any training step; a small user override brings it
-    # below 2.
+    # The check uses the beta the accountant receives: max ||x||^2 + lam puts
+    # eta * beta far above 2 at eta = 0.5, and the run is refused before any
+    # training step.
     cfg = dict(BASE_CONFIG, eta=0.5, dataset=dict(BASE_CONFIG["dataset"]))
 
     def no_training(*args, **kwargs):
@@ -231,10 +230,6 @@ def test_noisycgd_warns_when_eta_beta_reaches_two(monkeypatch):
     monkeypatch.setattr(cli.optimizers, "noisycgd_run", no_training)
     with pytest.raises(DomainError, match="2/beta"):
         cli.execute_run(cli.RunConfig(**cfg), write_outputs=False)
-    monkeypatch.undo()
-    report = cli.execute_run(cli.RunConfig(**cfg, beta=1.0), write_outputs=False)
-    assert report["accountant_inputs"]["beta"] == 1.0
-    assert math.isfinite(float(report["epsilon"]))
 
 
 def test_dpsgd_run_builds_no_pld_before_training(monkeypatch):
@@ -545,6 +540,8 @@ def test_sweep_rejects_unknown_grid_key(tmp_path, monkeypatch, capsys):
 
 BALL = {"kind": "ball", "radius": 1.0}
 UNREAD_FIELDS = [
+    # beta is no config field at all: derived from the rows, it is refused as
+    # an unknown field.
     ("relu-dpsgd", "beta", 5.0), ("dual-dpsgd", "beta", 5.0),
     ("relu-dpsgd", "P", 64),
     ("dual-dpsgd", "hidden_m", 50), ("dual-noisycgd", "hidden_m", 50),
@@ -597,6 +594,9 @@ BAD_SETTINGS = [
     ("dual-noisycgd", 'seeds={"gates":0,"init":1,"batches":2,"noise":3,"nosie":9}'),
     ("relu-dpsgd", "lam=-5"), ("dual-dpsgd", "lam=-1"),
     ("dual-noisycgd", "grids.sigma=2"),
+    # Removed fields: the bias column is always on, and beta always derived.
+    ("dual-dpsgd", "bias=false"), ("relu-dpsgd", "bias=true"),
+    ("dual-noisycgd", "beta=1.0"),
 ]
 
 
@@ -604,8 +604,9 @@ BAD_SETTINGS = [
                          ids=[f"{m}-{s}".replace(" ", "") for m, s in BAD_SETTINGS])
 def test_bad_value_exits_2_before_loading_data(method, setting, tmp_path,
                                                monkeypatch, capsys):
-    # A wrongly typed, non-finite or negative value is refused from the config
-    # alone: no data is loaded and no output file written.
+    # A wrongly typed, non-finite or negative value, or a removed field, is
+    # refused from the config alone: no data is loaded and no output file
+    # written.
     def no_loading(*args, **kwargs):
         raise AssertionError("loaded data for a config with a bad value")
 
@@ -620,8 +621,8 @@ def test_bad_value_exits_2_before_loading_data(method, setting, tmp_path,
 
 def test_integer_values_are_valid_floats():
     # JSON writes 1.0 as 1 in some tools; a bool is not a number, though.
-    cfg = cli.RunConfig(**method_config(C=1, sigma=2, eta=1, lam=1, beta=3))
-    assert (cfg.C, cfg.sigma, cfg.eta, cfg.lam, cfg.beta) == (1, 2, 1, 1, 3)
+    cfg = cli.RunConfig(**method_config(C=1, sigma=2, eta=1, lam=1))
+    assert (cfg.C, cfg.sigma, cfg.eta, cfg.lam) == (1, 2, 1, 1)
     with pytest.raises(ConfigError, match="C: expected float"):
         cli.RunConfig(**method_config(C=True))
 
@@ -633,9 +634,7 @@ BAD_SPECS = {
     "unknown-key": dict(BASE_CONFIG["dataset"], n_tset=10),
     "unknown-kind": {"kind": "parquet", "path": "x"},
     "unknown-rule": dict(BASE_CONFIG["dataset"], rule="moons"),
-    "label-list-of-wrong-length": dict(BASE_CONFIG["dataset"], rule=[0, 1] * 59),
-    "real-label-list": dict(BASE_CONFIG["dataset"], rule=[0.5] * 160),
-    "negative-label-list": dict(BASE_CONFIG["dataset"], rule=[-1, 1] * 80),
+    "list-rule": dict(BASE_CONFIG["dataset"], rule=[0, 1] * 80),
     "no-classes-random-labels": dict(BASE_CONFIG["dataset"], rule="random_labels",
                                      num_classes=0),
     "no-classes-linear-teacher": dict(BASE_CONFIG["dataset"], rule="linear_teacher",
@@ -666,33 +665,73 @@ def test_emitted_config_loads(method, tmp_path, monkeypatch, capsys):
     code, again, _ = run_cli(["run", "--config", str(emitted), "--emit-config"],
                              monkeypatch, tmp_path, capsys)
     assert code == 0 and again == first
+    assert not {"bias", "beta"} & set(json.loads(first))
+
+
+def write_idx(stem, n, rng):
+    """An IDX pair of n random 2x3 images with labels in 0..2 at ``stem``;
+    the two paths."""
+    pixels = rng.integers(0, 256, (n, 2, 3), dtype=np.uint8)
+    labels = rng.integers(0, 3, n, dtype=np.uint8)
+    images, label_file = Path(f"{stem}-images"), Path(f"{stem}-labels")
+    images.write_bytes(struct.pack(">IIII", 0x803, n, 2, 3) + pixels.tobytes())
+    label_file.write_bytes(struct.pack(">II", 0x801, n) + labels.tobytes())
+    return str(images), str(label_file)
 
 
 def test_biased_dataset_pair_is_the_pair_plus_a_bias_column(tmp_path):
-    # Every dataset kind: the biased splits are built without an unbiased
-    # copy, and must equal the plain splits with a constant-1 column. The
+    # Every dataset kind: the splits are built without an unbiased copy, and
+    # must equal the raw rows they hold with a constant-1 column. The
     # synthetic split spans several gather slices and a ragged last one.
     rng = np.random.default_rng(0)
-    pixels = rng.integers(0, 256, (30, 2, 3), dtype=np.uint8)
-    labels = rng.integers(0, 3, 30, dtype=np.uint8)
-    (tmp_path / "images").write_bytes(struct.pack(">IIII", 0x803, 30, 2, 3)
-                                      + pixels.tobytes())
-    (tmp_path / "labels").write_bytes(struct.pack(">II", 0x801, 30) + labels.tobytes())
+    images, label_file = write_idx(tmp_path / "idx", 30, rng)
     table = np.column_stack([rng.standard_normal((40, 3)), rng.integers(0, 2, 40)])
     (tmp_path / "table.csv").write_text(
         "a,b,c,y\n" + "\n".join(",".join(map(repr, row)) for row in table.tolist()))
-    images, label_file = str(tmp_path / "images"), str(tmp_path / "labels")
-    specs = [
-        dict(BASE_CONFIG["dataset"], n=3 * data.ROWS_SLICE - 17),
-        {"kind": "idx", "train_images": images, "train_labels": label_file,
-         "test_images": images, "test_labels": label_file, "subset_n": 20},
-        {"kind": "csv", "path": str(tmp_path / "table.csv"), "n_test": 10},
+    n = 3 * data.ROWS_SLICE - 17
+    cases = [
+        (dict(BASE_CONFIG["dataset"], n=n),
+         data.synthetic_gaussian(n + 40, 5, rule="norm_threshold", seed=7)),
+        ({"kind": "idx", "train_images": images, "train_labels": label_file,
+          "test_images": images, "test_labels": label_file, "subset_n": 20},
+         data.load_idx(images, label_file)),
+        ({"kind": "csv", "path": str(tmp_path / "table.csv"), "n_test": 10},
+         data.load_csv(str(tmp_path / "table.csv"))),
     ]
-    for spec in specs:
-        for plain, biased in zip(cli.load_dataset_pair(spec),
-                                 cli.load_dataset_pair(spec, bias=True)):
-            assert np.array_equal(biased.X, data.add_bias_column(plain.X))
-            assert np.array_equal(biased.labels, plain.labels)
+    for spec, raw in cases:
+        assert len(np.unique(raw.X, axis=0)) == raw.n  # each row is found once
+        for split in cli.load_dataset_pair(spec):
+            idx = np.array([np.flatnonzero((raw.X == x).all(axis=1))[0]
+                            for x in split.X[:, :-1]])
+            assert np.all(np.diff(idx) > 0)
+            assert np.array_equal(split.X, np.hstack([raw.X[idx], np.ones((len(idx), 1))]))
+            assert np.array_equal(split.labels, raw.labels[idx])
+
+
+@pytest.mark.parametrize("method", ["dual-dpsgd", "dual-noisycgd"])
+def test_empty_training_subset_exits_2(method, tmp_path, monkeypatch, capsys):
+    # Accounting divides by the training rows (q = b / n, the max row norm),
+    # so an empty training split is refused before it.
+    images, label_file = write_idx(tmp_path / "idx", 30, np.random.default_rng(0))
+    spec = {"kind": "idx", "train_images": images, "train_labels": label_file,
+            "test_images": images, "test_labels": label_file, "subset_n": 0}
+    cfg = write_config(tmp_path, method=method, dataset=spec)
+    code, _, err = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
+    assert code == 2 and "the train split has no rows" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_test_file_exits_2(tmp_path, monkeypatch, capsys):
+    # A test accuracy over no rows would be printed as NaN.
+    rng = np.random.default_rng(0)
+    images, label_file = write_idx(tmp_path / "train", 30, rng)
+    test_images, test_labels = write_idx(tmp_path / "test", 0, rng)
+    spec = {"kind": "idx", "train_images": images, "train_labels": label_file,
+            "test_images": test_images, "test_labels": test_labels}
+    cfg = write_config(tmp_path, method="dual-dpsgd", dataset=spec)
+    code, _, err = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
+    assert code == 2 and "the test split has no rows" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_class_labels_exit_2(tmp_path, monkeypatch, capsys):
@@ -741,10 +780,10 @@ def test_every_method_checkpoint_reproduces_report(method, tmp_path, monkeypatch
     if model_kind == "dual":
         model = oracles.dual_model(objective, params)
         logits = [oracles.forward(model, x, model.arrangement.U @ x >= 0)
-                  for x in data.add_bias_column(test.X)]
+                  for x in test.X]
     else:
         model = oracles.mlp(objective, params)
-        logits = [oracles.mlp_forward(model, x) for x in data.add_bias_column(test.X)]
+        logits = [oracles.mlp_forward(model, x) for x in test.X]
     accuracy = float(np.mean(np.argmax(logits, axis=1) == test.labels))
     assert accuracy == report["final_test_accuracy"]
 
@@ -776,10 +815,8 @@ def keys_of(node):
 
 @pytest.mark.parametrize("method", ["dual-dpsgd", "relu-dpsgd"])
 def test_dpsgd_reports_hold_no_beta(method):
-    # beta (a statistic of the private rows) feeds only the NoisyCGD bound;
-    # the config echo holds only the user's override.
+    # beta (a statistic of the private rows) feeds only the NoisyCGD bound.
     report = cli.execute_run(cli.RunConfig(**method_config(method)), write_outputs=False)
-    report.pop("config")
     assert not any("beta" in key for key in keys_of(report))
 
 

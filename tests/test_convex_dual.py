@@ -455,8 +455,7 @@ def test_interpolation_when_stacked_features_full_rank():
 
 def make_objective(P=3, d=4, k=2, lam=0.25, seed=0):
     """A DualObjective and random flat parameters for it."""
-    obj = cd.DualObjective(cd.sample_arrangement(d, P, seed), k=k, lam=lam,
-                           loss="ce", bias=False)
+    obj = cd.DualObjective(cd.sample_arrangement(d, P, seed), k=k, lam=lam, loss="ce")
     return obj, np.random.default_rng(seed + 1).standard_normal(obj.dim)
 
 
@@ -469,7 +468,6 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.arrangement.U, obj.arrangement.U)
     assert (loaded.k, loaded.dim, loaded.loss_kind) == (obj.k, obj.dim, "ce")
     assert loaded.lam == obj.lam
-    assert loaded.bias == obj.bias
     assert loaded.arrangement.seed == obj.arrangement.seed
 
 
@@ -482,6 +480,22 @@ def test_checkpoint_bytes_match_json_dump(tmp_path):
     expected = io.StringIO()
     json.dump(json.loads(text), expected)
     assert text == expected.getvalue()
+
+
+def test_checkpoint_without_the_bias_column_is_refused(tmp_path):
+    # An older convexdp could train without the bias column, and its d then
+    # counts no bias feature: such a file is refused. One that says it has
+    # the column loads.
+    path = tmp_path / "model.json"
+    obj, params = make_objective()
+    obj.save_checkpoint(params, str(path))
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(payload, bias_flag=True)))
+    np.testing.assert_array_equal(cd.load_checkpoint(str(path), "ce")[1], params)
+    path.write_text(json.dumps(dict(payload, bias_flag=False)))
+    with pytest.raises(DomainError, match="'bias_flag' is false: a checkpoint of an "
+                                          "older convexdp"):
+        cd.load_checkpoint(str(path), "ce")
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -1,6 +1,6 @@
 """Dataset utilities: a hand-built IDX byte fixture, CSV parsing, synthetic
 target rules, stratified subsetting, splits and the bias column, and the
-JSON writer and array decoder of the checkpoints."""
+JSON writer and the array and number decoders of the checkpoints."""
 import base64
 import io
 import json
@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from convexdp import baseline_relu as br
+from convexdp import convex_dual as cd
 from convexdp import data
 from convexdp.errors import ConfigError, DomainError, FormatError
 
@@ -143,8 +145,6 @@ def test_synthetic_rules():
     lt = data.synthetic_gaussian(100, 4, rule="linear_teacher", seed=1,
                                  num_classes=3)
     assert set(np.unique(lt.labels)) <= {0, 1, 2}
-    explicit = data.synthetic_gaussian(5, 2, rule=[0, 1, 0, 1, 1], seed=2)
-    np.testing.assert_array_equal(explicit.labels, [0, 1, 0, 1, 1])
     with pytest.raises(ConfigError):
         data.synthetic_gaussian(5, 2, rule="moons")
 
@@ -180,17 +180,16 @@ def test_train_test_split_disjoint():
 
 
 def test_bias_column_and_biased_subset_append_ones():
-    # The gather runs ROWS_SLICE rows at a time; the matrix spans a ragged
-    # last slice.
-    X = np.random.default_rng(5).standard_normal((2 * data.ROWS_SLICE + 3, 4))
+    # The gather runs ROWS_SLICE rows at a time; the full subset spans a
+    # ragged last slice.
+    ds = data.synthetic_gaussian(2 * data.ROWS_SLICE + 3, 4, rule="random_labels",
+                                 seed=7, num_classes=4)
     ones = lambda A: np.hstack([A, np.ones((len(A), 1))])
-    assert np.array_equal(data.add_bias_column(X), ones(X))
-    ds = data.synthetic_gaussian(1000, 4, rule="random_labels", seed=7, num_classes=4)
-    plain, biased = data.subset(ds, 100, seed=1), data.subset(ds, 100, seed=1, bias=True)
-    assert np.array_equal(biased.X, ones(plain.X))
-    assert np.array_equal(biased.labels, plain.labels)
-    assert data.subset(ds, ds.n, seed=1) is ds  # every row, unbiased: no copy
-    assert np.array_equal(data.subset(ds, ds.n, seed=1, bias=True).X, ones(ds.X))
+    assert np.array_equal(data.subset(ds, ds.n, seed=1).X, ones(ds.X))
+    sub = data.subset(ds, 100, seed=1)
+    idx = [np.flatnonzero((ds.X == x).all(axis=1))[0] for x in sub.X[:, :-1]]
+    assert np.array_equal(sub.X, ones(ds.X[idx]))
+    assert np.array_equal(sub.labels, ds.labels[idx])
 
 
 def test_one_hot():
@@ -277,6 +276,32 @@ def test_read_array_refuses_text_that_is_not_base64():
             data.read_array({"V": bad}, "V", (3, data.ARRAY_SLICE))
     with pytest.raises(DomainError, match="base64"):
         data.read_array({"V": 5}, "V", (1,))
+
+
+# A checkpoint reader's scalar field that is not a non-negative integer (or,
+# for lambda, a non-negative finite number). Unchecked, each would raise a
+# TypeError, misstate the array size, or load (a negative seed).
+BAD_SCALARS = {
+    "lambda-string": (cd, "lambda", "x"),
+    "k-float": (cd, "k", 2.0),
+    "m-float": (br, "m", 4.0),
+    "P-string": (cd, "P", "2"),
+    "d-bool": (cd, "d", True),
+    "seed-negative": (cd, "seed", -1),
+}
+
+
+@pytest.mark.parametrize("module, key, value", BAD_SCALARS.values(), ids=BAD_SCALARS)
+def test_checkpoint_scalar_field_is_refused(module, key, value, tmp_path):
+    # A one-feature dual model: d = true equals its d, and only its type is wrong.
+    obj = (cd.DualObjective(cd.sample_arrangement(1, 2, 0), k=2, lam=0.5)
+           if module is cd else br.MLPObjective(3, 2, m=4))
+    path = tmp_path / "model.json"
+    obj.save_checkpoint(obj.init_params(0), str(path))
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(payload, **{key: value})))
+    with pytest.raises(DomainError, match=f"checkpoint field '{key}' is {value!r}, not"):
+        module.load_checkpoint(str(path), "mse")
 
 
 def test_read_array_refuses_non_finite_values():
