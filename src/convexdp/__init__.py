@@ -8,8 +8,9 @@ Subpackages:
 * ``convex_dual`` -- the gated linear (convex dual) model: arrangements,
   the gate-factored batch objective with clipped per-sample gradients,
   checkpoints.
-* ``losses`` -- the MSE / softmax cross-entropy head (residuals, mean
-  loss, accuracy) shared by the dual model and the MLP baseline.
+* ``losses`` -- the MSE / softmax cross-entropy head (blocked logits,
+  residuals, mean loss, accuracy) shared by the dual model and the MLP
+  baseline.
 * ``optimizers`` -- one noisy mini-batch loop behind DP-SGD and NoisyCGD.
 * ``baseline_relu`` -- one-hidden-layer ReLU network baseline.
 * ``data`` -- IDX/CSV loading, synthetic data, subsets and splits.

@@ -594,7 +594,7 @@ def account_dpsgd_many(
 
 
 # ---------------------------------------------------------------------------
-# GDP bound for noisy cyclic mini-batch GD, and conversions
+# GDP bound for noisy cyclic mini-batch GD, and the epsilon search
 # ---------------------------------------------------------------------------
 
 
@@ -621,27 +621,6 @@ def noisycgd_mu(spec: NoisyCGDSpec) -> float:
         1.0 - tail
     ) / (1.0 + tail)
     return base * math.sqrt(inner)
-
-
-def rdp_to_dp(alpha: float, eps_rdp: float, eps: float) -> float:
-    """delta(eps) of an (alpha, eps_rdp)-RDP mechanism.
-
-    exp((alpha-1)(eps_rdp - eps))/alpha * (1 - 1/alpha)^(alpha-1),
-    clamped to [0, 1].
-    """
-    if not all(map(math.isfinite, (alpha, eps_rdp, eps))):
-        raise DomainError(
-            f"alpha, eps_rdp and eps must be finite, got {alpha!r}, {eps_rdp!r}, {eps!r}")
-    if alpha <= 1:
-        raise DomainError(f"alpha must exceed 1, got {alpha!r}")
-    log_val = (
-        (alpha - 1.0) * (eps_rdp - eps)
-        - math.log(alpha)
-        + (alpha - 1.0) * math.log1p(-1.0 / alpha)
-    )
-    if log_val >= 0:
-        return 1.0
-    return math.exp(log_val)
 
 
 def find_epsilon(profile: PrivacyProfile | DiscretePLD, delta_target: float) -> float:

@@ -65,14 +65,9 @@ class MLPObjective:
         np.maximum(h, 0.0, out=h)
         return active, h, h @ A
 
-    def _logits(self, params, X) -> np.ndarray:
-        logits = np.empty((len(X), self.k))
-        for s in range(0, len(X), ROW_BLOCK):
-            logits[s : s + ROW_BLOCK] = self._forward(params, X[s : s + ROW_BLOCK])[2]
-        return logits
-
     def data_loss(self, params, X, y) -> float:
-        return losses.mean_loss(self._logits(params, X), y, self.loss_kind)
+        return losses.mean_loss(losses.logits(self._forward, params, X, self.k),
+                                y, self.loss_kind)
 
     def clipped_grad_mean(self, params, X, y, C: float) -> np.ndarray:
         """Mean of per-sample gradients, each clipped to norm C."""
@@ -99,7 +94,7 @@ class MLPObjective:
         return grad
 
     def accuracy(self, params, X, labels) -> float:
-        return losses.accuracy(self._logits(params, X), labels)
+        return losses.accuracy(losses.logits(self._forward, params, X, self.k), labels)
 
     def save_checkpoint(self, params, path: str) -> None:
         """U (m, d) and A (m, k) as ``data.write_json`` encodes arrays."""

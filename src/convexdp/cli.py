@@ -52,10 +52,6 @@ COUNT_KEYS = {"n", "d", "n_test", "seed", "num_classes", "subset_n", "subset_see
 SEED_KEYS = {"gates", "init", "batches", "noise"}
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 # ---------------------------------------------------------------------------
 # Run configuration
 # ---------------------------------------------------------------------------
@@ -112,7 +108,7 @@ class RunConfig:
             if keys:
                 raise ConfigError(f"seeds: {problem} {sorted(keys)}")
         for key, seed in self.seeds.items():
-            if not _is_count(seed):
+            if not data.is_count(seed):
                 raise ConfigError(f"seeds.{key}: must be a non-negative integer, "
                                   f"got {seed!r}")
         _check_dataset_spec(self.dataset)
@@ -211,7 +207,7 @@ def _check_dataset_spec(spec) -> None:
         if keys:
             raise ConfigError(f"dataset: {problem} {sorted(keys)} for kind {kind!r}")
     for key, value in spec.items():
-        if key in COUNT_KEYS and not _is_count(value):
+        if key in COUNT_KEYS and not data.is_count(value):
             raise ConfigError(f"dataset.{key}: must be a non-negative integer, "
                               f"got {value!r}")
         if key not in COUNT_KEYS and not isinstance(value, str):
@@ -489,18 +485,6 @@ def _account_noisycgd_cmd(args) -> dict:
     return dict(inputs, mu_gdp=profile.delta.args[0], epsilon=_eps_repr(eps))
 
 
-def _account_convert_rdp_cmd(args) -> dict:
-    eps_values = args.eps or [0.5, 1.0, 2.0, 4.0]
-    return {
-        "method": "convert-rdp",
-        "alpha": args.alpha,
-        "eps_rdp": args.eps_rdp,
-        "delta_at_eps": {
-            repr(e): acc.rdp_to_dp(args.alpha, args.eps_rdp, e) for e in eps_values
-        },
-    }
-
-
 # ---------------------------------------------------------------------------
 # argparse wiring
 # ---------------------------------------------------------------------------
@@ -553,11 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     cgd_p.add_argument("--E", type=int, required=True)
     cgd_p.add_argument("--delta", type=finite_float, default=1e-5)
 
-    rdp_p = acc_sub.add_parser("convert-rdp")
-    rdp_p.add_argument("--alpha", type=finite_float, required=True)
-    rdp_p.add_argument("--eps-rdp", type=finite_float, required=True)
-    rdp_p.add_argument("--eps", type=finite_float, nargs="*")
-
     return parser
 
 
@@ -580,7 +559,6 @@ def main(argv=None) -> int:
             handler = {
                 "dpsgd": _account_dpsgd_cmd,
                 "noisycgd": _account_noisycgd_cmd,
-                "convert-rdp": _account_convert_rdp_cmd,
             }[args.accountant]
             print(json.dumps(handler(args), indent=2))
     except ConfigError as exc:

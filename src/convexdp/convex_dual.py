@@ -30,15 +30,21 @@ class Arrangement:
     """P gate vectors sampled i.i.d. standard normal from a seeded stream."""
 
     U: np.ndarray  # (P, d)
-    P: int
-    d: int
     seed: int
 
     def __post_init__(self):
         U = np.asarray(self.U, dtype=float)
         object.__setattr__(self, "U", U)
-        if U.shape != (self.P, self.d):
-            raise DomainError(f"gate matrix shape {U.shape} != ({self.P}, {self.d})")
+        if U.ndim != 2:
+            raise DomainError(f"gate matrix must be 2-d, got shape {U.shape}")
+
+    @property
+    def P(self) -> int:
+        return self.U.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.U.shape[1]
 
 
 def sample_arrangement(d: int, P: int, seed: int) -> Arrangement:
@@ -46,7 +52,7 @@ def sample_arrangement(d: int, P: int, seed: int) -> Arrangement:
     if d < 1 or P < 1:
         raise DomainError("d and P must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return Arrangement(U=rng.standard_normal((P, d)), P=P, d=d, seed=seed)
+    return Arrangement(U=rng.standard_normal((P, d)), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +107,6 @@ class DualObjective:
         H = H.reshape(len(X), d, k)
         return bits, np.matmul(X[:, None, :], H)[:, 0, :]
 
-    def _logits(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
-        logits = np.empty((len(X), self.k))
-        for s in range(0, len(X), ROW_BLOCK):
-            logits[s : s + ROW_BLOCK] = self._forward(params, X[s : s + ROW_BLOCK])[1]
-        return logits
-
     # -- optimizer interface ----------------------------------------------
     def init_params(self, seed: int) -> np.ndarray:
         """Zeros; ``seed`` is unused and kept for the MLPObjective signature."""
@@ -114,7 +114,8 @@ class DualObjective:
 
     def data_loss(self, params: np.ndarray, X: np.ndarray, y) -> float:
         """Mean per-sample data-term loss over (X, y)."""
-        return losses.mean_loss(self._logits(params, X), y, self.loss_kind)
+        return losses.mean_loss(losses.logits(self._forward, params, X, self.k),
+                                y, self.loss_kind)
 
     def clipped_grad_mean(
         self, params: np.ndarray, X: np.ndarray, y, C: float
@@ -139,7 +140,7 @@ class DualObjective:
         return grad.ravel()
 
     def accuracy(self, params: np.ndarray, X: np.ndarray, labels) -> float:
-        return losses.accuracy(self._logits(params, X), labels)
+        return losses.accuracy(losses.logits(self._forward, params, X, self.k), labels)
 
     def save_checkpoint(self, params: np.ndarray, path: str) -> None:
         """JSON container with everything needed to reload without re-deriving;
@@ -163,6 +164,6 @@ def load_checkpoint(path: str, loss: str):
                           "column; load it with that version")
     d, P, k, seed = (read_number(payload, key) for key in ("d", "P", "k", "seed"))
     lam = read_number(payload, "lambda", count=False)
-    arrangement = Arrangement(U=read_array(payload, "U", (P, d)), P=P, d=d, seed=seed)
+    arrangement = Arrangement(U=read_array(payload, "U", (P, d)), seed=seed)
     objective = DualObjective(arrangement, k=k, lam=lam, loss=loss)
     return objective, read_array(payload, "V", (P, d, k)).ravel()

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import struct
-from typing import Optional
 
 import numpy as np
 
@@ -28,6 +27,11 @@ ARRAY_SLICE = 3 * 512
 ROWS_SLICE = 256  # rows per gather in a split or subset
 # The named target rules of ``synthetic_gaussian``.
 RULES = ("random_labels", "linear_teacher", "norm_threshold")
+
+
+def is_count(value) -> bool:
+    """A non-negative int; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,37 +157,19 @@ def synthetic_gaussian(
 
 
 def subset(dataset: Dataset, n_sub: int, seed: int) -> Dataset:
-    """Class-stratified uniform WOR subset, whose features end in a constant-1
-    column, as in ``train_test_split``.
-
-    Stratification uses largest-remainder allocation, so per-class counts
-    differ by at most 1 from proportionality.
-    """
+    """``n_sub`` rows drawn uniformly without replacement, in their original
+    order, whose features end in a constant-1 column, as in
+    ``train_test_split``. The draw reads no label, so changing a label
+    never changes which rows are drawn."""
     if n_sub > dataset.n:
         raise ConfigError(f"n_sub={n_sub} exceeds dataset size {dataset.n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if n_sub == dataset.n:
-        idx = np.arange(n_sub)
-    else:
-        classes, counts = np.unique(dataset.labels, return_counts=True)
-        exact = counts * (n_sub / dataset.n)
-        take = np.floor(exact).astype(int)
-        rem = exact - take
-        short = n_sub - take.sum()
-        for idx in np.argsort(-rem)[:short]:
-            take[idx] += 1
-        chosen = []
-        for cls, cnt in zip(classes, take):
-            pool = np.flatnonzero(dataset.labels == cls)
-            chosen.append(rng.permutation(pool)[:cnt])
-        idx = np.sort(np.concatenate(chosen))
+    idx = np.sort(rng.permutation(dataset.n)[:n_sub])
     return Dataset(X=_rows(dataset.X, idx), labels=dataset.labels[idx])
 
 
-def one_hot(labels: np.ndarray, k: Optional[int] = None) -> np.ndarray:
-    labels = np.asarray(labels, dtype=int)
-    k = int(labels.max()) + 1 if k is None else k
-    return np.eye(k)[labels]
+def one_hot(labels: np.ndarray, k: int) -> np.ndarray:
+    return np.eye(k)[np.asarray(labels, dtype=int)]
 
 
 def _rows(X: np.ndarray, idx: np.ndarray) -> np.ndarray:

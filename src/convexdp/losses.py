@@ -1,9 +1,9 @@
 """Loss head shared by the gated linear model and the MLP baseline.
 
-Both models end in k logits per row. ``mse`` regresses the logits onto
-one-hot targets (integer labels) or onto given real targets; ``ce`` is
-softmax cross-entropy on integer labels. Residuals are the per-row
-gradients of the loss with respect to the logits.
+Both models end in k logits per row, and a label is a class index.
+``mse`` regresses the logits onto the labels' one-hot targets; ``ce`` is
+softmax cross-entropy. Residuals are the per-row gradients of the loss
+with respect to the logits.
 """
 from __future__ import annotations
 
@@ -29,14 +29,20 @@ def check_head(loss: str, k: int, lam: float) -> None:
         raise DomainError(f"lambda must be non-negative, got {lam!r}")
 
 
+def logits(forward, params: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
+    """The n x k logits of every row of X: the last output of ``forward``,
+    an objective's kernel, on ``ROW_BLOCK`` rows at a time."""
+    out = np.empty((len(X), k))
+    for s in range(0, len(X), ROW_BLOCK):
+        out[s : s + ROW_BLOCK] = forward(params, X[s : s + ROW_BLOCK])[-1]
+    return out
+
+
 def residuals(logits: np.ndarray, y, kind: str) -> np.ndarray:
-    """d loss / d logits per row: logits - target, or softmax - onehot."""
+    """d loss / d logits per row: logits - onehot, or softmax - onehot."""
     n, k = logits.shape
     if kind == "mse":
-        y = np.asarray(y)
-        targets = one_hot(y, k) if np.issubdtype(y.dtype, np.integer) else (
-            np.atleast_2d(np.asarray(y, dtype=float)).reshape(n, k))
-        return logits - targets
+        return logits - one_hot(y, k)
     shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)

@@ -5,12 +5,12 @@ Privacy unit: exactly the per-example data-term gradient is clipped; the
 ridge gradient lam * theta is added after averaging, unclipped, so the
 per-step substitution sensitivity is 2C.
 
-RNG discipline: batch selection and noise come from independent streams
-spawned from the run seed, so removing noise never shifts batch sampling.
-The noise stream is one sequential generator, but its draws run one block
-ahead of the update on a worker thread, so they overlap the gradient (see
-``_noise_rows``) and the per-epoch evaluation. The worker never calls
-BLAS: it only fills preallocated buffers from the generator.
+RNG discipline: batch selection and noise come from independent streams,
+each from its own config seed, so removing noise never shifts batch
+sampling. The noise stream is one sequential generator, but its draws run
+one block ahead of the update on a worker thread, so they overlap the
+gradient (see ``_noise_rows``) and the per-epoch evaluation. The worker
+never calls BLAS: it only fills preallocated buffers from the generator.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .data import is_count
 from .errors import ConfigError, NumericError
 
 
@@ -38,10 +39,13 @@ class DPSGDConfig:
     b: int
     eta: float
     epochs: int
-    seed: int = 0
-    noise_seed: Optional[int] = None
+    seed: int
+    noise_seed: int
 
     def __post_init__(self):
+        for name in ("seed", "noise_seed"):
+            if not is_count(value := getattr(self, name)):
+                raise ConfigError(f"{name}: must be a non-negative integer, got {value!r}")
         for name in ("C", "sigma", "eta"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0 or (value == 0 and name != "sigma"):
@@ -56,16 +60,10 @@ class DPSGDConfig:
         return self.C * self.sigma / self.b
 
 
-def _streams(seed: int, noise_seed: Optional[int]):
-    """Independent batch and noise generators; explicit or spawned seeds."""
-    if noise_seed is None:
-        return tuple(
-            np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
-        )
-    return (
-        np.random.default_rng(np.random.SeedSequence(seed)),
-        np.random.default_rng(np.random.SeedSequence(noise_seed)),
-    )
+def _streams(seed: int, noise_seed: int):
+    """Independent batch and noise generators, each from its own seed."""
+    return tuple(np.random.default_rng(np.random.SeedSequence(s))
+                 for s in (seed, noise_seed))
 
 
 def _check_finite(params: np.ndarray, where: str) -> None:

@@ -10,7 +10,7 @@ The noisy mini-batch loop is kept here as it was before its noise moved to
 a worker thread: one ``standard_normal(dim)`` draw per step, on the calling
 thread. The accountant's two Gaussian hockey-stick
 implementations are kept as they were before ``gaussian_delta`` replaced
-both.
+both. The RDP-to-DP conversion is here because no package code calls it.
 """
 from __future__ import annotations
 
@@ -424,3 +424,24 @@ class gaussian_profile:
         b = -eps / self.mu - self.mu / 2.0
         out = np.clip(ndtr(a) - np.exp(eps + log_ndtr(b)), 0.0, 1.0)
         return float(np.clip(out, 0.0, 1.0))
+
+
+def rdp_to_dp(alpha: float, eps_rdp: float, eps: float) -> float:
+    """delta(eps) of an (alpha, eps_rdp)-RDP mechanism.
+
+    exp((alpha-1)(eps_rdp - eps))/alpha * (1 - 1/alpha)^(alpha-1),
+    clamped to [0, 1].
+    """
+    if not all(map(math.isfinite, (alpha, eps_rdp, eps))):
+        raise DomainError(
+            f"alpha, eps_rdp and eps must be finite, got {alpha!r}, {eps_rdp!r}, {eps!r}")
+    if alpha <= 1:
+        raise DomainError(f"alpha must exceed 1, got {alpha!r}")
+    log_val = (
+        (alpha - 1.0) * (eps_rdp - eps)
+        - math.log(alpha)
+        + (alpha - 1.0) * math.log1p(-1.0 / alpha)
+    )
+    if log_val >= 0:
+        return 1.0
+    return math.exp(log_val)

@@ -277,7 +277,7 @@ def test_criterion_11_end_to_end_self_consistency(capsys):
     dual = cd.DualObjective(cd.sample_arrangement(d, 32, 0), k=2, lam=lam,
                             loss="ce")
     linear = cd.DualObjective(
-        cd.Arrangement(U=np.zeros((1, d)), P=1, d=d, seed=0), k=2, lam=lam,
+        cd.Arrangement(U=np.zeros((1, d)), seed=0), k=2, lam=lam,
         loss="ce",
     )
     cfg = opt.DPSGDConfig(C=1e9, sigma=0.0, b=100, eta=0.05, epochs=20,

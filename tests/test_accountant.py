@@ -548,14 +548,14 @@ def test_noisycgd_spec_validation():
 
 def test_rdp_to_dp_known_value():
     # [TRIVIAL] alpha=2, eps_rdp=eps=1: exp(0)/2 * (1/2)^1 = 0.25.
-    assert acc.rdp_to_dp(2.0, 1.0, 1.0) == pytest.approx(0.25, abs=1e-15)
+    assert oracles.rdp_to_dp(2.0, 1.0, 1.0) == pytest.approx(0.25, abs=1e-15)
 
 
 @pytest.mark.parametrize("args", [(math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
                                   (2.0, math.nan, 1.0), (2.0, 1.0, -math.inf)])
 def test_rdp_to_dp_refuses_non_finite(args):
     with pytest.raises(DomainError):
-        acc.rdp_to_dp(*args)
+        oracles.rdp_to_dp(*args)
 
 
 @given(
@@ -564,7 +564,7 @@ def test_rdp_to_dp_refuses_non_finite(args):
     eps=st.floats(0.0, 16.0),
 )
 def test_rdp_to_dp_is_probability(alpha, eps_rdp, eps):
-    val = acc.rdp_to_dp(alpha, eps_rdp, eps)
+    val = oracles.rdp_to_dp(alpha, eps_rdp, eps)
     assert 0.0 <= val <= 1.0
 
 

@@ -367,16 +367,6 @@ def test_account_noisycgd_past_eps_max(tmp_path, monkeypatch, capsys):
     assert report["epsilon"] == f"> {acc.EPS_MAX:g}"
 
 
-def test_account_convert_rdp(tmp_path, monkeypatch, capsys):
-    code, out, _ = run_cli(
-        ["account", "convert-rdp", "--alpha", "2", "--eps-rdp", "1",
-         "--eps", "1"],
-        monkeypatch, tmp_path, capsys,
-    )
-    assert code == 0
-    assert json.loads(out)["delta_at_eps"]["1.0"] == pytest.approx(0.25)
-
-
 def test_account_dpsgd_pld_block(tmp_path, monkeypatch, capsys):
     code, out, _ = run_cli(
         ["account", "dpsgd", "--sigma", "5", "--q", "0.02", "--T", "10"],
@@ -436,15 +426,14 @@ def test_grid_step_past_max_len_is_refused(command, tmp_path, monkeypatch, capsy
 
 
 @pytest.mark.parametrize("args", [
-    ["account", "convert-rdp", "--alpha", "2", "--eps-rdp", "nan"],
-    ["account", "convert-rdp", "--alpha", "nan", "--eps-rdp", "1"],
-    ["account", "convert-rdp", "--alpha", "inf", "--eps-rdp", "1"],
-    ["account", "convert-rdp", "--alpha", "2", "--eps-rdp", "1", "--eps=-inf"],
     ["account", "dpsgd", *DPSGD_ARGS, "--eps", "nan"],
+    ["account", "noisycgd", "--L", "2", "--b", "100", "--sigma", "0.02", "--eta", "0.05",
+     "--lam", "1e-3", "--beta", "nan", "--k", "60", "--E", "20"],
+    ["account", "noisycgd", "--L", "2", "--b", "100", "--sigma", "0.02", "--eta", "inf",
+     "--lam", "1e-3", "--beta", "30", "--k", "60", "--E", "20"],
 ])
 def test_accounting_options_must_be_finite(args, capsys):
-    # Before, these exited 0 and printed NaN (not JSON), a delta keyed by
-    # "nan", or a delta of 1 at eps = -inf.
+    # Before, the dpsgd query exited 0 and printed a delta keyed by "nan".
     with pytest.raises(SystemExit) as exc:
         cli.main(args)
     assert exc.value.code == 2 and "must be a finite number" in capsys.readouterr().err
@@ -875,7 +864,7 @@ def test_readme_cli_examples_parse():
     shell = "\n".join(re.findall(r"```sh\n(.*?)```", README.read_text(), re.S))
     lines = shell.replace("\\\n", " ").splitlines()
     commands = [shlex.split(line) for line in lines if line.startswith("convexdp ")]
-    assert len(commands) >= 7
+    assert len(commands) >= 6
     parser = cli.build_parser()
     for command in commands:
         try:

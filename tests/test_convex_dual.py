@@ -310,7 +310,7 @@ def test_gradient_lipschitz_bound_blockwise():
 
 
 def test_mask_tie_convention():
-    arr = cd.Arrangement(U=np.array([[1.0, 0.0], [0.0, 1.0]]), P=2, d=2, seed=0)
+    arr = cd.Arrangement(U=np.array([[1.0, 0.0], [0.0, 1.0]]), seed=0)
     X = np.array([[0.0, -1.0]])
     # x . u1 = 0 -> gate open (tie maps to 1); x . u2 = -1 -> closed
     np.testing.assert_array_equal(compute_masks(X, arr), [[True, False]])

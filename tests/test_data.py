@@ -1,5 +1,5 @@
 """Dataset utilities: a hand-built IDX byte fixture, CSV parsing, synthetic
-target rules, stratified subsetting, splits and the bias column, and the
+target rules, uniform subsetting, splits and the bias column, and the
 JSON writer and the array and number decoders of the checkpoints."""
 import base64
 import io
@@ -159,15 +159,17 @@ def test_synthetic_deterministic_and_feature_target_streams_independent():
     np.testing.assert_array_equal(a.X, c.X)
 
 
-def test_subset_stratified_counts():
+def test_subset_rows_do_not_depend_on_labels():
+    # The draw reads no label, so changing one label leaves every drawn row
+    # in place.
     ds = data.synthetic_gaussian(1000, 4, rule="random_labels", seed=7,
                                  num_classes=4)
+    labels = ds.labels.copy()
+    labels[0] = (labels[0] + 1) % 4
+    relabelled = data.Dataset(X=ds.X, labels=labels)
     sub = data.subset(ds, 100, seed=1)
     assert sub.n == 100
-    _, full_counts = np.unique(ds.labels, return_counts=True)
-    _, sub_counts = np.unique(sub.labels, return_counts=True)
-    for fc, sc in zip(full_counts, sub_counts):
-        assert abs(sc - fc * 0.1) <= 1.0  # largest-remainder proportionality
+    np.testing.assert_array_equal(data.subset(relabelled, 100, seed=1).X, sub.X)
 
 
 def test_train_test_split_disjoint():

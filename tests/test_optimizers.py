@@ -40,7 +40,8 @@ def test_dpsgd_one_step_analytic():
     obj = quadratic_objective()
     X, y = tiny_data()
     params0 = np.full(obj.dim, 0.3)
-    cfg = opt.DPSGDConfig(C=0.7, sigma=0.0, b=len(X), eta=0.25, epochs=1, seed=5)
+    cfg = opt.DPSGDConfig(C=0.7, sigma=0.0, b=len(X), eta=0.25, epochs=1, seed=5,
+                          noise_seed=6)
     params, records = opt.dpsgd_run(obj, params0, X, y, cfg)
     g = obj.clipped_grad_mean(params0, X, y, 0.7)
     np.testing.assert_allclose(params, params0 - 0.25 * (g + obj.lam * params0),
@@ -55,7 +56,8 @@ def test_dpsgd_ridge_only_step():
     obj = quadratic_objective(lam=1.0)
     X, y = tiny_data()
     params0 = np.ones(obj.dim)
-    cfg = opt.DPSGDConfig(C=1e-12, sigma=0.0, b=len(X), eta=0.1, epochs=1, seed=0)
+    cfg = opt.DPSGDConfig(C=1e-12, sigma=0.0, b=len(X), eta=0.1, epochs=1, seed=0,
+                          noise_seed=1)
     params, _ = opt.dpsgd_run(obj, params0, X, y, cfg)
     np.testing.assert_allclose(params, 0.9 * params0, atol=1e-10)
 
@@ -63,7 +65,7 @@ def test_dpsgd_ridge_only_step():
 def test_dpsgd_deterministic_trace():
     obj = quadratic_objective()
     X, y = tiny_data()
-    cfg = opt.DPSGDConfig(C=1.0, sigma=1.0, b=4, eta=0.1, epochs=3, seed=42)
+    cfg = opt.DPSGDConfig(C=1.0, sigma=1.0, b=4, eta=0.1, epochs=3, seed=42, noise_seed=43)
     out1 = opt.dpsgd_run(obj, np.zeros(obj.dim), X, y, cfg)
     out2 = opt.dpsgd_run(obj, np.zeros(obj.dim), X, y, cfg)
     np.testing.assert_array_equal(out1[0], out2[0])
@@ -105,7 +107,7 @@ class BatchRecorder:
 def test_dpsgd_batches_distinct_and_cover_all_rows():
     n, b = 50, 7
     rec = BatchRecorder()
-    cfg = opt.DPSGDConfig(C=1.0, sigma=0.0, b=b, eta=0.1, epochs=20, seed=3)
+    cfg = opt.DPSGDConfig(C=1.0, sigma=0.0, b=b, eta=0.1, epochs=20, seed=3, noise_seed=4)
     opt.dpsgd_run(rec, np.zeros(1), np.arange(n, dtype=float)[:, None],
                   np.zeros(n), cfg)
     assert len(rec.batches) == cfg.epochs * (n // b)
@@ -117,7 +119,7 @@ def test_dpsgd_batches_distinct_and_cover_all_rows():
 def test_dpsgd_rejects_oversized_batch():
     obj = quadratic_objective()
     X, y = tiny_data(n=4)
-    cfg = opt.DPSGDConfig(C=1.0, sigma=0.0, b=8, eta=0.1, epochs=1)
+    cfg = opt.DPSGDConfig(C=1.0, sigma=0.0, b=8, eta=0.1, epochs=1, seed=0, noise_seed=1)
     with pytest.raises(ConfigError):
         opt.dpsgd_run(obj, np.zeros(obj.dim), X, y, cfg)
 
@@ -127,7 +129,8 @@ def test_dpsgd_diverging_run_raises():
     X, y = tiny_data()
     # an absurd learning rate drives the ridge term to overflow within two
     # steps; the loop must detect the non-finite iterate and abort
-    cfg = opt.DPSGDConfig(C=1e6, sigma=0.0, b=len(X), eta=1e200, epochs=2, seed=0)
+    cfg = opt.DPSGDConfig(C=1e6, sigma=0.0, b=len(X), eta=1e200, epochs=2, seed=0,
+                          noise_seed=1)
     threads = threading.active_count()
     with np.errstate(all="ignore"), pytest.raises(NumericError):
         opt.dpsgd_run(obj, np.ones(obj.dim), X, y, cfg)
@@ -142,7 +145,7 @@ def test_dpsgd_diverging_run_raises():
 def test_noisycgd_requires_divisible_batches():
     obj = quadratic_objective()
     X, y = tiny_data(n=10)
-    cfg = opt.DPSGDConfig(C=1.0, sigma=0.0, b=4, eta=0.1, epochs=1)
+    cfg = opt.DPSGDConfig(C=1.0, sigma=0.0, b=4, eta=0.1, epochs=1, seed=0, noise_seed=1)
     with pytest.raises(ConfigError):
         opt.noisycgd_run(obj, np.zeros(obj.dim), X, y, cfg)
 
@@ -165,7 +168,7 @@ def test_noisycgd_batches_partition_the_data():
 
     obj = Recorder()
     X = np.arange(12.0)[:, None]
-    cfg = opt.DPSGDConfig(C=1.0, sigma=0.0, b=4, eta=0.1, epochs=2, seed=9)
+    cfg = opt.DPSGDConfig(C=1.0, sigma=0.0, b=4, eta=0.1, epochs=2, seed=9, noise_seed=10)
     opt.noisycgd_run(obj, np.zeros(1), X, np.zeros(12, dtype=int), cfg)
     first, second = obj.batches[:3], obj.batches[3:]
     assert sorted(sum(first, [])) == list(range(12))
@@ -178,7 +181,7 @@ def test_noisycgd_batches_frozen_across_epochs():
     # must reproduce noisycgd_run exactly.
     obj = quadratic_objective()
     X, y = tiny_data()
-    cfg = opt.DPSGDConfig(C=0.8, sigma=0.0, b=4, eta=0.05, epochs=3, seed=21)
+    cfg = opt.DPSGDConfig(C=0.8, sigma=0.0, b=4, eta=0.05, epochs=3, seed=21, noise_seed=22)
     params, _ = opt.noisycgd_run(obj, np.zeros(obj.dim), X, y, cfg)
 
     batch_rng, _ = opt._streams(cfg.seed, cfg.noise_seed)
@@ -331,7 +334,7 @@ def test_noise_blocks_cross_epoch_ends(monkeypatch):
     monkeypatch.setattr(RecordingWorker, "submitted", 0)
     obj = blocked_objective(3)
     X, y = tiny_data(n=4 * STEPS)
-    cfg = opt.DPSGDConfig(C=0.9, sigma=1.3, b=4, eta=0.05, epochs=3, seed=3)
+    cfg = opt.DPSGDConfig(C=0.9, sigma=1.3, b=4, eta=0.05, epochs=3, seed=3, noise_seed=4)
     opt.dpsgd_run(obj, np.zeros(obj.dim), X, y, cfg)
     assert RecordingWorker.submitted == 9
 
@@ -358,7 +361,7 @@ def test_no_thread_outlives_a_loop_call(run, eta):
     # also when a diverging iterate aborts the run mid-epoch.
     obj = ThreadCounter(blocked_objective(rows=1))
     X, y = tiny_data(n=4 * STEPS)
-    cfg = opt.DPSGDConfig(C=1e6, sigma=1.0, b=4, eta=eta, epochs=2, seed=0)
+    cfg = opt.DPSGDConfig(C=1e6, sigma=1.0, b=4, eta=eta, epochs=2, seed=0, noise_seed=1)
     diverges = pytest.raises(NumericError) if eta > 1 else contextlib.nullcontext()
     threads = threading.active_count()
     with np.errstate(all="ignore"), diverges:
@@ -369,22 +372,30 @@ def test_no_thread_outlives_a_loop_call(run, eta):
 
 
 def test_config_validation():
+    seeds = {"seed": 0, "noise_seed": 1}
     with pytest.raises(ConfigError):
-        opt.DPSGDConfig(C=0.0, sigma=1.0, b=1, eta=0.1, epochs=1)
+        opt.DPSGDConfig(C=0.0, sigma=1.0, b=1, eta=0.1, epochs=1, **seeds)
     with pytest.raises(ConfigError):
-        opt.DPSGDConfig(C=1.0, sigma=-1.0, b=1, eta=0.1, epochs=1)
+        opt.DPSGDConfig(C=1.0, sigma=-1.0, b=1, eta=0.1, epochs=1, **seeds)
     # C, sigma and eta must be finite, and eta positive; each refusal names its field
     good = {"C": 1.0, "sigma": 1.0, "eta": 0.1}
     for field in good:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigError, match=f"^{field}: must be finite"):
-                opt.DPSGDConfig(**dict(good, **{field: bad}), b=1, epochs=1)
+                opt.DPSGDConfig(**dict(good, **{field: bad}), b=1, epochs=1, **seeds)
     for eta in (0.0, -0.1):
         with pytest.raises(ConfigError, match="^eta: must be finite and positive"):
-            opt.DPSGDConfig(C=1.0, sigma=1.0, b=1, eta=eta, epochs=1)
-    assert opt.DPSGDConfig(C=1.0, sigma=0.0, b=1, eta=0.1, epochs=1).noise_std == 0.0
+            opt.DPSGDConfig(C=1.0, sigma=1.0, b=1, eta=eta, epochs=1, **seeds)
+    # Each seed is a non-negative int: None would draw OS entropy, so two runs
+    # of one config would differ, and numpy refuses a negative seed only later.
+    for field in seeds:
+        for bad in (None, -1, True, 1.0, "1"):
+            with pytest.raises(ConfigError, match=f"^{field}: must be a non-negative"):
+                opt.DPSGDConfig(**good, b=1, epochs=1, **dict(seeds, **{field: bad}))
+    assert opt.DPSGDConfig(C=1.0, sigma=0.0, b=1, eta=0.1, epochs=1,
+                           **seeds).noise_std == 0.0
     obj = quadratic_objective(lam=0.0)
     X, y = tiny_data()
-    cfg = opt.DPSGDConfig(C=1.0, sigma=1.0, b=4, eta=0.1, epochs=1)
+    cfg = opt.DPSGDConfig(C=1.0, sigma=1.0, b=4, eta=0.1, epochs=1, seed=0, noise_seed=1)
     with pytest.raises(ConfigError):  # NoisyCGD needs a strongly convex objective
         opt.noisycgd_run(obj, np.zeros(obj.dim), X, y, cfg)
