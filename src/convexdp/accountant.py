@@ -12,10 +12,10 @@ hockey-stick divergence of N(mu, 1) against N(0, 1) at alpha = exp(eps).
   atom, the left one onto the lowest kept point), so the support tracks
   where the mass really is instead of growing with FFT round-off. The
   convolutions run on ``numpy.fft`` (numpy >= 2, the same C++ pocketfft as
-  ``scipy.fft``, bit for bit). Several horizons of one run share a single
-  chain of squared PLDs, and ``account_dpsgd_many`` yields their composed
-  ``DiscretePLD``s one at a time, so a caller that drops each PLD before
-  taking the next holds one horizon's PLD besides the chain.
+  ``scipy.fft``, bit for bit). For the epochs of one run,
+  ``account_dpsgd_many`` composes one epoch's PLD and convolves it onto the
+  last horizon's, once per epoch, yielding each ``DiscretePLD`` as it is
+  built (Koskela, Jalko & Honkela 2020, applied per epoch).
 * Noisy cyclic mini-batch gradient descent: the closed-form mu-GDP bound
   for strongly convex, smooth losses with fixed disjoint batches, whose
   curve is ``gaussian_profile(mu)``.
@@ -26,17 +26,17 @@ here with numpy alone: for a scalar (the epsilon bisection) by ``math.erfc``,
 for an array (a discretization grid) by the Cephes rational forms that
 scipy's ndtr uses.
 
-Nothing here holds shared mutable state: ``compose_pld`` may extend a
-caller-owned chain of squares, and a PLD caches its own loss grid.
+Nothing here holds shared mutable state; a PLD caches its own loss grid.
 """
 from __future__ import annotations
 
 import bisect
 import dataclasses
 import functools
+import itertools
 import logging
 import math
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -493,9 +493,7 @@ def _pld_multiply(a: DiscretePLD, b: DiscretePLD) -> DiscretePLD:
     return DiscretePLD(origin, a.loss_grid_step, masses, inf_mass)
 
 
-def compose_pld(
-    pld: DiscretePLD, T: int, powers: Optional[list[DiscretePLD]] = None
-) -> DiscretePLD:
+def compose_pld(pld: DiscretePLD, T: int) -> DiscretePLD:
     """T-fold self-composition by FFT convolution (binary exponentiation).
 
     Convolutions are zero-padded (full linear convolution, no wrap-around)
@@ -505,31 +503,17 @@ def compose_pld(
     preserving domination. The infinity mass composes as 1 - (1 - m_inf)^T
     plus at most (T - 1) * TRIM_TOL: each convolution adds at most TRIM_TOL,
     and composing two PLDs adds their excesses.
-
-    ``powers`` is a caller-owned chain of squares, ``powers[j]`` being
-    pld^(2^j); it is extended in place as far as T needs, so several
-    horizons of the same ``pld`` square only once. The multiplications for
-    a given T happen in the same order with or without it, so the result is
-    the same bit for bit.
     """
     if T < 1:
         raise DomainError(f"T must be a positive integer, got {T!r}")
-    if powers is None:
-        powers = []
-    if not powers:
-        powers.append(pld)
-    result: DiscretePLD | None = None
-    j, t = 0, T
-    while t > 0:
-        if t & 1:
-            result = powers[j] if result is None else _pld_multiply(result, powers[j])
-        t >>= 1
-        if t:
-            if j + 1 == len(powers):
-                powers.append(_pld_multiply(powers[j], powers[j]))
-            j += 1
-    assert result is not None
-    return result
+    square, result = pld, None
+    while True:
+        if T & 1:
+            result = square if result is None else _pld_multiply(result, square)
+        T >>= 1
+        if not T:
+            return result
+        square = _pld_multiply(square, square)
 
 
 def account_dpsgd(
@@ -545,24 +529,26 @@ def account_dpsgd(
     most ``EPS_MAX``) whose right tail is below ``TAIL_TOL``, and composed
     T times.
     """
-    return next(account_dpsgd_many(sigma, q, [T], grid_step=grid_step))
+    return next(account_dpsgd_many(sigma, q, T, 1, grid_step))
 
 
-def account_dpsgd_many(
-    sigma: float, q: float, Ts: Sequence[int], grid_step: float = DEFAULT_GRID_STEP
-) -> Iterator[DiscretePLD]:
-    """``account_dpsgd`` at every horizon in ``Ts``, from one squaring chain.
+def account_dpsgd_many(sigma: float, q: float, steps: int, epochs: int,
+                       grid_step: float = DEFAULT_GRID_STEP) -> Iterator[DiscretePLD]:
+    """``account_dpsgd`` after each of ``epochs`` epochs of ``steps`` steps.
 
-    The inputs are checked and the step PLD is discretized at the call; the
-    returned iterator then composes one horizon per ``next``. The squares
-    are shared by all horizons, so each PLD equals
-    ``account_dpsgd(sigma, q, T)`` bit for bit while the chain is computed
-    once, and a PLD the caller drops is freed before the next is built.
+    The inputs are checked, the step PLD is discretized and composed into
+    the epoch's PLD, ``compose_pld(step, steps)``, at the call. The returned
+    iterator yields that PLD, then each later horizon as the previous one
+    convolved with the epoch's: one multiply per ``next``, and a PLD the
+    caller drops is freed once the next one is taken. By induction, horizon
+    ``e * steps`` exceeds the exact infinity mass by at most
+    ``(e * steps - 1) * TRIM_TOL``: each multiply adds the epoch's excess,
+    at most ``(steps - 1) * TRIM_TOL``, plus one ``TRIM_TOL``.
     """
     if sigma <= 0:
         raise DomainError(f"sigma must be positive, got {sigma!r}")
-    if any(T < 1 for T in Ts):
-        raise DomainError(f"every T must be a positive integer, got {list(Ts)!r}")
+    if steps < 1 or epochs < 1:
+        raise DomainError(f"steps and epochs must be positive integers, got {steps!r}, {epochs!r}")
     if not (math.isfinite(grid_step) and grid_step > 0):
         raise DomainError(f"grid step must be finite and positive, got {grid_step!r}")
     mu = 2.0 / sigma
@@ -588,9 +574,8 @@ def account_dpsgd_many(
             m * grid_step,
         )
     grid = np.arange(-m, m + 1, dtype=float) * grid_step
-    pld = connect_the_dots(step_profile, grid)
-    powers: list[DiscretePLD] = []
-    return (compose_pld(pld, T, powers=powers) for T in Ts)
+    epoch = compose_pld(connect_the_dots(step_profile, grid), steps)
+    return itertools.accumulate(itertools.repeat(epoch, epochs - 1), _pld_multiply, initial=epoch)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,10 @@ pre-activation is strictly positive), which keeps gradients deterministic.
 """
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from . import losses
-from .data import read_array, read_number, write_json
+from .data import read_array, read_checkpoint, read_number, write_json
 from .errors import DomainError
 from .losses import ROW_BLOCK
 
@@ -106,8 +104,7 @@ def load_checkpoint(path: str, loss: str):
     """``(objective, params)`` as ``MLPObjective.save_checkpoint`` wrote them
     to ``path``; ``loss``, which the file does not hold, picks the head. The
     file holds no ridge weight either, so the objective's ``lam`` is 0."""
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = read_checkpoint(path)
     m, d, k = (read_number(payload, key) for key in ("m", "d", "k"))
     U, A = read_array(payload, "U", (m, d)), read_array(payload, "A", (m, k))
     return MLPObjective(d, k, m=m, loss=loss), np.concatenate([U.ravel(), A.ravel()])

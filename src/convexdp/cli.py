@@ -287,8 +287,8 @@ def accountant_inputs_for_run(cfg: RunConfig, X: np.ndarray) -> dict:
 def _privacy_curves(inputs: dict, epochs: int = 1) -> Iterable:
     """The delta(eps) curves of the noisy accountant query ``inputs``, one
     after each of ``epochs`` equal parts of its horizon, ``T`` or ``E``. A
-    bound that does not apply raises at the call; DP-SGD's PLDs are
-    discretized and composed only as they are taken, one at a time."""
+    bound that does not apply raises at the call; DP-SGD's first epoch is
+    composed at the first ``next``, and each later one as it is taken."""
     method = inputs["method"]
     horizon = {"dpsgd": "T", "noisycgd": "E"}.get(method)
     if horizon is None:
@@ -296,15 +296,14 @@ def _privacy_curves(inputs: dict, epochs: int = 1) -> Iterable:
     part, rest = divmod(inputs[horizon], epochs)
     if rest:
         raise ConfigError(f"{horizon}={inputs[horizon]} is not {epochs} equal epochs")
-    horizons = [e * part for e in range(1, epochs + 1)]
     if method == "dpsgd":
         # map defers the call to the first next; chain keeps no PLD it passed on.
         return itertools.chain.from_iterable(map(
-            acc.account_dpsgd_many, [inputs["sigma"]], [inputs["q"]], [horizons]))
+            acc.account_dpsgd_many, [inputs["sigma"]], [inputs["q"]], [part], [epochs]))
     return [acc.gaussian_profile(acc.noisycgd_mu(acc.NoisyCGDSpec(
         L=inputs["L"], b=inputs["b"], sigma=inputs["sigma"], eta=inputs["eta"],
-        lambda_sc=inputs["lambda"], beta_sm=inputs["beta"], k=inputs["k"], E=E,
-    ))) for E in horizons]
+        lambda_sc=inputs["lambda"], beta_sm=inputs["beta"], k=inputs["k"], E=e * part,
+    ))) for e in range(1, epochs + 1)]
 
 
 def epsilon_from_inputs(inputs: dict, epochs: int = 1) -> list[float]:

@@ -16,7 +16,7 @@ import json
 import numpy as np
 
 from . import losses
-from .data import read_array, read_number, write_json
+from .data import read_array, read_checkpoint, read_number, write_json
 from .errors import DomainError
 from .losses import ROW_BLOCK
 
@@ -156,8 +156,7 @@ def load_checkpoint(path: str, loss: str):
     """``(objective, params)`` as ``DualObjective.save_checkpoint`` wrote them
     to ``path``; ``loss``, which the file does not hold, picks the head. The
     last of the ``d`` features is the constant-1 bias column."""
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = read_checkpoint(path)
     if (flag := payload.get("bias_flag", True)) is not True:
         raise DomainError(f"checkpoint field 'bias_flag' is {json.dumps(flag)}: a "
                           "checkpoint of an older convexdp, trained without the bias "

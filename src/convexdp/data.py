@@ -225,11 +225,30 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("}")
 
 
+def read_checkpoint(path: str) -> dict:
+    """The JSON object of the checkpoint at ``path``; DomainError if it holds none."""
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"checkpoint {path!r} is not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DomainError(f"checkpoint {path!r} holds a JSON {type(payload).__name__}, "
+                          "not an object")
+    return payload
+
+
+def _field(payload: dict, key: str):
+    if key not in payload:
+        raise DomainError(f"checkpoint has no field {key!r}")
+    return payload[key]
+
+
 def read_number(payload: dict, key: str, count: bool = True):
     """The number ``write_json`` wrote under ``key``: a non-negative integer,
     or with ``count=False`` a non-negative finite number. A bool is no
-    number; any other value raises DomainError."""
-    value = payload[key]
+    number; any other value, or none, raises DomainError."""
+    value = _field(payload, key)
     ok = isinstance(value, int) if count else (
         isinstance(value, (int, float)) and math.isfinite(value))
     if isinstance(value, bool) or not ok or value < 0:
@@ -242,13 +261,13 @@ def read_array(payload: dict, key: str, shape: tuple) -> np.ndarray:
     """The float64 array of ``shape`` that ``write_json`` wrote under ``key``.
 
     The result is native-endian, finite and writable. A value that is not
-    base64 text of exactly ``8 * prod(shape)`` finite floats raises
-    DomainError; a list is a checkpoint of an older version, which wrote
+    base64 text of exactly ``8 * prod(shape)`` finite floats, or none,
+    raises DomainError; a list is a checkpoint of an older version, which wrote
     decimal text. The text is decoded and checked ``ARRAY_SLICE`` floats at
     a time into the result, so besides the text the reader holds one slice's
     bytes, not the whole array's.
     """
-    text, size = payload[key], 8 * math.prod(shape)
+    text, size = _field(payload, key), 8 * math.prod(shape)
     if isinstance(text, list):
         raise DomainError(f"checkpoint field {key!r} is a list of decimals: a "
                           "checkpoint of an older convexdp; load it with that version")

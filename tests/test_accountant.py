@@ -377,35 +377,33 @@ def test_compose_resource_limit(monkeypatch):
         acc.compose_pld(pld, 64)
 
 
-@given(Ts=st.lists(st.integers(1, 40), min_size=1, max_size=6))
-@settings(max_examples=25, deadline=None)
-def test_compose_shared_powers_matches_fresh(Ts):
-    # A shared chain of squares must not change any horizon's result.
-    pld = make_gaussian_pld(mu=0.5, step=1e-2, width=1.0)  # real m_inf
-    powers = []
-    for T in Ts:
-        shared = acc.compose_pld(pld, T, powers=powers)
-        fresh = acc.compose_pld(pld, T)
-        np.testing.assert_array_equal(shared.masses, fresh.masses)
-        assert shared.loss_grid_origin == fresh.loss_grid_origin
-        assert shared.infinity_mass == fresh.infinity_mass
+def multiplies(T):
+    # compose_pld(pld, T): one squaring per bit below the top one, and one
+    # multiply per set bit past the first.
+    return T.bit_length() - 1 + bin(T).count("1") - 1
 
 
 def test_compose_infinity_mass_excess_bounded():
     # Each convolution sheds at most TRIM_TOL of right tail into the atom,
     # and composing two PLDs adds their excesses, so T copies exceed the
     # exact 1 - (1 - m_inf)^T by at most (T - 1) * TRIM_TOL, plus the
-    # rounding of a + b - ab at each multiply. The support cap, which also
-    # feeds the atom, does not bind for these horizons.
+    # rounding of a + b - ab at each multiply. The per-epoch fold keeps the
+    # same bound at every horizon e * s: each of its multiplies adds the
+    # epoch's excess plus one TRIM_TOL. The support cap, which also feeds
+    # the atom, does not bind for these horizons.
     step = acc.account_dpsgd(2.0, 1 / 60, 1)
     gauss = make_gaussian_pld(mu=0.5, width=1.0)
-    for pld, T in [(step, T) for T in (2, 7, 60, 1200)] + [(gauss, 7), (gauss, 60)]:
-        powers = []
-        comp = acc.compose_pld(pld, T, powers=powers)
-        multiplies = len(powers) - 1 + bin(T).count("1") - 1
+
+    def assert_bounded(pld, T, comp, n_multiplies):
         exact = -math.expm1(T * math.log1p(-pld.infinity_mass))
-        slack = multiplies * 4 * np.finfo(float).eps
-        assert comp.infinity_mass <= exact + (T - 1) * acc.TRIM_TOL + slack
+        slack = n_multiplies * 4 * np.finfo(float).eps
+        assert comp.infinity_mass <= exact + (T - 1) * acc.TRIM_TOL + slack, T
+
+    for pld, T in [(step, T) for T in (2, 7, 60, 1200)] + [(gauss, 7), (gauss, 60)]:
+        assert_bounded(pld, T, acc.compose_pld(pld, T), multiplies(T))
+    s = 60
+    for e, comp in enumerate(acc.account_dpsgd_many(2.0, 1 / 60, s, 20), 1):
+        assert_bounded(step, e * s, comp, multiplies(s) + e - 1)
 
 
 def test_composed_support_tracks_mass():
@@ -637,41 +635,75 @@ def test_composed_plds_own_compact_masses():
     def assert_compact(pld):
         assert pld.masses.base is None and pld.masses.flags.owndata
 
-    for pld in list(acc.account_dpsgd_many(2.0, 0.05, [1, 2, 3, 8, 21])):
-        assert_compact(pld)
+    for steps in (1, 3, 8):
+        for pld in list(acc.account_dpsgd_many(2.0, 0.05, steps, 3)):
+            assert_compact(pld)
     # all mass at infinite loss: the branch that skips renormalization
     assert_compact(acc.compose_pld(acc.DiscretePLD(0.0, 0.5, np.zeros(3), 1.0), 3))
 
 
 def test_account_dpsgd_many_yields_each_horizon_bitwise():
-    Ts = [1, 3, 8, 20, 64, 100]
-    for T, pld in zip(Ts, acc.account_dpsgd_many(2.0, 0.05, Ts)):
-        alone = acc.account_dpsgd(2.0, 0.05, T)
-        assert np.array_equal(pld.masses, alone.masses)
-        assert (pld.loss_grid_origin, pld.loss_grid_step, pld.infinity_mass) == (
-            alone.loss_grid_origin, alone.loss_grid_step, alone.infinity_mass)
+    # Horizon e is the fold's e-th PLD, not compose_pld's for e * steps, so
+    # the masses may differ in the last bits; the epsilons must not.
+    for sigma, q, steps, epochs in [(2.0, 0.1, 2, 4), (1.0, 0.05, 10, 10), (4.0, 0.2, 5, 30)]:
+        plds = acc.account_dpsgd_many(sigma, q, steps, epochs)
+        for e, pld in enumerate(plds, 1):
+            alone = acc.account_dpsgd(sigma, q, e * steps)
+            assert acc.find_epsilon(pld, 1e-5) == acc.find_epsilon(alone, 1e-5), (steps, e)
+        assert e == epochs
 
 
-def test_account_dpsgd_many_is_lazy():
-    # Inputs are checked at the call; after that a PLD the caller drops is
-    # freed before the next horizon is composed.
+def test_account_dpsgd_many_is_lazy(monkeypatch):
+    # Inputs are checked and the epoch's PLD is composed at the call; each
+    # later horizon is one multiply when it is taken, and a PLD the caller
+    # drops is freed once the next one is taken.
     with pytest.raises(DomainError):
-        acc.account_dpsgd_many(-1.0, 0.05, [3])
+        acc.account_dpsgd_many(-1.0, 0.05, 3, 2)
     with pytest.raises(DomainError):
-        acc.account_dpsgd_many(2.0, 0.05, [3, 0])
-    horizons = acc.account_dpsgd_many(2.0, 0.05, [3, 5])
+        acc.account_dpsgd_many(2.0, 0.05, 0, 2)
+    with pytest.raises(DomainError):
+        acc.account_dpsgd_many(2.0, 0.05, 3, 0)
+    calls = []
+    real = acc._pld_multiply
+
+    def spy(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(acc, "_pld_multiply", spy)
+    horizons = acc.account_dpsgd_many(2.0, 0.05, 3, 4)
+    assert len(calls) == multiplies(3)
+    assert isinstance(next(horizons), acc.DiscretePLD)
     pld = next(horizons)
+    assert len(calls) == multiplies(3) + 1
     ref = weakref.ref(pld)
     del pld
+    assert ref() is not None  # the fold multiplies it into the next horizon
+    next(horizons)
     gc.collect()
     assert ref() is None
-    assert isinstance(next(horizons), acc.DiscretePLD)
+    assert len(calls) == multiplies(3) + 2
+
+
+@pytest.mark.parametrize("sigma, steps, epochs", [(4.0, 5, 6), (20.0, 30, 10)])
+def test_account_dpsgd_many_dominates_gaussian_composition(sigma, steps, epochs):
+    # At q = 1 a step is the Gaussian mechanism with mu = 2/sigma, and T
+    # steps compose to mu = 2/sigma * sqrt(T) exactly (acceptance criterion
+    # 2's closed form). Discretization and every trim are pessimistic, so
+    # each horizon's delta must sit at or above the closed form.
+    eps = np.linspace(0.0, 4.0, 41)
+    plds = acc.account_dpsgd_many(sigma, 1.0, steps, epochs)
+    for e, pld in enumerate(plds, 1):
+        exact = acc.gaussian_delta(2.0 / sigma * math.sqrt(e * steps), eps)
+        got = np.array([acc.pld_delta(pld, float(x)) for x in eps])
+        assert np.all(got >= exact), (e, float(np.min(got - exact)))
+    assert e == epochs
 
 
 @pytest.mark.parametrize("grid_step", [0.0, -1e-3, math.nan, math.inf, -math.inf])
 def test_account_dpsgd_refuses_bad_grid_step(grid_step):
     with pytest.raises(DomainError, match="grid step"):
-        acc.account_dpsgd_many(2.0, 0.05, [3], grid_step=grid_step)
+        acc.account_dpsgd_many(2.0, 0.05, 3, 1, grid_step=grid_step)
 
 
 @pytest.mark.parametrize("grid_step", [1e-7, 1e-320])
@@ -680,7 +712,7 @@ def test_account_dpsgd_refuses_grid_past_max_len(grid_step, monkeypatch):
     # the discretization is never reached.
     monkeypatch.setattr(acc, "connect_the_dots", None)
     with pytest.raises(ResourceError, match="coarser loss grid"):
-        acc.account_dpsgd_many(2.0, 1 / 60, [1200], grid_step=grid_step)
+        acc.account_dpsgd_many(2.0, 1 / 60, 1200, 1, grid_step=grid_step)
 
 
 def doubling_tail_width(sigma, q, grid_step):

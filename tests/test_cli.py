@@ -162,21 +162,20 @@ def test_per_epoch_epsilons_need_equal_epochs(inputs):
 
 
 def test_per_epoch_epsilons_free_each_pld_before_the_next(monkeypatch):
-    # One horizon's PLD is alive at a time: each is dropped once its epsilon
-    # is found, before the next horizon is composed. T = 9 in 3 epochs
-    # composes 3, 6 and 9 steps, none a square that the chain keeps.
-    composed = []
-    compose = acc.compose_pld
+    # Each horizon's PLD is dropped once its epsilon is found and freed once
+    # the next horizon is taken. The first epoch's PLD stays: every later
+    # horizon is the previous one convolved with it.
+    searched = []
+    search = acc.find_epsilon
 
-    def compose_after_drop(pld, T, powers=None):
-        assert all(ref() is None for ref in composed)
-        out = compose(pld, T, powers=powers)
-        composed.append(weakref.ref(out))
-        return out
+    def search_after_free(pld, delta):
+        assert all(ref() is None for ref in searched[1:])
+        searched.append(weakref.ref(pld))
+        return search(pld, delta)
 
-    monkeypatch.setattr(acc, "compose_pld", compose_after_drop)
-    inputs = {"method": "dpsgd", "sigma": 2.0, "q": 0.1, "T": 9, "delta": 1e-5}
-    assert len(cli.epsilon_from_inputs(inputs, epochs=3)) == len(composed) == 3
+    monkeypatch.setattr(acc, "find_epsilon", search_after_free)
+    inputs = {"method": "dpsgd", "sigma": 2.0, "q": 0.1, "T": 12, "delta": 1e-5}
+    assert len(cli.epsilon_from_inputs(inputs, epochs=4)) == len(searched) == 4
 
 
 def test_run_sigma_zero_reports_inf(tmp_path, monkeypatch, capsys):

@@ -306,6 +306,26 @@ def test_checkpoint_scalar_field_is_refused(module, key, value, tmp_path):
         module.load_checkpoint(str(path), "mse")
 
 
+@pytest.mark.parametrize("module", [cd, br], ids=["convex_dual", "baseline_relu"])
+def test_malformed_checkpoint_is_refused(module, tmp_path):
+    # A missing field, a JSON value that is no object and a file that is no
+    # JSON raised KeyError, AttributeError or TypeError, and JSONDecodeError.
+    obj = (cd.DualObjective(cd.sample_arrangement(1, 2, 0), k=2, lam=0.5)
+           if module is cd else br.MLPObjective(3, 2, m=4))
+    path = tmp_path / "model.json"
+    obj.save_checkpoint(obj.init_params(0), str(path))
+    payload = json.loads(path.read_text())
+    for key in payload:
+        path.write_text(json.dumps({k: v for k, v in payload.items() if k != key}))
+        with pytest.raises(DomainError, match=f"checkpoint has no field '{key}'"):
+            module.load_checkpoint(str(path), "mse")
+    for text, what in ((json.dumps(list(payload.values())), "holds a JSON list"),
+                       (json.dumps(payload)[:-1], "is not JSON")):
+        path.write_text(text)
+        with pytest.raises(DomainError, match=what):
+            module.load_checkpoint(str(path), "mse")
+
+
 def test_read_array_refuses_non_finite_values():
     # Every slice is checked, the last of a ragged number too.
     for value in (np.nan, np.inf, -np.inf):
