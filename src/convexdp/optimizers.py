@@ -9,8 +9,12 @@ RNG discipline: batch selection and noise come from independent streams,
 each from its own config seed, so removing noise never shifts batch
 sampling. The noise stream is one sequential generator, but its draws run
 one block ahead of the update on a worker thread, so they overlap the
-gradient (see ``_noise_rows``) and the per-epoch evaluation. The worker
-never calls BLAS: it only fills preallocated buffers from the generator.
+gradient (see ``_noise_rows``) and the per-epoch evaluation. The worker is
+pinned to the CPUs the process may use other than the one the loop thread
+is on, since a kernel that does not balance load keeps a new thread on its
+parent's CPU; with no such CPU there is no worker and each block is drawn
+inline. The worker never calls BLAS: it only fills preallocated buffers
+from the generator.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ import contextlib
 import dataclasses
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
 
@@ -79,8 +84,34 @@ def _check_finite(params: np.ndarray, where: str) -> None:
 # Bytes of noise per worker hand-off. A hand-off (submit, then wait for the
 # result) costs about 50 us on a 2-core Xeon, a quarter of a small model's
 # step, so a block carries as many rows as fit in 256 KB: 12 steps at 2600
-# parameters, 1 at 32 640. The two block buffers add 0.5 MB.
+# parameters, 1 at 32 640. The two block buffers add 0.5 MB; a loop that
+# draws inline, for want of a spare CPU, has one.
 NOISE_BLOCK_BYTES = 256 * 1024
+
+
+def _thread_cpu() -> int:
+    """The CPU the calling thread last ran on: field 39 of its stat line,
+    counted from the state field that follows the parenthesised name."""
+    with open("/proc/thread-self/stat", "rb") as fh:
+        return int(fh.read().rsplit(b")", 1)[1].split()[36])
+
+
+def _spare_cpus():
+    """The CPUs this process may run on other than the calling thread's,
+    or None when either cannot be read."""
+    try:
+        return os.sched_getaffinity(0) - {_thread_cpu()}
+    except (AttributeError, OSError):
+        return None
+
+
+def _pin(cpus) -> None:
+    """Pin the calling thread to ``cpus``; left unpinned when ``cpus`` is
+    None or the kernel refuses, since an exception here would break the
+    worker's pool."""
+    if cpus is not None:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, cpus)
 
 
 @contextlib.contextmanager
@@ -91,26 +122,31 @@ def _noise_rows(rng: np.random.Generator, dim: int, steps: int):
 
     Rows are drawn in blocks of at most NOISE_BLOCK_BYTES; while the caller
     consumes block j, a worker thread fills block j + 1 into the other of two
-    preallocated buffers. A block the worker has not started when it is due
-    is cancelled and drawn by the caller, so a worker thread that waits for
-    a core never stalls the loop. A row may be modified in place; it is
-    valid until the next row is taken. The worker exists only when more
-    than one block is drawn, and it is joined on every exit from the
-    ``with`` block.
+    preallocated buffers. The worker is pinned to the process's CPUs other
+    than the caller's (``_spare_cpus``); with none, there is no worker, and
+    the caller draws every block into one buffer. A block the worker has
+    not started when it is due is cancelled and drawn by the caller, so a
+    worker thread that waits for a core never stalls the loop. A row may be
+    modified in place; it is valid until the next row is taken. The worker
+    exists only when more than one block is drawn, and it is joined on
+    every exit from the ``with`` block.
     """
     rows = max(1, min(steps, NOISE_BLOCK_BYTES // (8 * dim)))
     blocks = -(-steps // rows)
-    bufs = np.empty((min(2, blocks), rows, dim))
-    pool = ThreadPoolExecutor(1, "convexdp-noise") if blocks > 1 else None
+    cpus = _spare_cpus() if blocks > 1 else set()
+    pool = None if cpus == set() else ThreadPoolExecutor(
+        1, "convexdp-noise", initializer=_pin, initargs=(cpus,))
+    bufs = np.empty((1 if pool is None else 2, rows, dim))
 
     def draw(j):
-        return rng.standard_normal(out=bufs[j % 2, :steps - j * rows])
+        return rng.standard_normal(out=bufs[j % len(bufs), :steps - j * rows])
 
     def all_rows():
         ahead = None
         for j in range(blocks):
             block = draw(j) if ahead is None or ahead.cancel() else ahead.result()
-            ahead = pool.submit(draw, j + 1) if j + 1 < blocks else None
+            if pool is not None and j + 1 < blocks:
+                ahead = pool.submit(draw, j + 1)
             yield from block
 
     try:

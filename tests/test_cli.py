@@ -275,7 +275,8 @@ def test_exit_code_unknown_field(tmp_path, monkeypatch, capsys):
     assert code == 2 and "banana" in err
 
 
-def test_exit_code_numeric_error_joins_noise_worker(tmp_path, monkeypatch, capsys):
+def test_exit_code_numeric_error_joins_noise_worker(tmp_path, monkeypatch, capsys,
+                                                   two_allowed_cpus):
     # An absurd learning rate overflows the ridge term at the second step,
     # while the noise worker is drawing the next block (12 steps of 6144
     # parameters come in blocks of 5 rows). The run exits 3 and leaves no

@@ -5,8 +5,10 @@ step."""
 import concurrent.futures
 import contextlib
 import math
+import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -265,7 +267,7 @@ class NeverScheduledWorker:
     """An executor whose worker never runs: the loop cancels and draws
     every block itself."""
 
-    def __init__(self, *args):
+    def __init__(self, *args, **kwargs):
         pass
 
     def submit(self, fn, *args, **kwargs):
@@ -291,7 +293,8 @@ class AlwaysAheadWorker(NeverScheduledWorker):
 # b = n makes every epoch one step, so each noise block spans several epochs.
 @pytest.mark.parametrize("method", ["dpsgd", "noisycgd", "dpgd"])
 def test_prefetched_noise_matches_sequential_draws(method, rows, worker, monkeypatch,
-                                                   frequent_thread_switches):
+                                                   frequent_thread_switches,
+                                                   two_allowed_cpus):
     # Blocked draws give the bits of one standard_normal(dim) per step, also
     # where a block crosses an epoch end; whether the worker or the loop
     # draws a block makes no difference.
@@ -326,7 +329,7 @@ class RecordingWorker(AlwaysAheadWorker):
         return super().submit(fn, *args, **kwargs)
 
 
-def test_noise_blocks_cross_epoch_ends(monkeypatch):
+def test_noise_blocks_cross_epoch_ends(monkeypatch, two_allowed_cpus):
     # The noise is one stream of blocks for the whole run: 3 epochs of 10
     # steps in blocks of 3 rows are 10 blocks, and the worker draws every
     # block but the first. Blocks cut at epoch ends would be 12.
@@ -356,7 +359,7 @@ class ThreadCounter:
 
 @pytest.mark.parametrize("run", [opt.dpsgd_run, opt.noisycgd_run])
 @pytest.mark.parametrize("eta", [0.05, 1e200])
-def test_no_thread_outlives_a_loop_call(run, eta):
+def test_no_thread_outlives_a_loop_call(run, eta, two_allowed_cpus):
     # The noise worker runs during the loop and is joined when it returns,
     # also when a diverging iterate aborts the run mid-epoch.
     obj = ThreadCounter(blocked_objective(rows=1))
@@ -369,6 +372,98 @@ def test_no_thread_outlives_a_loop_call(run, eta):
     assert max(obj.seen) == threads + 1
     assert len(obj.seen) < STEPS if eta > 1 else len(obj.seen) == 2 * STEPS
     assert threading.active_count() == threads
+
+
+def loop_cpu():
+    """The calling thread's CPU, as ``_noise_rows`` reads it; skips the test
+    where the kernel does not give it."""
+    try:
+        return opt._thread_cpu()
+    except OSError:
+        pytest.skip("no /proc/thread-self/stat: the worker cannot be placed")
+
+
+def refuse(*args, **kwargs):
+    raise PermissionError("refused")
+
+
+@pytest.mark.parametrize("host, worker", [
+    # every allowed CPU but the loop's is none: each block is drawn inline
+    ("no-spare-cpu", False),
+    # the loop's CPU or the allowed set cannot be read, or the kernel refuses
+    # the pin: the worker runs unpinned, as on a host with no affinity calls
+    ("no-thread-stat", True),
+    ("no-getaffinity", True),
+    ("pin-refused", True),
+])
+@pytest.mark.parametrize("run", [opt.dpsgd_run, opt.noisycgd_run])
+def test_noise_worker_placement_keeps_the_bits(run, host, worker, monkeypatch, request):
+    if host == "no-spare-cpu":
+        loop_cpu()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {opt._thread_cpu()})
+    elif host == "no-thread-stat":
+        monkeypatch.setattr(opt, "open", refuse, raising=False)
+    elif host == "no-getaffinity":
+        monkeypatch.delattr(os, "sched_getaffinity")
+    else:
+        request.getfixturevalue("two_allowed_cpus")
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: refuse())
+    obj = ThreadCounter(blocked_objective(rows=3))
+    X, y = tiny_data(n=4 * STEPS)
+    cfg = opt.DPSGDConfig(C=0.9, sigma=1.3, b=4, eta=0.05, epochs=2, seed=3, noise_seed=4)
+    threads = threading.active_count()
+    params, records = run(obj, np.zeros(obj.dim), X, y, cfg)
+    assert max(obj.seen) == threads + worker
+    assert threading.active_count() == threads
+    batch_rng, noise_rng = opt._streams(3, 4)
+    if run is opt.dpsgd_run:
+        next_batch = lambda it: batch_rng.choice(len(X), cfg.b, replace=False)
+    else:
+        batches = batch_rng.permutation(len(X)).reshape(STEPS, cfg.b)
+        next_batch = lambda it: batches[it % STEPS]
+    want, want_records = oracles.sequential_noisy_minibatch_loop(
+        obj.objective, np.zeros(obj.dim), X, y, cfg, next_batch, noise_rng)
+    np.testing.assert_array_equal(params, want)
+    assert records == want_records
+
+
+class AffinityRecorder:
+    """A noise generator that records, at each draw, the drawing thread and
+    the CPUs it may run on."""
+
+    def __init__(self, rng):
+        self.rng, self.seen = rng, []
+
+    def standard_normal(self, out):
+        self.seen.append((threading.current_thread(), os.sched_getaffinity(0)))
+        return self.rng.standard_normal(out=out)
+
+
+def test_noise_worker_runs_on_the_cpus_the_loop_is_not_on(monkeypatch):
+    # The worker is pinned to the allowed CPUs other than the one the loop
+    # thread is on when the loop starts; the loop thread keeps its affinity.
+    allowed = os.sched_getaffinity(0)
+    if len(allowed) < 2:
+        pytest.skip("one allowed CPU: the loop draws inline")
+    loop_cpu()
+    read = []
+
+    def recorded_thread_cpu(thread_cpu=opt._thread_cpu):
+        read.append(thread_cpu())
+        return read[-1]
+
+    monkeypatch.setattr(opt, "_thread_cpu", recorded_thread_cpu)
+    rng = AffinityRecorder(np.random.default_rng(0))
+    dim = opt.NOISE_BLOCK_BYTES // 8  # one row per block
+    with opt._noise_rows(rng, dim, steps=4) as rows:
+        for _ in rows:
+            time.sleep(0.02)  # a step long enough for the worker to start its block
+    loop = threading.current_thread()
+    assert len(read) == 1
+    assert all(cpus == allowed for thread, cpus in rng.seen if thread is loop)
+    drawn = [cpus for thread, cpus in rng.seen if thread is not loop]
+    assert drawn and all(cpus == allowed - {read[0]} for cpus in drawn)
+    assert os.sched_getaffinity(0) == allowed
 
 
 def test_config_validation():
