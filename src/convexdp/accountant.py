@@ -469,11 +469,6 @@ def _pld_multiply(a: DiscretePLD, b: DiscretePLD) -> DiscretePLD:
         total = conv.sum()
         if total > 0:
             conv *= target / total
-            logger.info(
-                "clamped %d tiny negative convolution values; renormalized by %.3e",
-                int(neg.sum()),
-                target / total - 1.0,
-            )
     # a + b - ab, not 1 - (1 - a)(1 - b): the latter rounds atoms below
     # about 1e-16 to zero, which would drop privacy loss.
     m_a, m_b = a.infinity_mass, b.infinity_mass

@@ -175,12 +175,6 @@ def _run_config(cfg: dict) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
 
-def load_run_config(path: str, overrides) -> RunConfig:
-    cfg = _read_config(path, overrides)
-    cfg.pop("grids", None)
-    return _run_config(cfg)
-
-
 # ---------------------------------------------------------------------------
 # Dataset resolution
 # ---------------------------------------------------------------------------
@@ -338,7 +332,9 @@ def _eps_repr(eps: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
+def execute_run(cfg: RunConfig) -> dict:
+    """Train and account one run, write its CSV, report and checkpoint, and
+    return the report with the paths it wrote under ``outputs``."""
     train, test = load_dataset_pair(cfg.dataset)
     d, k = train.X.shape[1], max(train.num_classes, test.num_classes)
 
@@ -385,19 +381,16 @@ def execute_run(cfg: RunConfig, write_outputs: bool = True) -> dict:
         "final_test_accuracy": records[-1]["test_accuracy"],
         "n_train": len(train.X),
     }
-    if write_outputs:
-        out_dir = os.environ.get(OUTDIR_ENV, cfg.out_dir)
-        os.makedirs(out_dir, exist_ok=True)
-        base = os.path.join(out_dir, cfg.name)
-        paths = {"csv": base + ".csv", "json": base + ".json",
-                 "model": base + ".model.json"}
-        with open(paths["csv"], "w") as fh:
-            fh.write(_trace_csv(records, eps_text))
-        with open(paths["json"], "w") as fh:
-            json.dump(report, fh, indent=2)
-        objective.save_checkpoint(params, paths["model"])
-        report["outputs"] = paths
-    report["trace"] = records
+    out_dir = os.environ.get(OUTDIR_ENV, cfg.out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    base = os.path.join(out_dir, cfg.name)
+    paths = {"csv": base + ".csv", "json": base + ".json", "model": base + ".model.json"}
+    with open(paths["csv"], "w") as fh:
+        fh.write(_trace_csv(records, eps_text))
+    with open(paths["json"], "w") as fh:
+        json.dump(report, fh, indent=2)
+    objective.save_checkpoint(params, paths["model"])
+    report["outputs"] = paths
     return report
 
 
@@ -449,7 +442,7 @@ def execute_sweep(path: str, overrides) -> dict:
 def _account_dpsgd_cmd(args) -> dict:
     pld = acc.account_dpsgd(args.sigma, args.q, args.T, grid_step=args.grid_step)
     eps, losses = acc.find_epsilon(pld, args.delta), pld.losses
-    out = {
+    return {
         "method": "dpsgd",
         "sigma": args.sigma,
         "q": args.q,
@@ -467,9 +460,6 @@ def _account_dpsgd_cmd(args) -> dict:
             "mean_loss": float(losses @ pld.masses),
         },
     }
-    if args.eps:
-        out["delta_at_eps"] = {repr(e): pld.delta(e) for e in args.eps}
-    return out
 
 
 def _account_noisycgd_cmd(args) -> dict:
@@ -523,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     dpsgd_p.add_argument("--T", type=int, required=True)
     dpsgd_p.add_argument("--grid-step", type=finite_float, default=acc.DEFAULT_GRID_STEP)
     dpsgd_p.add_argument("--delta", type=finite_float, default=1e-5)
-    dpsgd_p.add_argument("--eps", type=finite_float, nargs="*")
 
     cgd_p = acc_sub.add_parser("noisycgd")
     cgd_p.add_argument("--L", type=finite_float, required=True)
@@ -544,13 +533,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            cfg = load_run_config(args.config, args.overrides)
+            cfg = _run_config(_read_config(args.config, args.overrides))
             if args.emit_config:
                 print(json.dumps(cfg.resolved(), indent=2))
                 return 0
-            report = execute_run(cfg)
-            report.pop("trace", None)
-            print(json.dumps(report, indent=2))
+            print(json.dumps(execute_run(cfg), indent=2))
         elif args.command == "sweep":
             summary = execute_sweep(args.config, args.overrides)
             print(json.dumps(summary, indent=2))

@@ -163,7 +163,7 @@ def subset(dataset: Dataset, n_sub: int, seed: int) -> Dataset:
     never changes which rows are drawn."""
     if n_sub > dataset.n:
         raise ConfigError(f"n_sub={n_sub} exceeds dataset size {dataset.n}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     idx = np.sort(rng.permutation(dataset.n)[:n_sub])
     return Dataset(X=_rows(dataset.X, idx), labels=dataset.labels[idx])
 
@@ -194,7 +194,7 @@ def train_test_split(dataset: Dataset, n_test: int, seed: int):
     """
     if not (0 < n_test < dataset.n):
         raise ConfigError("n_test must be in (0, n)")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     perm = rng.permutation(dataset.n)
     test_idx, train_idx = np.sort(perm[:n_test]), np.sort(perm[n_test:])
     mk = lambda idx: Dataset(X=_rows(dataset.X, idx), labels=dataset.labels[idx])

@@ -1,4 +1,4 @@
-"""Loss head shared by the gated linear model and the MLP baseline.
+"""Loss and evaluation head shared by the gated linear model and the MLP baseline.
 
 Both models end in k logits per row, and a label is a class index.
 ``mse`` regresses the logits onto the labels' one-hot targets; ``ce`` is
@@ -29,12 +29,12 @@ def check_head(loss: str, k: int, lam: float) -> None:
         raise DomainError(f"lambda must be non-negative, got {lam!r}")
 
 
-def logits(forward, params: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
-    """The n x k logits of every row of X: the last output of ``forward``,
-    an objective's kernel, on ``ROW_BLOCK`` rows at a time."""
-    out = np.empty((len(X), k))
+def logits(objective, params: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The n x k logits of every row of X: the last output of the
+    objective's kernel ``_forward``, on ``ROW_BLOCK`` rows at a time."""
+    out = np.empty((len(X), objective.k))
     for s in range(0, len(X), ROW_BLOCK):
-        out[s : s + ROW_BLOCK] = forward(params, X[s : s + ROW_BLOCK])[-1]
+        out[s : s + ROW_BLOCK] = objective._forward(params, X[s : s + ROW_BLOCK])[-1]
     return out
 
 
@@ -50,16 +50,28 @@ def residuals(logits: np.ndarray, y, kind: str) -> np.ndarray:
     return probs
 
 
-def mean_loss(logits: np.ndarray, y, kind: str) -> float:
-    """Mean per-row data-term loss: 0.5*||r||^2, or the CE negative log-likelihood."""
-    if kind == "mse":
-        return 0.5 * float(np.sum(residuals(logits, y, kind) ** 2)) / len(logits)
-    shifted = logits - logits.max(axis=1, keepdims=True)
+def clip_scale(norms: np.ndarray, C: float) -> np.ndarray:
+    """Per-row clip factors: min(1, C / norm)."""
+    scale = np.ones_like(norms)
+    np.divide(C, norms, out=scale, where=norms > C)
+    return scale
+
+
+# The evaluation head: each objective binds these in its own class body, so
+# they are its methods, over its ``_forward``, ``k`` and ``loss_kind``.
+def data_loss(objective, params: np.ndarray, X: np.ndarray, y) -> float:
+    """Mean per-row data-term loss over (X, y): 0.5*||r||^2, or the CE
+    negative log-likelihood."""
+    z = logits(objective, params, X)
+    if objective.loss_kind == "mse":
+        return 0.5 * float(np.sum(residuals(z, y, "mse") ** 2)) / len(z)
+    shifted = z - z.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(len(logits)), np.asarray(y, dtype=int)]
+    picked = shifted[np.arange(len(z)), np.asarray(y, dtype=int)]
     return float(np.mean(log_z - picked))
 
 
-def accuracy(logits: np.ndarray, labels) -> float:
+def accuracy(objective, params: np.ndarray, X: np.ndarray, labels) -> float:
     """Fraction of rows whose largest logit is at the label."""
-    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
+    return float(np.mean(np.argmax(logits(objective, params, X), axis=1)
+                         == np.asarray(labels)))

@@ -67,8 +67,7 @@ class DPSGDConfig:
 
 def _streams(seed: int, noise_seed: int):
     """Independent batch and noise generators, each from its own seed."""
-    return tuple(np.random.default_rng(np.random.SeedSequence(s))
-                 for s in (seed, noise_seed))
+    return np.random.default_rng(seed), np.random.default_rng(noise_seed)
 
 
 def _check_finite(params: np.ndarray, where: str) -> None:

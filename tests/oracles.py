@@ -11,6 +11,8 @@ a worker thread: one ``standard_normal(dim)`` draw per step, on the calling
 thread. The accountant's two Gaussian hockey-stick
 implementations are kept as they were before ``gaussian_delta`` replaced
 both. The RDP-to-DP conversion is here because no package code calls it.
+The exact mu of NoisyCGD on linear losses is the instance the NoisyCGD
+bound must dominate.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from convexdp.accountant import log_ndtr, ndtr
+from convexdp.accountant import NoisyCGDSpec, log_ndtr, ndtr
 from convexdp.convex_dual import Arrangement
 from convexdp.errors import DomainError, NumericError
 from convexdp.optimizers import _check_finite
@@ -445,3 +447,22 @@ def rdp_to_dp(alpha: float, eps_rdp: float, eps: float) -> float:
     if log_val >= 0:
         return 1.0
     return math.exp(log_val)
+
+
+def noisycgd_linear_mu(spec: NoisyCGDSpec) -> float:
+    """Exact mu-GDP of NoisyCGD's last iterate on linear per-sample losses
+    ``<g_i, theta>``, swapped rows' gradients at most ``L`` apart, plus the
+    ridge ``lambda_sc``; ``beta_sm`` is not read.
+
+    Each step ``theta <- c*theta - eta*(mean g + Z)``, with
+    ``c = 1 - eta*lambda_sc`` and ``Z ~ N(0, sigma^2 I)``, is an affine
+    Gaussian recursion. Over ``T = E*k`` steps, swapping one row of batch j
+    moves the last iterate by ``eta*(L/b) * sum_e c^(T-1-(e*k+j))``, and its
+    noise std is ``eta*sigma*sqrt(sum_t c^(2(T-1-t)))``; mu is the largest
+    ratio of the two over j.
+    """
+    c = 1.0 - spec.eta * spec.lambda_sc
+    decay = c ** np.arange(spec.E * spec.k - 1, -1, -1.0)  # c^(T-1-t) at step t
+    gaps = spec.eta * spec.L / spec.b * decay.reshape(spec.E, spec.k).sum(axis=0)
+    std = spec.eta * spec.sigma * math.sqrt(float(decay @ decay))
+    return float(np.abs(gaps).max()) / std

@@ -267,7 +267,7 @@ def _desk_scale_data():
     return train, test
 
 
-def test_criterion_11_end_to_end_self_consistency(capsys):
+def test_criterion_11_end_to_end_self_consistency(capsys, tmp_path, monkeypatch):
     train, test = _desk_scale_data()
     Xtr, Xte = train.X, test.X
     lam, d = 1e-3, Xtr.shape[1]
@@ -295,7 +295,8 @@ def test_criterion_11_end_to_end_self_consistency(capsys):
         epochs=20, C=1.0, sigma=2.0, b=100, eta=0.05, lam=lam, P=32,
         loss="ce", name="acceptance",
     )
-    report_sgd = cli.execute_run(cli.RunConfig(**run_cfg), write_outputs=False)
+    monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+    report_sgd = cli.execute_run(cli.RunConfig(**run_cfg))
     n = report_sgd["n_train"]
     eps_direct = acc.find_epsilon(
         acc.account_dpsgd(2.0, 100 / n, 20 * (n // 100)), 1e-5
@@ -303,10 +304,7 @@ def test_criterion_11_end_to_end_self_consistency(capsys):
     sgd_gap = abs(float(report_sgd["epsilon"]) - eps_direct)
 
     # (c) NoisyCGD: harness epsilon vs mu-GDP bound + closed-form conversion
-    report_cgd = cli.execute_run(
-        cli.RunConfig(**dict(run_cfg, method="dual-noisycgd")),
-        write_outputs=False,
-    )
+    report_cgd = cli.execute_run(cli.RunConfig(**dict(run_cfg, method="dual-noisycgd")))
     inputs = report_cgd["accountant_inputs"]
     mu = acc.noisycgd_mu(acc.NoisyCGDSpec(
         L=inputs["L"], b=inputs["b"], sigma=inputs["sigma"], eta=inputs["eta"],

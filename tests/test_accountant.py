@@ -544,6 +544,36 @@ def test_noisycgd_spec_validation():
                 _cgd_spec(**{field: value})
 
 
+def _linear_instance(eta, lam, k, E):
+    """A NoisyCGD spec whose smoothness is its ridge: a linear loss plus ridge."""
+    return _cgd_spec(L=2.0, b=100, sigma=0.02, eta=eta, lambda_sc=lam, beta_sm=lam,
+                     k=k, E=E)
+
+
+@pytest.mark.parametrize("eta, lam, k, E, ratio", [
+    (1.0, 0.9, 4, 30, 0.9951), (0.05, 1e-3, 60, 20, 0.5040),
+    (0.5, 0.5, 10, 5, 0.6999), (0.1, 0.2, 3, 50, 0.9936),
+])
+def test_noisycgd_bound_dominates_exact_linear_instance(eta, lam, k, E, ratio):
+    # [ORACLE] On linear losses plus ridge NoisyCGD is an affine Gaussian
+    # recursion, whose last iterate's mu is exact. The bound at beta = lam
+    # must dominate it. In the last setting (c = 0.98), moving any one of
+    # the bound's exponents by one moves the ratio by more than 2e-3.
+    spec = _linear_instance(eta, lam, k, E)
+    assert oracles.noisycgd_linear_mu(spec) / acc.noisycgd_mu(spec) == pytest.approx(
+        ratio, abs=1e-4)
+
+
+@given(eta=st.floats(0.01, 1.0), lam=st.floats(1e-3, 1.9),
+       k=st.integers(1, 60), E=st.integers(1, 60))
+@settings(max_examples=200, deadline=None)
+def test_noisycgd_bound_dominates_every_linear_instance(eta, lam, k, E):
+    # eta * lam < 2, so |c| < 1. The bound is exact at k = E = 1 and nearly
+    # so as c nears 0, so the two may differ there by rounding alone.
+    spec = _linear_instance(eta, lam, k, E)
+    assert oracles.noisycgd_linear_mu(spec) <= acc.noisycgd_mu(spec) * (1 + 1e-12)
+
+
 def test_rdp_to_dp_known_value():
     # [TRIVIAL] alpha=2, eps_rdp=eps=1: exp(0)/2 * (1/2)^1 = 0.25.
     assert oracles.rdp_to_dp(2.0, 1.0, 1.0) == pytest.approx(0.25, abs=1e-15)

@@ -21,6 +21,7 @@ from convexdp import baseline_relu as br
 from convexdp import cli
 from convexdp import convex_dual as cd
 from convexdp import data
+from convexdp import losses
 from convexdp import optimizers as opt
 from convexdp.errors import ConfigError, DomainError
 
@@ -58,6 +59,13 @@ def write_config(tmp_path, **extra):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+@pytest.fixture
+def outdir(tmp_path, monkeypatch):
+    """The output directory of every run in the test: a fresh temporary one."""
+    monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+    return tmp_path
 
 
 def run_cli(args, monkeypatch, tmp_path, capsys):
@@ -136,17 +144,18 @@ def test_run_epsilon_recomputable_from_logged_inputs(tmp_path, monkeypatch, caps
 
 
 @pytest.mark.parametrize("method", ["relu-dpsgd", "dual-dpsgd", "dual-noisycgd"])
-def test_per_epoch_epsilons_match_one_shot(method):
+def test_per_epoch_epsilons_match_one_shot(method, outdir):
     cfg = cli.RunConfig(**method_config(method, epochs=4, account_every_epoch=True))
-    report = cli.execute_run(cfg, write_outputs=False)
+    report = cli.execute_run(cfg)
     inputs = report["accountant_inputs"]
     steps = report["n_train"] // cfg.b
-    assert [r["epoch"] for r in report["trace"]] == [1, 2, 3, 4]
-    for record in report["trace"]:
-        epoch = record["epoch"]
+    rows = [row.split(",") for row in (outdir / "t.csv").read_text().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == [1, 2, 3, 4]
+    for row in rows:
+        epoch = int(row[0])
         cut = (dict(inputs, T=epoch * steps) if inputs["method"] == "dpsgd"
                else dict(inputs, E=epoch))
-        assert [record["epsilon_at_delta"]] == cli.epsilon_from_inputs(cut)
+        assert [float(row[-1])] == cli.epsilon_from_inputs(cut)
     assert [float(report["epsilon"])] == cli.epsilon_from_inputs(inputs)
 
 
@@ -217,7 +226,7 @@ def test_run_noisycgd_lambda_default_rule(tmp_path, monkeypatch, capsys):
     assert resolved["lam"] == pytest.approx(2e-4 / 0.04)
 
 
-def test_noisycgd_warns_when_eta_beta_reaches_two(monkeypatch):
+def test_noisycgd_warns_when_eta_beta_reaches_two(monkeypatch, outdir):
     # The check uses the beta the accountant receives: max ||x||^2 + lam puts
     # eta * beta far above 2 at eta = 0.5, and the run is refused before any
     # training step.
@@ -228,10 +237,11 @@ def test_noisycgd_warns_when_eta_beta_reaches_two(monkeypatch):
 
     monkeypatch.setattr(cli.optimizers, "noisycgd_run", no_training)
     with pytest.raises(DomainError, match="2/beta"):
-        cli.execute_run(cli.RunConfig(**cfg), write_outputs=False)
+        cli.execute_run(cli.RunConfig(**cfg))
+    assert not any(outdir.iterdir())
 
 
-def test_dpsgd_run_builds_no_pld_before_training(monkeypatch):
+def test_dpsgd_run_builds_no_pld_before_training(monkeypatch, outdir):
     # The early refusal goes through the same query path as the epsilon, but
     # a DP-SGD step PLD is only discretized after training, for the epsilon.
     discretized = []
@@ -245,7 +255,7 @@ def test_dpsgd_run_builds_no_pld_before_training(monkeypatch):
     monkeypatch.setattr(acc, "connect_the_dots", lambda *args: discretized.append(args))
     monkeypatch.setattr(cli.optimizers, "dpsgd_run", training)
     with pytest.raises(Trained):
-        cli.execute_run(cli.RunConfig(**method_config("dual-dpsgd")), write_outputs=False)
+        cli.execute_run(cli.RunConfig(**method_config("dual-dpsgd")))
     assert discretized == []
 
 
@@ -387,6 +397,13 @@ def test_removed_inspect_pld_command_exits_2(capsys):
     assert exc.value.code == 2 and "invalid choice: 'inspect-pld'" in capsys.readouterr().err
 
 
+def test_removed_eps_option_exits_2(capsys):
+    # `account dpsgd` prints the epsilon at --delta; its delta-at-eps list is gone.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["account", "dpsgd", *DPSGD_ARGS, "--eps", "1"])
+    assert exc.value.code == 2 and "unrecognized arguments: --eps 1" in capsys.readouterr().err
+
+
 def test_trace_csv_format():
     records = [dict(epoch=1, train_loss=0.5, test_accuracy=0.75, epsilon_at_delta=1.25),
                dict(epoch=2, train_loss=0.25, test_accuracy=None,
@@ -426,14 +443,13 @@ def test_grid_step_past_max_len_is_refused(command, tmp_path, monkeypatch, capsy
 
 
 @pytest.mark.parametrize("args", [
-    ["account", "dpsgd", *DPSGD_ARGS, "--eps", "nan"],
+    ["account", "dpsgd", *DPSGD_ARGS, "--delta", "nan"],
     ["account", "noisycgd", "--L", "2", "--b", "100", "--sigma", "0.02", "--eta", "0.05",
      "--lam", "1e-3", "--beta", "nan", "--k", "60", "--E", "20"],
     ["account", "noisycgd", "--L", "2", "--b", "100", "--sigma", "0.02", "--eta", "inf",
      "--lam", "1e-3", "--beta", "30", "--k", "60", "--E", "20"],
 ])
 def test_accounting_options_must_be_finite(args, capsys):
-    # Before, the dpsgd query exited 0 and printed a delta keyed by "nan".
     with pytest.raises(SystemExit) as exc:
         cli.main(args)
     assert exc.value.code == 2 and "must be a finite number" in capsys.readouterr().err
@@ -583,6 +599,8 @@ BAD_SETTINGS = [
     ("dual-noisycgd", 'seeds={"gates":0,"init":1,"batches":2,"noise":3,"nosie":9}'),
     ("relu-dpsgd", "lam=-5"), ("dual-dpsgd", "lam=-1"),
     ("dual-noisycgd", "grids.sigma=2"),
+    # A run trains one point: a sweep's grids are refused, not dropped.
+    ("dual-noisycgd", 'grids={"sigma": [2.0, 4.0]}'),
     # Removed fields: the bias column is always on, and beta always derived.
     ("dual-dpsgd", "bias=false"), ("relu-dpsgd", "bias=true"),
     ("dual-noisycgd", "beta=1.0"),
@@ -593,9 +611,9 @@ BAD_SETTINGS = [
                          ids=[f"{m}-{s}".replace(" ", "") for m, s in BAD_SETTINGS])
 def test_bad_value_exits_2_before_loading_data(method, setting, tmp_path,
                                                monkeypatch, capsys):
-    # A wrongly typed, non-finite or negative value, or a removed field, is
-    # refused from the config alone: no data is loaded and no output file
-    # written.
+    # A wrongly typed, non-finite or negative value, a removed field, or a
+    # run config holding grids, is refused from the config alone: no data is
+    # loaded and no output file written.
     def no_loading(*args, **kwargs):
         raise AssertionError("loaded data for a config with a bad value")
 
@@ -777,7 +795,7 @@ def test_every_method_checkpoint_reproduces_report(method, tmp_path, monkeypatch
     assert accuracy == report["final_test_accuracy"]
 
 
-def test_training_loops_looked_up_at_call_time(monkeypatch):
+def test_training_loops_looked_up_at_call_time(monkeypatch, outdir):
     # Probes (perfbench) replace the loops on the optimizers module; a run
     # must call whatever the module holds when it starts.
     calls = []
@@ -790,8 +808,18 @@ def test_training_loops_looked_up_at_call_time(monkeypatch):
     for method, loop in (("dual-dpsgd", "dpsgd_run"), ("relu-dpsgd", "dpsgd_run"),
                          ("dual-noisycgd", "noisycgd_run")):
         calls.clear()
-        cli.execute_run(cli.RunConfig(**method_config(method)), write_outputs=False)
+        cli.execute_run(cli.RunConfig(**method_config(method)))
         assert calls == [loop]
+
+
+@pytest.mark.parametrize("cls", [cd.DualObjective, br.MLPObjective])
+def test_probed_methods_are_each_objectives_own(cls):
+    # Probes (perfbench) read and patch each class's own attributes, so the
+    # shared evaluation head is bound in each objective's class body.
+    for name in ("clipped_grad_mean", "data_loss", "accuracy"):
+        assert name in vars(cls)
+    assert vars(cls)["data_loss"] is losses.data_loss
+    assert vars(cls)["accuracy"] is losses.accuracy
 
 
 def keys_of(node):
@@ -803,10 +831,11 @@ def keys_of(node):
 
 
 @pytest.mark.parametrize("method", ["dual-dpsgd", "relu-dpsgd"])
-def test_dpsgd_reports_hold_no_beta(method):
+def test_dpsgd_reports_hold_no_beta(method, outdir):
     # beta (a statistic of the private rows) feeds only the NoisyCGD bound.
-    report = cli.execute_run(cli.RunConfig(**method_config(method)), write_outputs=False)
-    assert not any("beta" in key for key in keys_of(report))
+    printed = cli.execute_run(cli.RunConfig(**method_config(method)))
+    written = json.loads((outdir / "t.json").read_text())
+    assert not any("beta" in key for key in keys_of([printed, written]))
 
 
 def test_relu_dpsgd_runs(tmp_path, monkeypatch, capsys):
