@@ -1,6 +1,6 @@
 """Differentially private training of convexified two-layer ReLU networks.
 
-Subpackages:
+Modules:
 
 * ``accountant`` -- numerical (epsilon, delta) accounting: PLD/FFT
   composition for subsampled DP-SGD and the closed-form GDP bound for

@@ -6,7 +6,6 @@ accountant inputs so every reported epsilon can be recomputed with the
 standalone ``account`` command.
 
 Exit codes: 0 success, 2 config error, 3 numeric error, 4 I/O error.
-The CONVEXDP_OUTDIR environment variable overrides the output directory.
 """
 from __future__ import annotations
 
@@ -36,7 +35,6 @@ METHODS = {
 # The one config field each model alone reads; every other field applies to
 # every method.
 FIELDS_READ_BY = {"dual": "P", "relu": "hidden_m"}
-OUTDIR_ENV = "CONVEXDP_OUTDIR"
 # The values each RunConfig annotation takes: a JSON integer is a float too,
 # and a bool is only a bool.
 JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "dict": dict}
@@ -381,9 +379,8 @@ def execute_run(cfg: RunConfig) -> dict:
         "final_test_accuracy": records[-1]["test_accuracy"],
         "n_train": len(train.X),
     }
-    out_dir = os.environ.get(OUTDIR_ENV, cfg.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    base = os.path.join(out_dir, cfg.name)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    base = os.path.join(cfg.out_dir, cfg.name)
     paths = {"csv": base + ".csv", "json": base + ".json", "model": base + ".model.json"}
     with open(paths["csv"], "w") as fh:
         fh.write(_trace_csv(records, eps_text))
@@ -424,7 +421,7 @@ def execute_sweep(path: str, overrides) -> dict:
             epsilon=report["epsilon"],
         )
         rows.append(row)
-    out_dir = os.environ.get(OUTDIR_ENV, raw.get("out_dir", "runs"))
+    out_dir = raw.get("out_dir", RunConfig.out_dir)
     os.makedirs(out_dir, exist_ok=True)
     table_path = os.path.join(out_dir, raw.get("name", "run") + "-sweep.json")
     summary = {"grid_keys": keys, "rows": rows}
@@ -439,39 +436,25 @@ def execute_sweep(path: str, overrides) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _account_dpsgd_cmd(args) -> dict:
-    pld = acc.account_dpsgd(args.sigma, args.q, args.T, grid_step=args.grid_step)
-    eps, losses = acc.find_epsilon(pld, args.delta), pld.losses
-    return {
-        "method": "dpsgd",
-        "sigma": args.sigma,
-        "q": args.q,
-        "T": args.T,
-        "delta": args.delta,
-        "epsilon": _eps_repr(eps),
-        "grid_step": pld.loss_grid_step,
-        "eps_max": acc.EPS_MAX,
-        "pld": {
-            "support_min": pld.loss_grid_origin,
-            "support_max": losses[-1],
-            "points": len(pld.masses),
-            "truncation_mass": pld.infinity_mass,
-            "finite_mass": float(pld.masses.sum()),
-            "mean_loss": float(losses @ pld.masses),
-        },
-    }
-
-
-def _account_noisycgd_cmd(args) -> dict:
-    inputs = {
-        "method": "noisycgd",
-        "L": args.L, "b": args.b, "sigma": args.sigma, "eta": args.eta,
-        "lambda": args.lam, "beta": args.beta, "k": args.k, "E": args.E,
-        "delta": args.delta,
-    }
-    [profile] = _privacy_curves(inputs)
-    eps = acc.find_epsilon(profile, args.delta)
-    return dict(inputs, mu_gdp=profile.delta.args[0], epsilon=_eps_repr(eps))
+def _account_cmd(args) -> dict:
+    """``account <method>``: the options, keyed as a run logs its accountant
+    inputs, the epsilon a run with those inputs prints, and the one curve's
+    own block: the GDP constant for NoisyCGD, the PLD's shape for DP-SGD."""
+    inputs = {key: value for key, value in vars(args).items() if key != "command"}
+    [curve] = _privacy_curves(inputs)
+    report = dict(inputs, epsilon=_eps_repr(acc.find_epsilon(curve, inputs["delta"])))
+    if inputs["method"] == "noisycgd":
+        return dict(report, mu_gdp=curve.delta.args[0])
+    losses = curve.losses
+    return dict(report, pld={
+        "grid_step": curve.loss_grid_step,
+        "support_min": curve.loss_grid_origin,
+        "support_max": losses[-1],
+        "points": len(curve.masses),
+        "truncation_mass": curve.infinity_mass,
+        "finite_mass": float(curve.masses.sum()),
+        "mean_loss": float(losses @ curve.masses),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +488,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--set", dest="overrides", action="append", metavar="K=V")
 
     account_p = sub.add_parser("account", help="standalone accounting queries")
-    acc_sub = account_p.add_subparsers(dest="accountant", required=True)
+    # The parsed options, bar "command", are the accountant inputs a run logs.
+    acc_sub = account_p.add_subparsers(dest="method", required=True)
 
     dpsgd_p = acc_sub.add_parser("dpsgd")
     dpsgd_p.add_argument("--sigma", type=finite_float, required=True)
     dpsgd_p.add_argument("--q", type=finite_float, required=True)
     dpsgd_p.add_argument("--T", type=int, required=True)
-    dpsgd_p.add_argument("--grid-step", type=finite_float, default=acc.DEFAULT_GRID_STEP)
     dpsgd_p.add_argument("--delta", type=finite_float, default=1e-5)
 
     cgd_p = acc_sub.add_parser("noisycgd")
@@ -519,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     cgd_p.add_argument("--b", type=int, required=True)
     cgd_p.add_argument("--sigma", type=finite_float, required=True)
     cgd_p.add_argument("--eta", type=finite_float, required=True)
-    cgd_p.add_argument("--lam", type=finite_float, required=True)
+    cgd_p.add_argument("--lam", dest="lambda", type=finite_float, required=True)
     cgd_p.add_argument("--beta", type=finite_float, required=True)
     cgd_p.add_argument("--k", type=int, required=True)
     cgd_p.add_argument("--E", type=int, required=True)
@@ -542,11 +525,7 @@ def main(argv=None) -> int:
             summary = execute_sweep(args.config, args.overrides)
             print(json.dumps(summary, indent=2))
         elif args.command == "account":
-            handler = {
-                "dpsgd": _account_dpsgd_cmd,
-                "noisycgd": _account_noisycgd_cmd,
-            }[args.accountant]
-            print(json.dumps(handler(args), indent=2))
+            print(json.dumps(_account_cmd(args), indent=2))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

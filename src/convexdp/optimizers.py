@@ -56,8 +56,9 @@ class DPSGDConfig:
             if not math.isfinite(value) or value < 0 or (value == 0 and name != "sigma"):
                 least = "non-negative" if name == "sigma" else "positive"
                 raise ConfigError(f"{name}: must be finite and {least}, got {value!r}")
-        if self.b < 1 or self.epochs < 1:
-            raise ConfigError("b and epochs must be positive integers")
+        for name in ("b", "epochs"):
+            if not is_count(value := getattr(self, name)) or value < 1:
+                raise ConfigError(f"{name}: must be a positive integer, got {value!r}")
 
     @property
     def noise_std(self) -> float:

@@ -267,7 +267,7 @@ def _desk_scale_data():
     return train, test
 
 
-def test_criterion_11_end_to_end_self_consistency(capsys, tmp_path, monkeypatch):
+def test_criterion_11_end_to_end_self_consistency(capsys, tmp_path):
     train, test = _desk_scale_data()
     Xtr, Xte = train.X, test.X
     lam, d = 1e-3, Xtr.shape[1]
@@ -293,9 +293,8 @@ def test_criterion_11_end_to_end_self_consistency(capsys, tmp_path, monkeypatch)
         dataset={"kind": "synthetic", "n": 6000, "d": 10, "n_test": 1000,
                  "rule": "norm_threshold", "seed": 0},
         epochs=20, C=1.0, sigma=2.0, b=100, eta=0.05, lam=lam, P=32,
-        loss="ce", name="acceptance",
+        loss="ce", name="acceptance", out_dir=str(tmp_path),
     )
-    monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
     report_sgd = cli.execute_run(cli.RunConfig(**run_cfg))
     n = report_sgd["n_train"]
     eps_direct = acc.find_epsilon(
@@ -323,7 +322,7 @@ def test_criterion_11_end_to_end_self_consistency(capsys, tmp_path, monkeypatch)
            f"NoisyCGD eps gap {cgd_gap:.1e} (tol 1e-9)")
 
 
-def test_criterion_12_determinism(capsys, tmp_path, monkeypatch):
+def test_criterion_12_determinism(capsys, tmp_path):
     import json
 
     cfg_path = tmp_path / "cfg.json"
@@ -336,8 +335,8 @@ def test_criterion_12_determinism(capsys, tmp_path, monkeypatch):
     }))
     traces = []
     for sub in ("a", "b"):
-        monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / sub))
-        assert cli.main(["run", "--config", str(cfg_path)]) == 0
+        assert cli.main(["run", "--config", str(cfg_path),
+                         "--set", f"out_dir={tmp_path / sub}"]) == 0
         traces.append((tmp_path / sub / "det.csv").read_bytes())
     ok = traces[0] == traces[1]
     report(capsys, 12, ok,

@@ -63,13 +63,16 @@ def write_config(tmp_path, **extra):
 
 @pytest.fixture
 def outdir(tmp_path, monkeypatch):
-    """The output directory of every run in the test: a fresh temporary one."""
-    monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+    """The output directory of every config the test builds from BASE_CONFIG:
+    a fresh temporary one."""
+    monkeypatch.setitem(BASE_CONFIG, "out_dir", str(tmp_path))
     return tmp_path
 
 
 def run_cli(args, monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "out"))
+    """``cli.main(args)``; a run or sweep writes to ``tmp_path / "out"``."""
+    if args[0] in ("run", "sweep"):
+        args = [*args, "--set", f"out_dir={tmp_path / 'out'}"]
     code = cli.main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -79,8 +82,11 @@ def test_run_outputs_deterministic(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path)
     contents = []
     for sub in ("a", "b"):
-        monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / sub))
-        assert cli.main(["run", "--config", cfg]) == 0
+        # The report holds the config: both runs set out_dir ".", each in its
+        # own directory.
+        (tmp_path / sub).mkdir()
+        monkeypatch.chdir(tmp_path / sub)
+        assert cli.main(["run", "--config", cfg, "--set", "out_dir=."]) == 0
         capsys.readouterr()
         contents.append(
             (
@@ -100,11 +106,10 @@ def outputs_at_blas_threads(tmp_path, cfg):
         out = tmp_path / f"threads{threads}"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        env[cli.OUTDIR_ENV] = str(out)
         subprocess.run(
             [sys.executable, "-c",
              "import sys; from convexdp.cli import main; sys.exit(main(sys.argv[1:]))",
-             "run", "--config", cfg],
+             "run", "--config", cfg, "--set", f"out_dir={out}"],
             env=env, check=True, capture_output=True, timeout=300,
         )
         contents.append([(out / name).read_bytes() for name in ("t.csv", "t.model.json")])
@@ -134,13 +139,21 @@ def test_relu_run_outputs_independent_of_blas_threads(tmp_path):
     assert one == two
 
 
-def test_run_epsilon_recomputable_from_logged_inputs(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path)
+@pytest.mark.parametrize("method", sorted(cli.METHODS))
+def test_run_epsilon_recomputable_from_logged_inputs(method, tmp_path, monkeypatch,
+                                                     capsys):
+    # The report's accountant_inputs, passed to `account` (floats by repr, so
+    # each parses back to the same double), print the report's epsilon string.
+    cfg = write_config(tmp_path, method=method)
     code, out, _ = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
     assert code == 0
     report = json.loads(out)
-    [eps_again] = cli.epsilon_from_inputs(report["accountant_inputs"])
-    assert float(report["epsilon"]) == eps_again
+    inputs = dict(report["accountant_inputs"])
+    query = ["account", inputs.pop("method")] + [
+        f"--{'lam' if key == 'lambda' else key}={value!r}" for key, value in inputs.items()]
+    code, out, err = run_cli(query, monkeypatch, tmp_path, capsys)
+    assert code == 0, err
+    assert json.loads(out)["epsilon"] == report["epsilon"]
 
 
 @pytest.mark.parametrize("method", ["relu-dpsgd", "dual-dpsgd", "dual-noisycgd"])
@@ -383,7 +396,10 @@ def test_account_dpsgd_pld_block(tmp_path, monkeypatch, capsys):
         monkeypatch, tmp_path, capsys,
     )
     assert code == 0
-    pld = json.loads(out)["pld"]
+    report = json.loads(out)
+    assert set(report) == {"method", "sigma", "q", "T", "delta", "epsilon", "pld"}
+    pld = report["pld"]
+    assert pld["grid_step"] == pytest.approx(acc.DEFAULT_GRID_STEP, rel=1e-9)
     assert pld["finite_mass"] + pld["truncation_mass"] == pytest.approx(1.0)
     assert pld["support_min"] < 0 < pld["support_max"]
     # composed privacy loss has positive KL (mean of the loss under P)
@@ -414,32 +430,16 @@ def test_trace_csv_format():
                      "2,0.25,,inf", "3,0.125,0.5,"]
 
 
-DPSGD_QUERIES = (["account", "dpsgd"],)
 DPSGD_ARGS = ["--sigma", "2", "--q", "0.016666666666666666", "--T", "1200"]
 
 
-@pytest.mark.parametrize("command", DPSGD_QUERIES)
-@pytest.mark.parametrize("step", ["0", "-0.001"])
-def test_grid_step_must_be_positive(step, command, tmp_path, monkeypatch, capsys):
-    code, _, err = run_cli(command + DPSGD_ARGS + ["--grid-step", step],
-                           monkeypatch, tmp_path, capsys)
-    assert code == 2 and "grid step must be finite and positive" in err
-
-
-@pytest.mark.parametrize("command", DPSGD_QUERIES)
-def test_grid_step_must_be_finite(command, capsys):
+def test_removed_grid_step_option_exits_2(capsys):
+    # A run always discretizes at DEFAULT_GRID_STEP; another step's epsilon
+    # would belong to no run. The PLD block prints the step.
     with pytest.raises(SystemExit) as exc:
-        cli.main(command + DPSGD_ARGS + ["--grid-step", "nan"])
-    assert exc.value.code == 2 and "must be a finite number" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", DPSGD_QUERIES)
-def test_grid_step_past_max_len_is_refused(command, tmp_path, monkeypatch, capsys):
-    # The tail is not below TAIL_TOL within 2^23 steps of 1e-7, so the step
-    # PLD would have more than MAX_LEN points: refused before any grid exists.
-    code, _, err = run_cli(command + DPSGD_ARGS + ["--grid-step", "1e-7"],
-                           monkeypatch, tmp_path, capsys)
-    assert code == 3 and f"more than {acc.MAX_LEN} points" in err
+        cli.main(["account", "dpsgd", *DPSGD_ARGS, "--grid-step", "1e-4"])
+    assert (exc.value.code == 2
+            and "unrecognized arguments: --grid-step 1e-4" in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("args", [
@@ -893,7 +893,7 @@ def test_readme_cli_examples_parse():
     shell = "\n".join(re.findall(r"```sh\n(.*?)```", README.read_text(), re.S))
     lines = shell.replace("\\\n", " ").splitlines()
     commands = [shlex.split(line) for line in lines if line.startswith("convexdp ")]
-    assert len(commands) >= 6
+    assert len(commands) >= 5
     parser = cli.build_parser()
     for command in commands:
         try:

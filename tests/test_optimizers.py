@@ -487,6 +487,13 @@ def test_config_validation():
         for bad in (None, -1, True, 1.0, "1"):
             with pytest.raises(ConfigError, match=f"^{field}: must be a non-negative"):
                 opt.DPSGDConfig(**good, b=1, epochs=1, **dict(seeds, **{field: bad}))
+    # b and epochs are positive ints: a float or bool would reach numpy or
+    # range mid-run, and epochs=True would train one epoch.
+    for field in ("b", "epochs"):
+        for bad in (2.5, True):
+            with pytest.raises(ConfigError, match=f"^{field}: must be a positive integer"):
+                opt.DPSGDConfig(**good, **dict({"b": 1, "epochs": 1}, **{field: bad}),
+                                **seeds)
     assert opt.DPSGDConfig(C=1.0, sigma=0.0, b=1, eta=0.1, epochs=1,
                            **seeds).noise_std == 0.0
     obj = quadratic_objective(lam=0.0)
