@@ -312,8 +312,8 @@ def epsilon_from_inputs(inputs: dict, epochs: int = 1) -> list[float]:
 def _trace_csv(records: list, eps_text) -> str:
     """The per-epoch records as CSV; ``eps_text`` renders the epsilon column."""
     cell = lambda value, text=repr: "" if value is None else text(value)
-    return "epoch,train_loss,test_acc,epsilon\n" + "".join(
-        f"{r['epoch']},{r['train_loss']!r},{cell(r['test_accuracy'])},"
+    return "epoch,test_acc,epsilon\n" + "".join(
+        f"{r['epoch']},{cell(r['test_accuracy'])},"
         f"{cell(r.get('epsilon_at_delta'), eps_text)}\n" for r in records)
 
 
@@ -362,9 +362,14 @@ def execute_run(cfg: RunConfig) -> dict:
     run = getattr(optimizers, loop)  # at call time: probes patch the module
     params, records = run(objective, params0, train.X, train.labels,
                           _opt_config(cfg), eval_fn=eval_fn)
+    # An un-noised, non-DP statistic of the training rows, taken once from the
+    # released params, before the epsilon: perfbench books what follows it as writing.
+    train_loss = (objective.data_loss(params, train.X, train.labels)
+                  + 0.5 * objective.lam * float(params @ params))
 
-    # Per-epoch accounting gives each epoch's record its epsilon; otherwise
-    # the last record gets the run's.
+    # Per-epoch accounting gives each epoch's record the epsilon of a run
+    # stopped there (a NoisyCGD run releases no iterate but the last);
+    # otherwise the last record gets the run's.
     epochs = cfg.epochs if cfg.account_every_epoch else 1
     for record, eps in zip(records[-epochs:], epsilon_from_inputs(inputs, epochs)):
         record["epsilon_at_delta"] = eps
@@ -375,7 +380,7 @@ def execute_run(cfg: RunConfig) -> dict:
         "accountant_inputs": inputs,
         "epsilon": eps_text(epsilon),
         "delta": cfg.delta,
-        "final_train_loss": records[-1]["train_loss"],
+        "final_train_loss": train_loss,
         "final_test_accuracy": records[-1]["test_accuracy"],
         "n_train": len(train.X),
     }
@@ -438,9 +443,12 @@ def execute_sweep(path: str, overrides) -> dict:
 
 def _account_cmd(args) -> dict:
     """``account <method>``: the options, keyed as a run logs its accountant
-    inputs, the epsilon a run with those inputs prints, and the one curve's
-    own block: the GDP constant for NoisyCGD, the PLD's shape for DP-SGD."""
+    inputs, the epsilon a run with those inputs prints, and, for a noisy
+    query, its one curve's own block: the GDP constant for NoisyCGD, the
+    PLD's shape for DP-SGD."""
     inputs = {key: value for key, value in vars(args).items() if key != "command"}
+    if inputs["sigma"] == 0:  # as epsilon_from_inputs: no noise, no curve
+        return dict(inputs, epsilon="inf")
     [curve] = _privacy_curves(inputs)
     report = dict(inputs, epsilon=_eps_repr(acc.find_epsilon(curve, inputs["delta"])))
     if inputs["method"] == "noisycgd":
@@ -502,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     cgd_p.add_argument("--b", type=int, required=True)
     cgd_p.add_argument("--sigma", type=finite_float, required=True)
     cgd_p.add_argument("--eta", type=finite_float, required=True)
-    cgd_p.add_argument("--lam", dest="lambda", type=finite_float, required=True)
+    cgd_p.add_argument("--lambda", type=finite_float, required=True)
     cgd_p.add_argument("--beta", type=finite_float, required=True)
     cgd_p.add_argument("--k", type=int, required=True)
     cgd_p.add_argument("--E", type=int, required=True)

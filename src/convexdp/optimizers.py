@@ -9,12 +9,12 @@ RNG discipline: batch selection and noise come from independent streams,
 each from its own config seed, so removing noise never shifts batch
 sampling. The noise stream is one sequential generator, but its draws run
 one block ahead of the update on a worker thread, so they overlap the
-gradient (see ``_noise_rows``) and the per-epoch evaluation. The worker is
-pinned to the CPUs the process may use other than the one the loop thread
-is on, since a kernel that does not balance load keeps a new thread on its
-parent's CPU; with no such CPU there is no worker and each block is drawn
-inline. The worker never calls BLAS: it only fills preallocated buffers
-from the generator.
+gradient (see ``_noise_rows``) and DP-SGD's per-epoch test accuracy. The
+worker is pinned to the CPUs the process may use other than the one the
+loop thread is on, since a kernel that does not balance load keeps a new
+thread on its parent's CPU; with no such CPU there is no worker and each
+block is drawn inline. The worker never calls BLAS: it only fills
+preallocated buffers from the generator.
 """
 from __future__ import annotations
 
@@ -165,7 +165,8 @@ def _noisy_minibatch_loop(objective, params0, X, y, cfg: DPSGDConfig, eval_fn,
     noise and the unclipped ridge gradient, and applies the learning-rate
     step; an epoch is floor(n/b) steps. ``noise_rng`` gives one noise row
     per step, in step order across the whole run. Returns the parameters
-    and one record per epoch: epoch, train_loss and test_accuracy.
+    and one record per epoch: epoch and test_accuracy, ``eval_fn`` of that
+    epoch's iterate (None without one), and nothing else.
     """
     y = np.asarray(y)
     params = np.array(params0, dtype=float, copy=True)
@@ -189,8 +190,6 @@ def _noisy_minibatch_loop(objective, params0, X, y, cfg: DPSGDConfig, eval_fn,
                 it += 1
             records.append(dict(
                 epoch=epoch,
-                train_loss=objective.data_loss(params, X, y)
-                + 0.5 * objective.lam * float(params @ params),
                 test_accuracy=None if eval_fn is None else eval_fn(params),
             ))
     return params, records
@@ -229,7 +228,9 @@ def noisycgd_run(
     Batches come from one seeded permutation, frozen for all epochs and
     visited in a fixed cyclic order. The accountant receives gradient
     sensitivity L = 2C and sigma_eq = C*sigma/b, and the GDP bound needs
-    the ridge weight ``objective.lam`` > 0.
+    the ridge weight ``objective.lam`` > 0. That bound covers the last
+    iterate only, so ``eval_fn`` sees that iterate alone, once, and its
+    value goes into the last record; earlier records hold None.
     """
     n = len(X)
     if n % cfg.b != 0:
@@ -238,6 +239,10 @@ def noisycgd_run(
         raise ConfigError("NoisyCGD requires lambda > 0")
     batch_rng, noise_rng = _streams(cfg.seed, cfg.noise_seed)
     batches = batch_rng.permutation(n).reshape(n // cfg.b, cfg.b)
-    return _noisy_minibatch_loop(objective, params0, X, y, cfg, eval_fn,
-                                 lambda it: batches[it % len(batches)], noise_rng)
+    params, records = _noisy_minibatch_loop(
+        objective, params0, X, y, cfg, None,
+        lambda it: batches[it % len(batches)], noise_rng)
+    if eval_fn is not None:
+        records[-1]["test_accuracy"] = eval_fn(params)
+    return params, records
 

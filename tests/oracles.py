@@ -391,12 +391,7 @@ def sequential_noisy_minibatch_loop(objective, params0, X, y, cfg, next_batch,
             params -= z
             _check_finite(params, f"iteration {it}")
             it += 1
-        records.append(dict(
-            epoch=epoch,
-            train_loss=objective.data_loss(params, X, y)
-            + 0.5 * objective.lam * float(params @ params),
-            test_accuracy=None,
-        ))
+        records.append(dict(epoch=epoch, test_accuracy=None))
     return params, records
 
 

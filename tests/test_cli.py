@@ -139,21 +139,58 @@ def test_relu_run_outputs_independent_of_blas_threads(tmp_path):
     assert one == two
 
 
-@pytest.mark.parametrize("method", sorted(cli.METHODS))
-def test_run_epsilon_recomputable_from_logged_inputs(method, tmp_path, monkeypatch,
-                                                     capsys):
-    # The report's accountant_inputs, passed to `account` (floats by repr, so
-    # each parses back to the same double), print the report's epsilon string.
-    cfg = write_config(tmp_path, method=method)
+def replayed_epsilon(monkeypatch, tmp_path, capsys, **config):
+    """The epsilons a run of ``config`` prints and `account` prints on the
+    run's logged accountant_inputs (floats by repr, so each parses back to
+    the same double)."""
+    cfg = write_config(tmp_path, **config)
     code, out, _ = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
     assert code == 0
     report = json.loads(out)
     inputs = dict(report["accountant_inputs"])
     query = ["account", inputs.pop("method")] + [
-        f"--{'lam' if key == 'lambda' else key}={value!r}" for key, value in inputs.items()]
+        f"--{key}={value!r}" for key, value in inputs.items()]
     code, out, err = run_cli(query, monkeypatch, tmp_path, capsys)
     assert code == 0, err
-    assert json.loads(out)["epsilon"] == report["epsilon"]
+    return report["epsilon"], json.loads(out)["epsilon"]
+
+
+@pytest.mark.parametrize("method", sorted(cli.METHODS))
+def test_run_epsilon_recomputable_from_logged_inputs(method, tmp_path, monkeypatch,
+                                                     capsys):
+    # The report's accountant_inputs, passed to `account`, print the report's
+    # epsilon string.
+    printed, replayed = replayed_epsilon(monkeypatch, tmp_path, capsys, method=method)
+    assert replayed == printed
+
+
+@pytest.mark.parametrize("method", sorted(cli.METHODS))
+def test_noise_free_run_epsilon_replays_through_account(method, tmp_path, monkeypatch,
+                                                       capsys):
+    # A run without noise prints "inf" with no curve built; `account` on its
+    # logged inputs takes the same short-cut and exits 0.
+    printed, replayed = replayed_epsilon(monkeypatch, tmp_path, capsys,
+                                         method=method, sigma=0.0)
+    assert replayed == printed == "inf"
+
+
+@pytest.mark.parametrize("method", sorted(cli.METHODS))
+def test_final_train_loss_is_the_checkpoints(method, outdir):
+    # The report's one training-loss figure is computed once, from the
+    # released params; the CSV holds no statistic of the training rows, and
+    # a NoisyCGD run evaluates test accuracy on its last iterate alone.
+    report = cli.execute_run(cli.RunConfig(**method_config(method)))
+    module = cd if cli.METHODS[method][0] == "dual" else br
+    objective, params = module.load_checkpoint(report["outputs"]["model"],
+                                               report["config"]["loss"])
+    train, _ = cli.load_dataset_pair(report["config"]["dataset"])
+    loss = (objective.data_loss(params, train.X, train.labels)
+            + 0.5 * objective.lam * float(params @ params))
+    assert loss == report["final_train_loss"]
+    header, first, last = (outdir / "t.csv").read_text().splitlines()
+    assert header == "epoch,test_acc,epsilon"
+    assert (first.split(",")[1] == "") == (method == "dual-noisycgd")
+    assert float(last.split(",")[1]) == report["final_test_accuracy"]
 
 
 @pytest.mark.parametrize("method", ["relu-dpsgd", "dual-dpsgd", "dual-noisycgd"])
@@ -356,7 +393,7 @@ def test_account_dpsgd_matches_library(tmp_path, monkeypatch, capsys):
 
 def test_account_noisycgd_matches_library(tmp_path, monkeypatch, capsys):
     args = ["account", "noisycgd", "--L", "1", "--b", "10", "--sigma", "2",
-            "--eta", "0.5", "--lam", "1", "--beta", "1", "--k", "2", "--E", "2"]
+            "--eta", "0.5", "--lambda", "1", "--beta", "1", "--k", "2", "--E", "2"]
     code, out, _ = run_cli(args, monkeypatch, tmp_path, capsys)
     assert code == 0
     report = json.loads(out)
@@ -382,7 +419,7 @@ def test_account_noisycgd_past_eps_max(tmp_path, monkeypatch, capsys):
     # A noisy mechanism whose epsilon exceeds the search range prints
     # "> EPS_MAX"; "inf" stays reserved for sigma = 0.
     args = ["account", "noisycgd", "--L", "2", "--b", "1", "--sigma", "0.05",
-            "--eta", "0.05", "--lam", "1e-3", "--beta", "30", "--k", "60", "--E", "20"]
+            "--eta", "0.05", "--lambda", "1e-3", "--beta", "30", "--k", "60", "--E", "20"]
     code, out, _ = run_cli(args, monkeypatch, tmp_path, capsys)
     assert code == 0
     report = json.loads(out)
@@ -421,13 +458,11 @@ def test_removed_eps_option_exits_2(capsys):
 
 
 def test_trace_csv_format():
-    records = [dict(epoch=1, train_loss=0.5, test_accuracy=0.75, epsilon_at_delta=1.25),
-               dict(epoch=2, train_loss=0.25, test_accuracy=None,
-                    epsilon_at_delta=math.inf),
-               dict(epoch=3, train_loss=0.125, test_accuracy=0.5)]
+    records = [dict(epoch=1, test_accuracy=0.75, epsilon_at_delta=1.25),
+               dict(epoch=2, test_accuracy=None, epsilon_at_delta=math.inf),
+               dict(epoch=3, test_accuracy=0.5)]
     lines = cli._trace_csv(records, repr).splitlines()
-    assert lines == ["epoch,train_loss,test_acc,epsilon", "1,0.5,0.75,1.25",
-                     "2,0.25,,inf", "3,0.125,0.5,"]
+    assert lines == ["epoch,test_acc,epsilon", "1,0.75,1.25", "2,,inf", "3,0.5,"]
 
 
 DPSGD_ARGS = ["--sigma", "2", "--q", "0.016666666666666666", "--T", "1200"]
@@ -445,9 +480,9 @@ def test_removed_grid_step_option_exits_2(capsys):
 @pytest.mark.parametrize("args", [
     ["account", "dpsgd", *DPSGD_ARGS, "--delta", "nan"],
     ["account", "noisycgd", "--L", "2", "--b", "100", "--sigma", "0.02", "--eta", "0.05",
-     "--lam", "1e-3", "--beta", "nan", "--k", "60", "--E", "20"],
+     "--lambda", "1e-3", "--beta", "nan", "--k", "60", "--E", "20"],
     ["account", "noisycgd", "--L", "2", "--b", "100", "--sigma", "0.02", "--eta", "inf",
-     "--lam", "1e-3", "--beta", "30", "--k", "60", "--E", "20"],
+     "--lambda", "1e-3", "--beta", "30", "--k", "60", "--E", "20"],
 ])
 def test_accounting_options_must_be_finite(args, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -910,9 +945,6 @@ class ZeroGradObjective:
 
     def clipped_grad_mean(self, params, X, y, C):
         return np.zeros(self.dim)
-
-    def data_loss(self, params, X, y):
-        return 0.0
 
 
 @pytest.mark.parametrize("method", ["dual-dpsgd", "dual-noisycgd"])

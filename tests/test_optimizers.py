@@ -102,9 +102,6 @@ class BatchRecorder:
         self.batches.append(X[:, 0].astype(int))
         return np.zeros_like(params)
 
-    def data_loss(self, params, X, y):
-        return 0.0
-
 
 def test_dpsgd_batches_distinct_and_cover_all_rows():
     n, b = 50, 7
@@ -165,9 +162,6 @@ def test_noisycgd_batches_partition_the_data():
             self.batches.append(X[:, 0].astype(int).tolist())
             return np.zeros(1)
 
-        def data_loss(self, params, X, y):
-            return 0.0
-
     obj = Recorder()
     X = np.arange(12.0)[:, None]
     cfg = opt.DPSGDConfig(C=1.0, sigma=0.0, b=4, eta=0.1, epochs=2, seed=9, noise_seed=10)
@@ -223,6 +217,49 @@ def test_dpsgd_equals_noisycgd_under_shared_schedule():
     params_sgd, _ = opt.dpsgd_run(obj, np.zeros(obj.dim), X, y, cfg)
     np.testing.assert_allclose(fresh, params_sgd, atol=1e-12)
     assert not np.allclose(params_cgd, params_sgd)
+
+
+# ---------------------------------------------------------------------------
+# What a loop evaluates
+# ---------------------------------------------------------------------------
+
+
+class NoLossPass:
+    """Wraps an objective; a loss over the training rows fails the test."""
+
+    def __init__(self, objective):
+        self.objective, self.lam, self.dim = objective, objective.lam, objective.dim
+
+    def clipped_grad_mean(self, *args):
+        return self.objective.clipped_grad_mean(*args)
+
+    def data_loss(self, *args):
+        raise AssertionError("the loop computed a loss over the training rows")
+
+
+@pytest.mark.parametrize("run", [opt.dpsgd_run, opt.noisycgd_run])
+def test_loops_evaluate_only_what_the_epsilon_covers(run):
+    # DP-SGD's PLD covers every iterate, so each epoch's is evaluated. The
+    # NoisyCGD bound covers the last iterate only: eval_fn sees the params
+    # the run returns, once, and no earlier iterate. Neither loop computes
+    # a loss over the private rows.
+    obj = NoLossPass(quadratic_objective())
+    X, y = tiny_data()
+    cfg = opt.DPSGDConfig(C=1.0, sigma=1.0, b=4, eta=0.1, epochs=3, seed=5, noise_seed=6)
+    seen = []
+
+    def eval_fn(params):
+        seen.append(params.copy())
+        return float(len(seen))
+
+    params, records = run(obj, np.zeros(obj.dim), X, y, cfg, eval_fn=eval_fn)
+    assert [set(r) for r in records] == [{"epoch", "test_accuracy"}] * 3
+    assert np.array_equal(seen[-1], params)
+    if run is opt.dpsgd_run:
+        assert [r["test_accuracy"] for r in records] == [1.0, 2.0, 3.0]
+    else:
+        assert len(seen) == 1
+        assert [r["test_accuracy"] for r in records] == [None, None, 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +389,6 @@ class ThreadCounter:
     def clipped_grad_mean(self, *args):
         self.seen.append(threading.active_count())
         return self.objective.clipped_grad_mean(*args)
-
-    def data_loss(self, *args):
-        return self.objective.data_loss(*args)
 
 
 @pytest.mark.parametrize("run", [opt.dpsgd_run, opt.noisycgd_run])
