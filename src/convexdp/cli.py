@@ -255,6 +255,8 @@ def accountant_inputs_for_run(cfg: RunConfig, X: np.ndarray) -> dict:
     """The exact accountant query of a run config on the training rows X."""
     accountant = METHODS[cfg.method][2]
     n, b = len(X), cfg.b
+    if b > n:
+        raise ConfigError(f"batch size {b} exceeds dataset size {n}")
     if accountant == "dpsgd":
         return {"method": "dpsgd", "sigma": cfg.sigma, "q": b / n,
                 "T": cfg.epochs * (n // b), "delta": cfg.delta}
@@ -277,10 +279,11 @@ def accountant_inputs_for_run(cfg: RunConfig, X: np.ndarray) -> dict:
 
 
 def _privacy_curves(inputs: dict, epochs: int = 1) -> Iterable:
-    """The delta(eps) curves of the noisy accountant query ``inputs``, one
-    after each of ``epochs`` equal parts of its horizon, ``T`` or ``E``. A
-    bound that does not apply raises at the call; DP-SGD's first epoch is
-    composed at the first ``next``, and each later one as it is taken."""
+    """The delta(eps) curves of the accountant query ``inputs``, one after
+    each of ``epochs`` equal parts of its horizon, ``T`` or ``E``; None for
+    each of a noise-free query's. A bound that does not apply raises at the
+    call; DP-SGD's first epoch is composed at the first ``next``, and each
+    later one as it is taken."""
     method = inputs["method"]
     horizon = {"dpsgd": "T", "noisycgd": "E"}.get(method)
     if horizon is None:
@@ -288,6 +291,8 @@ def _privacy_curves(inputs: dict, epochs: int = 1) -> Iterable:
     part, rest = divmod(inputs[horizon], epochs)
     if rest:
         raise ConfigError(f"{horizon}={inputs[horizon]} is not {epochs} equal epochs")
+    if inputs["sigma"] == 0:  # no noise, no curve
+        return [None] * epochs
     if method == "dpsgd":
         # map defers the call to the first next; chain keeps no PLD it passed on.
         return itertools.chain.from_iterable(map(
@@ -298,31 +303,31 @@ def _privacy_curves(inputs: dict, epochs: int = 1) -> Iterable:
     ))) for e in range(1, epochs + 1)]
 
 
-def epsilon_from_inputs(inputs: dict, epochs: int = 1) -> list[float]:
-    """Epsilons of the accountant query ``inputs`` at its ``delta`` after
-    epochs 1..epochs, entry ``e`` that of the inputs cut at epoch ``e``: inf
-    without noise, else the search over ``_privacy_curves``."""
-    if inputs["sigma"] == 0:
-        return [math.inf] * epochs
-    # map, unlike a comprehension, frees each curve before the next is built.
-    return list(map(acc.find_epsilon, _privacy_curves(inputs, epochs),
-                    itertools.repeat(inputs["delta"])))
-
-
-def _trace_csv(records: list, eps_text) -> str:
-    """The per-epoch records as CSV; ``eps_text`` renders the epsilon column."""
-    cell = lambda value, text=repr: "" if value is None else text(value)
-    return "epoch,test_acc,epsilon\n" + "".join(
-        f"{r['epoch']},{cell(r['test_accuracy'])},"
-        f"{cell(r.get('epsilon_at_delta'), eps_text)}\n" for r in records)
+def _eps_text(curve, delta: float) -> str:
+    """The printed epsilon of ``curve`` at ``delta``: "inf" without a curve
+    (no noise), else ``_eps_repr`` of the search."""
+    return "inf" if curve is None else _eps_repr(acc.find_epsilon(curve, delta))
 
 
 def _eps_repr(eps: float) -> str:
-    """Printed epsilon of a noisy mechanism; "> EPS_MAX" when the search
-    cannot bound it (``find_epsilon`` returns inf beyond ``EPS_MAX``)."""
-    if eps > acc.EPS_MAX:
-        return f"> {acc.EPS_MAX:g}"
-    return repr(float(eps))
+    """A searched epsilon as printed; "> EPS_MAX" when the search cannot
+    bound it (``find_epsilon`` returns inf beyond ``EPS_MAX``)."""
+    return f"> {acc.EPS_MAX:g}" if eps > acc.EPS_MAX else repr(float(eps))
+
+
+def epsilon_from_inputs(inputs: dict, epochs: int = 1) -> list[str]:
+    """Printed epsilons of the accountant query ``inputs`` at its ``delta``
+    after epochs 1..epochs, entry ``e`` that of the inputs cut at epoch ``e``."""
+    # map, unlike a comprehension, frees each curve before the next is built.
+    return list(map(_eps_text, _privacy_curves(inputs, epochs),
+                    itertools.repeat(inputs["delta"])))
+
+
+def _trace_csv(records: list) -> str:
+    """The per-epoch records as CSV, each with its printed epsilon if it has one."""
+    cell = lambda value: "" if value is None else repr(value)
+    return "epoch,test_acc,epsilon\n" + "".join(
+        f"{r['epoch']},{cell(r['test_accuracy'])},{r.get('epsilon', '')}\n" for r in records)
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +354,9 @@ def execute_run(cfg: RunConfig) -> dict:
     params0 = objective.init_params(cfg.seeds["init"])
 
     inputs = accountant_inputs_for_run(cfg, train.X)
-    # Only a noise-free run has epsilon "inf"; a noisy one past EPS_MAX prints
-    # "> EPS_MAX", in the report and in the CSV alike. A noisy run whose bound
-    # does not apply (say NoisyCGD's eta * beta >= 2) is refused before training.
-    if inputs["sigma"] == 0:
-        eps_text = lambda eps: "inf"
-    else:
-        eps_text = _eps_repr
-        _privacy_curves(inputs)
+    # A noisy run whose bound does not apply (say NoisyCGD's eta * beta >= 2)
+    # is refused before training.
+    _privacy_curves(inputs)
 
     eval_fn = lambda params: objective.accuracy(params, test.X, test.labels)
     run = getattr(optimizers, loop)  # at call time: probes patch the module
@@ -372,13 +372,12 @@ def execute_run(cfg: RunConfig) -> dict:
     # otherwise the last record gets the run's.
     epochs = cfg.epochs if cfg.account_every_epoch else 1
     for record, eps in zip(records[-epochs:], epsilon_from_inputs(inputs, epochs)):
-        record["epsilon_at_delta"] = eps
-    epsilon = records[-1]["epsilon_at_delta"]
+        record["epsilon"] = eps
 
     report = {
         "config": cfg.resolved(),
         "accountant_inputs": inputs,
-        "epsilon": eps_text(epsilon),
+        "epsilon": records[-1]["epsilon"],
         "delta": cfg.delta,
         "final_train_loss": train_loss,
         "final_test_accuracy": records[-1]["test_accuracy"],
@@ -388,7 +387,7 @@ def execute_run(cfg: RunConfig) -> dict:
     base = os.path.join(cfg.out_dir, cfg.name)
     paths = {"csv": base + ".csv", "json": base + ".json", "model": base + ".model.json"}
     with open(paths["csv"], "w") as fh:
-        fh.write(_trace_csv(records, eps_text))
+        fh.write(_trace_csv(records))
     with open(paths["json"], "w") as fh:
         json.dump(report, fh, indent=2)
     objective.save_checkpoint(params, paths["model"])
@@ -422,7 +421,6 @@ def execute_sweep(path: str, overrides) -> dict:
         row.update(
             name=cfg.name,
             test_accuracy=report["final_test_accuracy"],
-            train_loss=report["final_train_loss"],
             epsilon=report["epsilon"],
         )
         rows.append(row)
@@ -447,10 +445,10 @@ def _account_cmd(args) -> dict:
     query, its one curve's own block: the GDP constant for NoisyCGD, the
     PLD's shape for DP-SGD."""
     inputs = {key: value for key, value in vars(args).items() if key != "command"}
-    if inputs["sigma"] == 0:  # as epsilon_from_inputs: no noise, no curve
-        return dict(inputs, epsilon="inf")
     [curve] = _privacy_curves(inputs)
-    report = dict(inputs, epsilon=_eps_repr(acc.find_epsilon(curve, inputs["delta"])))
+    report = dict(inputs, epsilon=_eps_text(curve, inputs["delta"]))
+    if curve is None:
+        return report
     if inputs["method"] == "noisycgd":
         return dict(report, mu_gdp=curve.delta.args[0])
     losses = curve.losses
@@ -470,12 +468,18 @@ def _account_cmd(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def finite_float(text: str) -> float:
-    """argparse type of the accounting options: a float that is not nan or ±inf."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+def _ranged(kind, rule: str, ok):
+    """argparse type of an accounting option: a finite ``kind(text)`` of
+    which ``ok`` holds, so a noise-free query is checked like a noisy one."""
+    def parse(text: str):
+        value = kind(text)
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's name for a value kind() refuses
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,23 +502,28 @@ def build_parser() -> argparse.ArgumentParser:
     account_p = sub.add_parser("account", help="standalone accounting queries")
     # The parsed options, bar "command", are the accountant inputs a run logs.
     acc_sub = account_p.add_subparsers(dest="method", required=True)
+    count = _ranged(int, "a positive integer", lambda v: v >= 1)
+    positive = _ranged(float, "positive", lambda v: v > 0)
+    sigma = _ranged(float, "non-negative", lambda v: v >= 0)
+    q = _ranged(float, "in (0, 1]", lambda v: 0 < v <= 1)
+    delta = _ranged(float, "in (0, 1)", lambda v: 0 < v < 1)
 
     dpsgd_p = acc_sub.add_parser("dpsgd")
-    dpsgd_p.add_argument("--sigma", type=finite_float, required=True)
-    dpsgd_p.add_argument("--q", type=finite_float, required=True)
-    dpsgd_p.add_argument("--T", type=int, required=True)
-    dpsgd_p.add_argument("--delta", type=finite_float, default=1e-5)
+    dpsgd_p.add_argument("--sigma", type=sigma, required=True)
+    dpsgd_p.add_argument("--q", type=q, required=True)
+    dpsgd_p.add_argument("--T", type=count, required=True)
+    dpsgd_p.add_argument("--delta", type=delta, default=1e-5)
 
     cgd_p = acc_sub.add_parser("noisycgd")
-    cgd_p.add_argument("--L", type=finite_float, required=True)
-    cgd_p.add_argument("--b", type=int, required=True)
-    cgd_p.add_argument("--sigma", type=finite_float, required=True)
-    cgd_p.add_argument("--eta", type=finite_float, required=True)
-    cgd_p.add_argument("--lambda", type=finite_float, required=True)
-    cgd_p.add_argument("--beta", type=finite_float, required=True)
-    cgd_p.add_argument("--k", type=int, required=True)
-    cgd_p.add_argument("--E", type=int, required=True)
-    cgd_p.add_argument("--delta", type=finite_float, default=1e-5)
+    cgd_p.add_argument("--L", type=positive, required=True)
+    cgd_p.add_argument("--b", type=count, required=True)
+    cgd_p.add_argument("--sigma", type=sigma, required=True)
+    cgd_p.add_argument("--eta", type=positive, required=True)
+    cgd_p.add_argument("--lambda", type=positive, required=True)
+    cgd_p.add_argument("--beta", type=positive, required=True)
+    cgd_p.add_argument("--k", type=count, required=True)
+    cgd_p.add_argument("--E", type=count, required=True)
+    cgd_p.add_argument("--delta", type=delta, default=1e-5)
 
     return parser
 

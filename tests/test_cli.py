@@ -205,8 +205,8 @@ def test_per_epoch_epsilons_match_one_shot(method, outdir):
         epoch = int(row[0])
         cut = (dict(inputs, T=epoch * steps) if inputs["method"] == "dpsgd"
                else dict(inputs, E=epoch))
-        assert [float(row[-1])] == cli.epsilon_from_inputs(cut)
-    assert [float(report["epsilon"])] == cli.epsilon_from_inputs(inputs)
+        assert [row[-1]] == cli.epsilon_from_inputs(cut)
+    assert [report["epsilon"]] == cli.epsilon_from_inputs(inputs)
 
 
 @pytest.mark.parametrize("inputs", [
@@ -458,10 +458,10 @@ def test_removed_eps_option_exits_2(capsys):
 
 
 def test_trace_csv_format():
-    records = [dict(epoch=1, test_accuracy=0.75, epsilon_at_delta=1.25),
-               dict(epoch=2, test_accuracy=None, epsilon_at_delta=math.inf),
+    records = [dict(epoch=1, test_accuracy=0.75, epsilon="1.25"),
+               dict(epoch=2, test_accuracy=None, epsilon="inf"),
                dict(epoch=3, test_accuracy=0.5)]
-    lines = cli._trace_csv(records, repr).splitlines()
+    lines = cli._trace_csv(records).splitlines()
     assert lines == ["epoch,test_acc,epsilon", "1,0.75,1.25", "2,,inf", "3,0.5,"]
 
 
@@ -488,6 +488,69 @@ def test_accounting_options_must_be_finite(args, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(args)
     assert exc.value.code == 2 and "must be a finite number" in capsys.readouterr().err
+
+
+ACCOUNT_OPTIONS = {
+    "dpsgd": {"q": "0.1", "T": "10", "delta": "1e-5"},
+    "noisycgd": {"L": "2", "b": "100", "eta": "0.05", "lambda": "1e-3", "beta": "30",
+                 "k": "6", "E": "2", "delta": "1e-5"},
+}
+
+
+@pytest.mark.parametrize("sigma", ["0", "1"])
+@pytest.mark.parametrize("method, option, value", [
+    ("dpsgd", "T", "0"), ("dpsgd", "T", "-3"), ("dpsgd", "q", "0"), ("dpsgd", "q", "5"),
+    ("dpsgd", "delta", "0"), ("dpsgd", "delta", "7"), ("dpsgd", "sigma", "-1"),
+    ("noisycgd", "b", "0"), ("noisycgd", "k", "0"), ("noisycgd", "E", "-1"),
+    ("noisycgd", "L", "0"), ("noisycgd", "eta", "-0.05"), ("noisycgd", "lambda", "0"),
+    ("noisycgd", "beta", "-30"), ("noisycgd", "delta", "1"), ("noisycgd", "sigma", "-0.5"),
+])
+def test_account_options_are_range_checked_at_every_sigma(method, option, value, sigma,
+                                                          capsys):
+    # A noise-free query has no curve to check its options, so they are
+    # checked where they enter, and the refusal names the option.
+    options = {**ACCOUNT_OPTIONS[method], "sigma": sigma, option: value}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["account", method, *(f"--{key}={text}" for key, text in options.items())])
+    assert exc.value.code == 2 and f"argument --{option}: must be" in capsys.readouterr().err
+
+
+def test_noise_free_run_past_the_bound_preconditions_replays(tmp_path, monkeypatch,
+                                                            capsys):
+    # eta * beta >= 2 refuses a noisy NoisyCGD run (see
+    # test_noisycgd_warns_when_eta_beta_reaches_two), but a noise-free run
+    # needs no bound: it trains, prints "inf", and its logged inputs replay.
+    printed, replayed = replayed_epsilon(monkeypatch, tmp_path, capsys,
+                                         method="dual-noisycgd", sigma=0.0, eta=0.5)
+    assert replayed == printed == "inf"
+
+
+@pytest.mark.parametrize("method", sorted(cli.METHODS))
+def test_batch_larger_than_the_data_exits_2_naming_it(method, tmp_path, monkeypatch,
+                                                      capsys):
+    # At b > n a NoisyCGD epoch would have k = n // b = 0 batches; every
+    # method refuses the batch size itself, before any accountant call.
+    def no_query(*args):
+        raise AssertionError("queried the accountant")
+
+    monkeypatch.setattr(cli, "_privacy_curves", no_query)
+    cfg = write_config(tmp_path, method=method, b=200)
+    code, _, err = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
+    assert code == 2 and "batch size 200 exceeds dataset size 120" in err
+
+
+def test_sweep_rows_hold_no_train_loss(tmp_path, monkeypatch, capsys):
+    # A row publishes what its epsilon covers; the un-noised training loss
+    # stays in each run's own report.
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, epochs=1, grids={"sigma": [2.0]})))
+    code, out, _ = run_cli(["sweep", "--config", str(path)], monkeypatch, tmp_path, capsys)
+    assert code == 0
+    summary = json.loads(out)
+    with open(summary["table_path"]) as fh:
+        table = json.load(fh)
+    for rows in (summary["rows"], table["rows"]):
+        assert [set(row) for row in rows] == [{"sigma", "name", "test_accuracy", "epsilon"}]
 
 
 def test_sweep_grid(tmp_path, monkeypatch, capsys):

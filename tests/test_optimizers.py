@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from convexdp import accountant as acc
 from convexdp import convex_dual as cd
 from convexdp import optimizers as opt
 from convexdp.errors import ConfigError, NumericError
@@ -217,6 +218,47 @@ def test_dpsgd_equals_noisycgd_under_shared_schedule():
     params_sgd, _ = opt.dpsgd_run(obj, np.zeros(obj.dim), X, y, cfg)
     np.testing.assert_allclose(fresh, params_sgd, atol=1e-12)
     assert not np.allclose(params_cgd, params_sgd)
+
+
+class RowGradObjective:
+    """Linear per-sample losses ``<x_i, theta>`` plus the ridge: each
+    per-sample gradient is its row x_i, clipped to norm C."""
+
+    def __init__(self, lam):
+        self.lam = lam
+
+    def clipped_grad_mean(self, params, X, y, C):
+        scale = np.minimum(1.0, C / np.linalg.norm(X, axis=1))
+        return (X * scale[:, None]).mean(axis=0)
+
+
+def test_noisycgd_shift_over_noise_std_is_the_linear_oracle_mu():
+    # Two runs of the real loop with the same seeds, on datasets that swap
+    # one row of the last batch, draw the same noise, so their released
+    # iterates differ by the mean shift alone. Over the closed form's noise
+    # std, its norm must be the exact mu of the linear oracle, whose worst
+    # swap is in the last batch. The setting is the oracle's sharp one.
+    eta, lam, k, E, b, d = 0.1, 0.2, 3, 50, 4, 3
+    cfg = opt.DPSGDConfig(C=1.0, sigma=1.5, b=b, eta=eta, epochs=E, seed=5, noise_seed=6)
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((k * b, d))
+    X *= rng.uniform(0.2, 1.0, (k * b, 1)) / np.linalg.norm(X, axis=1, keepdims=True)
+    perm = opt._streams(cfg.seed, cfg.noise_seed)[0].permutation(k * b)
+    swapped = perm[-1]  # noisycgd_run's batches are perm.reshape(k, b)
+    neighbour = X.copy()
+    neighbour[swapped] = -0.5 * X[swapped]
+    y = np.zeros(k * b, dtype=int)
+    obj = RowGradObjective(lam)
+    theta, _ = opt.noisycgd_run(obj, np.zeros(d), X, y, cfg)
+    theta_nb, _ = opt.noisycgd_run(obj, np.zeros(d), neighbour, y, cfg)
+
+    spec = acc.NoisyCGDSpec(L=float(np.linalg.norm(X[swapped] - neighbour[swapped])),
+                            b=b, sigma=cfg.noise_std, eta=eta, lambda_sc=lam,
+                            beta_sm=lam, k=k, E=E)
+    c = 1.0 - eta * lam
+    std = eta * cfg.noise_std * math.sqrt(sum(c ** (2 * t) for t in range(E * k)))
+    assert np.linalg.norm(theta - theta_nb) / std == pytest.approx(
+        oracles.noisycgd_linear_mu(spec), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
