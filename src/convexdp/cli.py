@@ -35,19 +35,64 @@ METHODS = {
 # The one config field each model alone reads; every other field applies to
 # every method.
 FIELDS_READ_BY = {"dual": "P", "relu": "hidden_m"}
-# The values each RunConfig annotation takes: a JSON integer is a float too,
-# and a bool is only a bool.
+# The values each RunConfig annotation and RANGES kind takes: a JSON integer
+# is a float too, and a bool is only a bool.
 JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "dict": dict}
 # Each dataset kind's required and optional spec keys, besides "kind". The
-# counts are integers; every other key, a rule name or a file path, is a string.
+# numbers have RANGES rules; every other key, a rule name or a file path, is a
+# string.
 DATASET_KEYS = {
     "synthetic": ({"n", "d"}, {"n_test", "rule", "seed", "num_classes"}),
     "idx": ({"train_images", "train_labels", "test_images", "test_labels"},
             {"subset_n", "subset_seed"}),
     "csv": ({"path"}, {"n_test", "seed"}),
 }
-COUNT_KEYS = {"n", "d", "n_test", "seed", "num_classes", "subset_n", "subset_seed"}
 SEED_KEYS = {"gates", "init", "batches", "noise"}
+# Each accountant query's horizon and keys, besides "method", in the order a
+# run logs them and `account` prints them.
+QUERIES = {
+    "dpsgd": ("T", ("sigma", "q", "T", "delta")),
+    "noisycgd": ("E", ("L", "b", "sigma", "eta", "lambda", "beta", "k", "E", "delta")),
+}
+# The one rule of each number a user hands convexdp, by key: a run config
+# field, a seed, a dataset spec count or an accountant query input. A rule is
+# the JSON type the value takes, its range as a refusal words it, and a test.
+RANGES = {
+    **dict.fromkeys(("epochs", "b", "P", "hidden_m", "T", "k", "E", "n", "d", "n_test",
+                     "num_classes", "subset_n"),
+                    ("int", "a positive integer", lambda v: v >= 1)),
+    **dict.fromkeys(("seed", "subset_seed", *SEED_KEYS),
+                    ("int", "a non-negative integer", lambda v: v >= 0)),
+    **dict.fromkeys(("C", "eta", "L", "lambda", "beta"),
+                    ("float", "positive", lambda v: v > 0)),
+    **dict.fromkeys(("sigma", "lam"), ("float", "non-negative", lambda v: v >= 0)),
+    "q": ("float", "in (0, 1]", lambda v: 0 < v <= 1),
+    "delta": ("float", "in (0, 1)", lambda v: 0 < v < 1),
+}
+
+
+def _check_ranges(values: dict, where: str = "") -> None:
+    """Refuse a value of ``values`` that breaks its key's ``RANGES`` rule,
+    naming ``where`` and the key; a key without a rule passes. A bool is no
+    number, and a float must be finite."""
+    for key, value in values.items():
+        if key in RANGES:
+            kind, text, ok = RANGES[key]
+            if isinstance(value, float) and not math.isfinite(value):
+                text = "a finite number"
+            elif (isinstance(value, JSON_TYPES[kind]) and not isinstance(value, bool)
+                  and ok(value)):
+                continue
+            raise ConfigError(f"{where}{key}: must be {text}, got {value!r}")
+
+
+def _check_keys(values: dict, required, allowed, where: str) -> None:
+    """Refuse ``values`` unless it holds every ``required`` key and no key
+    outside ``allowed``."""
+    for problem, keys in (("missing", set(required) - set(values)),
+                          ("unknown keys", set(values) - set(allowed))):
+        if keys:
+            raise ConfigError(f"{where}: {problem} {sorted(keys)}")
 
 
 # ---------------------------------------------------------------------------
@@ -85,30 +130,18 @@ class RunConfig:
             if not isinstance(value, JSON_TYPES[kind]) or (
                     isinstance(value, bool) and kind != "bool"):
                 raise ConfigError(f"{f.name}: expected {kind}, got {value!r}")
-            if kind == "float" and not math.isfinite(value):
-                raise ConfigError(f"{f.name}: must be finite, got {value!r}")
         if self.method not in METHODS:
             raise ConfigError(f"method: unknown method {self.method!r}; "
                               f"expected one of {tuple(METHODS)}")
         model, _, accountant = METHODS[self.method]
-        for field in ("epochs", "C", "b", "eta", "P", "hidden_m"):
-            if (value := getattr(self, field)) <= 0:
-                raise ConfigError(f"{field}: must be positive, got {value!r}")
-        for field in ("sigma", "lam"):
-            if (value := getattr(self, field)) is not None and value < 0:
-                raise ConfigError(f"{field}: must be non-negative, got {value!r}")
-        if not (0 < self.delta < 1):
-            raise ConfigError(f"delta: must be in (0, 1), got {self.delta!r}")
+        # an unset lam takes its default below
+        _check_ranges({key: value for key, value in vars(self).items() if value is not None})
         if self.loss not in ("mse", "ce"):
             raise ConfigError(f"loss: unknown loss {self.loss!r}")
-        for problem, keys in (("missing", SEED_KEYS - set(self.seeds)),
-                              ("unknown keys", set(self.seeds) - SEED_KEYS)):
-            if keys:
-                raise ConfigError(f"seeds: {problem} {sorted(keys)}")
-        for key, seed in self.seeds.items():
-            if not data.is_count(seed):
-                raise ConfigError(f"seeds.{key}: must be a non-negative integer, "
-                                  f"got {seed!r}")
+        if "/" in self.name:  # the base name of the files a run writes
+            raise ConfigError(f"name: must not contain '/', got {self.name!r}")
+        _check_keys(self.seeds, SEED_KEYS, SEED_KEYS, "seeds")
+        _check_ranges(self.seeds, "seeds.")
         _check_dataset_spec(self.dataset)
         if self.lam is None:
             # NoisyCGD's experimental default: eta * lambda = 2e-4
@@ -185,8 +218,7 @@ def _n_test(spec: dict, n: int) -> int:
 
 def _check_dataset_spec(spec) -> None:
     """Refuse a dataset spec that is not an object of its kind's keys, with
-    non-negative integer counts, at least one class, string paths, and a
-    known rule name."""
+    numbers in their ``RANGES``, string paths and a known rule name."""
     if not isinstance(spec, dict):
         raise ConfigError(f"dataset: expected an object, got {spec!r}")
     kind = spec.get("kind")
@@ -194,21 +226,13 @@ def _check_dataset_spec(spec) -> None:
         raise ConfigError(f"dataset.kind: unknown kind {kind!r}; "
                           f"expected one of {tuple(DATASET_KEYS)}")
     required, optional = DATASET_KEYS[kind]
-    for problem, keys in (("missing", required - set(spec)),
-                          ("unknown keys", set(spec) - required - optional - {"kind"})):
-        if keys:
-            raise ConfigError(f"dataset: {problem} {sorted(keys)} for kind {kind!r}")
+    _check_keys(spec, required, required | optional | {"kind"}, f"dataset of kind {kind!r}")
+    _check_ranges(spec, "dataset.")
     for key, value in spec.items():
-        if key in COUNT_KEYS and not data.is_count(value):
-            raise ConfigError(f"dataset.{key}: must be a non-negative integer, "
-                              f"got {value!r}")
-        if key not in COUNT_KEYS and not isinstance(value, str):
+        if key not in RANGES and not isinstance(value, str):
             raise ConfigError(f"dataset.{key}: expected a string, got {value!r}")
-    if spec.get("num_classes", 1) < 1:
-        raise ConfigError(f"dataset.num_classes: must be at least 1, got "
-                          f"{spec['num_classes']!r}")
-    if (rule := spec.get("rule", "norm_threshold")) not in data.RULES:
-        raise ConfigError(f"dataset.rule: unknown rule {rule!r}; expected one of "
+    if "rule" in spec and spec["rule"] not in data.RULES:
+        raise ConfigError(f"dataset.rule: unknown rule {spec['rule']!r}; expected one of "
                           f"{data.RULES}")
 
 
@@ -218,9 +242,9 @@ def load_dataset_pair(spec: dict):
     _check_dataset_spec(spec)
     if spec["kind"] == "synthetic":
         n, seed = spec["n"], spec.get("seed", 0)
-        full = data.synthetic_gaussian(
-            n + _n_test(spec, n), spec["d"], rule=spec.get("rule", "norm_threshold"),
-            seed=seed, num_classes=spec.get("num_classes", 2),
+        full = data.synthetic_gaussian(  # an unset rule or class count takes its default
+            n + _n_test(spec, n), spec["d"], seed=seed,
+            **{key: spec[key] for key in ("rule", "num_classes") if key in spec},
         )
         pair = data.train_test_split(full, _n_test(spec, n), seed=seed + 1)
     elif spec["kind"] == "idx":
@@ -281,13 +305,16 @@ def accountant_inputs_for_run(cfg: RunConfig, X: np.ndarray) -> dict:
 def _privacy_curves(inputs: dict, epochs: int = 1) -> Iterable:
     """The delta(eps) curves of the accountant query ``inputs``, one after
     each of ``epochs`` equal parts of its horizon, ``T`` or ``E``; None for
-    each of a noise-free query's. A bound that does not apply raises at the
-    call; DP-SGD's first epoch is composed at the first ``next``, and each
-    later one as it is taken."""
-    method = inputs["method"]
-    horizon = {"dpsgd": "T", "noisycgd": "E"}.get(method)
-    if horizon is None:
+    each of a noise-free query's. The query must hold its method's
+    ``QUERIES`` keys, each in its ``RANGES``, at every sigma. A bound that
+    does not apply raises at the call; DP-SGD's first epoch is composed at
+    the first ``next``, and each later one as it is taken."""
+    method = inputs.get("method")
+    if method not in QUERIES:
         raise ConfigError(f"unknown accountant method {method!r}")
+    horizon, keys = QUERIES[method]
+    _check_keys(inputs, keys, {"method", *keys}, f"{method} query")
+    _check_ranges(inputs)
     part, rest = divmod(inputs[horizon], epochs)
     if rest:
         raise ConfigError(f"{horizon}={inputs[horizon]} is not {epochs} equal epochs")
@@ -410,9 +437,13 @@ def execute_sweep(path: str, overrides) -> dict:
         for key, value in zip(keys, values):
             _set_path(point, key, json.dumps(value))
         cfg = _run_config(dict(point, name=raw.get("name", "run")))
-        cfg.name += "-" + "-".join(
-            f"{key.replace('.', '_')}{value}" for key, value in zip(keys, values)
+        cfg.name += "-" + "-".join(  # a name is a file's base name, so no value's "/"
+            f"{key.replace('.', '_')}{value}".replace("/", "_")
+            for key, value in zip(keys, values)
         )
+        if any(cfg.name == other.name for _, other in points):
+            raise ConfigError(f"two sweep points are named {cfg.name!r}; they would "
+                              "share their files")
         points.append((values, cfg))
     rows = []
     for values, cfg in points:
@@ -468,20 +499,6 @@ def _account_cmd(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _ranged(kind, rule: str, ok):
-    """argparse type of an accounting option: a finite ``kind(text)`` of
-    which ``ok`` holds, so a noise-free query is checked like a noisy one."""
-    def parse(text: str):
-        value = kind(text)
-        if kind is float and not math.isfinite(value):
-            raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
-        return value
-    parse.__name__ = kind.__name__  # argparse's name for a value kind() refuses
-    return parse
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="convexdp",
@@ -500,30 +517,15 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--set", dest="overrides", action="append", metavar="K=V")
 
     account_p = sub.add_parser("account", help="standalone accounting queries")
-    # The parsed options, bar "command", are the accountant inputs a run logs.
+    # The parsed options, bar "command", are the accountant inputs a run logs;
+    # _privacy_curves checks them as it checks a run's.
     acc_sub = account_p.add_subparsers(dest="method", required=True)
-    count = _ranged(int, "a positive integer", lambda v: v >= 1)
-    positive = _ranged(float, "positive", lambda v: v > 0)
-    sigma = _ranged(float, "non-negative", lambda v: v >= 0)
-    q = _ranged(float, "in (0, 1]", lambda v: 0 < v <= 1)
-    delta = _ranged(float, "in (0, 1)", lambda v: 0 < v < 1)
-
-    dpsgd_p = acc_sub.add_parser("dpsgd")
-    dpsgd_p.add_argument("--sigma", type=sigma, required=True)
-    dpsgd_p.add_argument("--q", type=q, required=True)
-    dpsgd_p.add_argument("--T", type=count, required=True)
-    dpsgd_p.add_argument("--delta", type=delta, default=1e-5)
-
-    cgd_p = acc_sub.add_parser("noisycgd")
-    cgd_p.add_argument("--L", type=positive, required=True)
-    cgd_p.add_argument("--b", type=count, required=True)
-    cgd_p.add_argument("--sigma", type=sigma, required=True)
-    cgd_p.add_argument("--eta", type=positive, required=True)
-    cgd_p.add_argument("--lambda", type=positive, required=True)
-    cgd_p.add_argument("--beta", type=positive, required=True)
-    cgd_p.add_argument("--k", type=count, required=True)
-    cgd_p.add_argument("--E", type=count, required=True)
-    cgd_p.add_argument("--delta", type=delta, default=1e-5)
+    for method, (_, keys) in QUERIES.items():
+        query_p = acc_sub.add_parser(method)
+        for key in keys:
+            query_p.add_argument(f"--{key}", type=int if RANGES[key][0] == "int" else float,
+                                 **({"default": RunConfig.delta} if key == "delta"
+                                    else {"required": True}))
 
     return parser
 

@@ -129,7 +129,7 @@ def load_csv(path: str) -> Dataset:
 def synthetic_gaussian(
     n: int,
     d: int,
-    rule: str = "random_labels",
+    rule: str = "norm_threshold",
     seed: int = 0,
     num_classes: int = 2,
 ) -> Dataset:

@@ -477,6 +477,12 @@ def test_removed_grid_step_option_exits_2(capsys):
             and "unrecognized arguments: --grid-step 1e-4" in capsys.readouterr().err)
 
 
+def account_query(args):
+    """The accountant query of the `account` command line ``args``."""
+    parsed = vars(cli.build_parser().parse_args(args))
+    return {key: value for key, value in parsed.items() if key != "command"}
+
+
 @pytest.mark.parametrize("args", [
     ["account", "dpsgd", *DPSGD_ARGS, "--delta", "nan"],
     ["account", "noisycgd", "--L", "2", "--b", "100", "--sigma", "0.02", "--eta", "0.05",
@@ -485,9 +491,13 @@ def test_removed_grid_step_option_exits_2(capsys):
      "--lambda", "1e-3", "--beta", "30", "--k", "60", "--E", "20"],
 ])
 def test_accounting_options_must_be_finite(args, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(args)
-    assert exc.value.code == 2 and "must be a finite number" in capsys.readouterr().err
+    # `account` and a library query are refused alike, naming the option.
+    [option] = [key[2:] for key, text in zip(args[2::2], args[3::2])
+                if text in ("nan", "inf")]
+    assert cli.main(args) == 2
+    assert f"{option}: must be a finite number" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=f"^{option}: must be a finite number"):
+        cli.epsilon_from_inputs(account_query(args))
 
 
 ACCOUNT_OPTIONS = {
@@ -507,12 +517,27 @@ ACCOUNT_OPTIONS = {
 ])
 def test_account_options_are_range_checked_at_every_sigma(method, option, value, sigma,
                                                           capsys):
-    # A noise-free query has no curve to check its options, so they are
-    # checked where they enter, and the refusal names the option.
+    # A noise-free query has no curve, yet its options are checked as a
+    # noisy query's are, through `account` and the library alike, and the
+    # refusal names the option.
     options = {**ACCOUNT_OPTIONS[method], "sigma": sigma, option: value}
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["account", method, *(f"--{key}={text}" for key, text in options.items())])
-    assert exc.value.code == 2 and f"argument --{option}: must be" in capsys.readouterr().err
+    args = ["account", method, *(f"--{key}={text}" for key, text in options.items())]
+    assert cli.main(args) == 2
+    assert f"config error: {option}: must be" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=f"^{option}: must be"):
+        cli.epsilon_from_inputs(account_query(args))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 2.0])
+@pytest.mark.parametrize("inputs, message", [
+    ({"method": "dpsgd", "q": 0.1, "delta": 1e-5}, "dpsgd query: missing ['T']"),
+    ({"method": "dpsgd", "q": 0.1, "T": 10, "delta": 1e-5, "lam": 0.5},
+     "dpsgd query: unknown keys ['lam']"),
+], ids=["missing", "unknown"])
+def test_query_keys_must_be_its_methods(inputs, message, sigma):
+    # A library query is checked against its method's keys before its ranges.
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cli.epsilon_from_inputs(dict(inputs, sigma=sigma))
 
 
 def test_noise_free_run_past_the_bound_preconditions_replays(tmp_path, monkeypatch,
@@ -618,6 +643,53 @@ def test_sweep_refuses_an_unknown_rule_before_any_run(tmp_path, monkeypatch, cap
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_refuses_a_zero_count_before_any_run(tmp_path, monkeypatch, capsys):
+    # A dataset count of 0 is refused with the config, so the valid first
+    # point is not trained either.
+    cfg = method_config(grids={"dataset.d": [3, 0]})
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(["sweep", "--config", str(path)],
+                           monkeypatch, tmp_path, capsys)
+    assert code == 2 and "dataset.d: must be a positive integer, got 0" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_points_of_one_name_exit_2_before_any_run(tmp_path, monkeypatch, capsys):
+    # 0.02 and 0.020 are one number, so both points would write t-eta0.02.*
+    cfg = method_config(grids={"eta": [0.02, 0.020]})
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(["sweep", "--config", str(path)],
+                           monkeypatch, tmp_path, capsys)
+    assert code == 2 and "two sweep points are named 't-eta0.02'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_over_dataset_paths_names_files_without_slashes(tmp_path, monkeypatch,
+                                                              capsys):
+    # Each point's name joins its grid values; a path's slashes become
+    # underscores, so each point writes its own files into out_dir.
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(0)
+    for folder in ("a", "b"):
+        table = np.column_stack([rng.standard_normal((40, 3)), rng.integers(0, 2, 40)])
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / "t.csv").write_text(
+            "a,b,c,y\n" + "\n".join(",".join(map(repr, row)) for row in table.tolist()))
+    cfg = method_config(epochs=1, dataset={"kind": "csv", "path": "a/t.csv"},
+                        grids={"dataset.path": ["a/t.csv", "b/t.csv"]})
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["sweep", "--config", str(path)],
+                             monkeypatch, tmp_path, capsys)
+    assert code == 0, err
+    names = [row["name"] for row in json.loads(out)["rows"]]
+    assert names == ["t-dataset_patha_t.csv", "t-dataset_pathb_t.csv"]
+    for name in names:
+        assert (tmp_path / "out" / f"{name}.model.json").is_file()
+
+
 def test_sweep_grid_key_into_an_object_field_the_config_leaves_out(tmp_path, monkeypatch,
                                                                    capsys):
     cfg = dict(BASE_CONFIG, epochs=1, grids={"seeds.noise": [7, 8]})
@@ -689,6 +761,8 @@ BAD_SETTINGS = [
     ("dual-noisycgd", "epochs=2.5"), ("dual-noisycgd", "b=2.5"),
     ("dual-noisycgd", "P=2.5"), ("relu-dpsgd", "hidden_m=2.5"),
     ("dual-noisycgd", "name=5"),
+    # A name is the base name of the run's files, so it holds no directory.
+    ("dual-noisycgd", "name=sub/t"),
     *[("dual-dpsgd", f"{field}={value}")
       for field in ("C", "eta", "sigma") for value in ("NaN", "Infinity")],
     ("relu-dpsgd", "account_every_epoch=no"),
@@ -744,6 +818,10 @@ BAD_SPECS = {
                                      num_classes=0),
     "no-classes-linear-teacher": dict(BASE_CONFIG["dataset"], rule="linear_teacher",
                                       num_classes=0),
+    "no-features": dict(BASE_CONFIG["dataset"], d=0),
+    "no-test-rows": dict(BASE_CONFIG["dataset"], n_test=0),
+    "empty-subset": {"kind": "idx", "train_images": "x", "train_labels": "y",
+                     "test_images": "x", "test_labels": "y", "subset_n": 0},
 }
 
 
@@ -816,10 +894,14 @@ def test_biased_dataset_pair_is_the_pair_plus_a_bias_column(tmp_path):
 @pytest.mark.parametrize("method", ["dual-dpsgd", "dual-noisycgd"])
 def test_empty_training_subset_exits_2(method, tmp_path, monkeypatch, capsys):
     # Accounting divides by the training rows (q = b / n, the max row norm),
-    # so an empty training split is refused before it.
-    images, label_file = write_idx(tmp_path / "idx", 30, np.random.default_rng(0))
+    # so an empty training split is refused before it. A subset_n of 0 is
+    # refused with the config (BAD_SPECS); a training file of no images is
+    # found when it loads.
+    rng = np.random.default_rng(0)
+    images, label_file = write_idx(tmp_path / "train", 0, rng)
+    test_images, test_labels = write_idx(tmp_path / "test", 30, rng)
     spec = {"kind": "idx", "train_images": images, "train_labels": label_file,
-            "test_images": images, "test_labels": label_file, "subset_n": 0}
+            "test_images": test_images, "test_labels": test_labels}
     cfg = write_config(tmp_path, method=method, dataset=spec)
     code, _, err = run_cli(["run", "--config", cfg], monkeypatch, tmp_path, capsys)
     assert code == 2 and "the train split has no rows" in err

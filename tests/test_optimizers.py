@@ -261,6 +261,31 @@ def test_noisycgd_shift_over_noise_std_is_the_linear_oracle_mu():
         oracles.noisycgd_linear_mu(spec), rel=1e-9)
 
 
+@pytest.mark.parametrize("run", [opt.noisycgd_run, opt.dpsgd_run],
+                         ids=["noisycgd", "dpsgd"])
+def test_final_iterate_variance_is_the_noise_the_accountant_assumes(run):
+    # On a linear objective the gradients do not depend on the iterate, so
+    # with the batch seed fixed the final iterate's spread over noise seeds
+    # is the injected noise alone: each step's N(0, noise_std^2) row, scaled
+    # by eta and contracted by c = 1 - eta * lam per later step. The pooled
+    # per-coordinate sample variance must match within 5 relative standard
+    # errors, sqrt(2 / ((N - 1) d)).
+    eta, lam, k, E, b, d, N = 0.1, 0.2, 3, 5, 4, 50, 1000
+    C, sigma = 1.0, 1.5
+    X = np.random.default_rng(7).standard_normal((k * b, d))
+    y = np.zeros(k * b, dtype=int)
+    obj = RowGradObjective(lam)
+    finals = np.array([
+        run(obj, np.zeros(d), X, y, opt.DPSGDConfig(C=C, sigma=sigma, b=b, eta=eta,
+                                                    epochs=E, seed=5, noise_seed=seed))[0]
+        for seed in range(N)])
+    noise_std = C * sigma / b  # the std both accountant queries read
+    c = 1.0 - eta * lam
+    expected = (eta * noise_std) ** 2 * sum(c ** (2 * t) for t in range(E * k))
+    ratio = finals.var(axis=0, ddof=1).mean() / expected
+    assert abs(ratio - 1.0) < 5 * math.sqrt(2 / ((N - 1) * d))
+
+
 # ---------------------------------------------------------------------------
 # What a loop evaluates
 # ---------------------------------------------------------------------------
